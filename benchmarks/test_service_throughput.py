@@ -4,7 +4,7 @@ The service's two performance claims, enforced here (and re-checked by
 ``check_regression.py`` against the committed baseline):
 
 * a warm cached query is at least ``WARM_SPEEDUP_FLOOR`` times faster than
-  a cold ``analyze --engine fused`` CLI run over the same shards — the
+  a cold ``analyze --workers 0`` CLI run over the same shards — the
   daemon's whole reason to exist, and
 * incrementally ingesting one new day of shards costs at most
   ``1 / INGEST_SPEEDUP_FLOOR`` of a full recompute (the issue's < 25%
@@ -71,7 +71,7 @@ def test_service_throughput(dataset, emit_json, tmp_path):
     shutil.copytree(base_dir, full_dir)
     write_batch_cdrz(full_dir / "shard-99999.cdrz", extra)
 
-    # -- the cold reference: one `analyze --engine fused` CLI run ----------
+    # -- the cold reference: one `analyze --workers 0` CLI run ------------
     t0 = time.perf_counter()
     with redirect_stdout(io.StringIO()):
         code = cli_main(
@@ -81,8 +81,6 @@ def test_service_throughput(dataset, emit_json, tmp_path):
                 str(full_dir),
                 "--days",
                 str(DAYS),
-                "--engine",
-                "fused",
                 "--workers",
                 "0",
             ]

@@ -22,12 +22,6 @@ from repro.algorithms.stats import (
     percentile,
     summarize,
 )
-from repro.algorithms.streaming import (
-    HyperLogLog,
-    P2Quantile,
-    RunningMoments,
-    StreamingHistogram,
-)
 from repro.algorithms.timebins import (
     BIN_SECONDS,
     BINS_PER_DAY,
@@ -47,12 +41,8 @@ __all__ = [
     "HOUR",
     "MINUTE",
     "WEEK",
-    "HyperLogLog",
     "Interval",
     "KMeans",
-    "P2Quantile",
-    "RunningMoments",
-    "StreamingHistogram",
     "KMeansResult",
     "StudyClock",
     "TrendLine",

@@ -162,3 +162,24 @@ def summarize(values: Sample) -> SummaryStats:
         median=float(np.median(arr)),
         maximum=float(arr.max()),
     )
+
+
+def binned_order_statistic(
+    bins: npt.NDArray[np.int64],
+    counts: npt.NDArray[np.int64],
+    rank: int,
+    bin_width: float,
+) -> float:
+    """Midpoint of the histogram bin holding the ``rank``-th smallest value.
+
+    ``bins`` are sorted bin indices (bin ``k`` covers
+    ``[k * bin_width, (k + 1) * bin_width)``) with their observation
+    ``counts``; ``rank`` is 1-based.  The read-out is within
+    ``bin_width / 2`` of the exact order statistic, and deterministic under
+    any split of the observations because histogram counts merge exactly.
+    """
+    n = int(counts.sum())
+    if not 1 <= rank <= n:
+        raise ValueError(f"rank must be in 1..{n}, got {rank}")
+    k = int(np.searchsorted(np.cumsum(counts), rank))
+    return (float(bins[k]) + 0.5) * bin_width

@@ -5,7 +5,7 @@ Per-file rules (:class:`repro.analysis.registry.Rule`) see one
 right for local invariants (an unseeded RNG is wrong wherever it appears).
 The merge-safety and parity-contract families are different in kind: whether
 a class shipped across a worker boundary is mergeable depends on *another
-module's* ``absorb_partial`` signature, and whether a ``*_columnar`` twin is
+module's* ``absorb_partial`` signature, and whether a ``*_fused`` twin is
 parity-tested depends on the *test tree*.  :class:`ProjectContext` gives
 those rules one project-wide view, built once per run:
 
@@ -177,9 +177,9 @@ class ProjectContext:
     def resolve_class(self, canonical: str, _depth: int = 0) -> ClassInfo | None:
         """Project class named by a canonical dotted path, if any.
 
-        Follows re-exports (``from repro.core.streaming import
-        StreamingPartial`` in a package ``__init__``) up to a small depth, so
-        ``repro.core.StreamingPartial`` and its defining module both resolve
+        Follows re-exports (``from repro.core.mapreduce import
+        MapReduceStats`` in a package ``__init__``) up to a small depth, so
+        ``repro.core.MapReduceStats`` and its defining module both resolve
         to the same :class:`ClassInfo`.
         """
         if _depth > 5:
@@ -259,9 +259,9 @@ class ProjectContext:
     ) -> list[ClassInfo]:
         """Project classes named anywhere inside an annotation expression.
 
-        ``tuple[int, StreamingPartial]`` yields the ``StreamingPartial``
+        ``tuple[int, FusedPartial]`` yields the ``FusedPartial``
         class; builtins and stdlib names yield nothing.  String annotations
-        (``"StreamingPartial"``) are parsed, matching the runtime behaviour
+        (``"FusedPartial"``) are parsed, matching the runtime behaviour
         of ``from __future__ import annotations`` code.
         """
         if annotation is None:
@@ -339,7 +339,7 @@ class ProjectContext:
         """Per test file, every identifier it mentions (names + attributes).
 
         The index answers "does any test exercise symbol X" without
-        executing tests: a parity test that imports ``busy_exposure_columnar``
+        executing tests: a parity test that imports ``busy_exposure_fused``
         and calls ``busy_exposure`` mentions both.
         """
         index: dict[str, frozenset[str]] = {}

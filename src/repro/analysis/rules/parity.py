@@ -1,13 +1,10 @@
 """Parity-contract rule: every fast-path twin stays parity-tested.
 
-PRs 3–6 kept the columnar fast paths honest with one discipline: each
-vectorized twin (``busy_exposure_columnar`` …) is asserted bit-identical to
-its record-based reference in a dedicated parity test.  That discipline
-lived in review habit; RL017 turns it into a machine-checked invariant by
-cross-referencing the source tree's twin inventory against the test tree's
-identifier index.  PR 8 widened the twin inventory: the fused engine's
-public ``*_fused`` entry points carry the same bit-identity promise as the
-``*_columnar`` twins, so they fall under the same contract.
+The fused engine is honest by one discipline: each public ``*_fused``
+entry point (``busy_exposure_fused`` …) is asserted bit-identical to its
+record-based reference in a dedicated parity test.  RL017 turns that
+discipline into a machine-checked invariant by cross-referencing the
+source tree's twin inventory against the test tree's identifier index.
 """
 
 from __future__ import annotations
@@ -20,7 +17,7 @@ from repro.analysis.project import ModuleInfo, ProjectContext
 from repro.analysis.registry import ProjectRule, register
 
 #: Suffixes that mark a fast-path twin of a record-based reference.
-_SUFFIXES = ("_columnar", "_fused")
+_SUFFIXES = ("_fused",)
 
 
 def _twin_suffix(name: str) -> str | None:
@@ -35,7 +32,7 @@ def _twin_suffix(name: str) -> str | None:
 
 @register
 class ParityContractRule(ProjectRule):
-    """RL017: ``*_columnar`` / ``*_fused`` twins need a parity test."""
+    """RL017: ``*_fused`` twins need a parity test."""
 
     rule_id = "RL017"
     name = "parity-contract"
@@ -43,7 +40,7 @@ class ParityContractRule(ProjectRule):
         "A fast-path twin is only trustworthy while some test asserts it "
         "bit-identical to the record-based reference; once either side "
         "drifts untested, every Section-4 figure silently depends on which "
-        "engine ran.  Each public *_columnar or *_fused definition must be "
+        "engine ran.  Each public *_fused definition must be "
         "exercised by a test file that also exercises its reference "
         "implementation."
     )
@@ -78,7 +75,7 @@ class ParityContractRule(ProjectRule):
                     message = f"fast-path twin `{name}` has no parity test"
                     hint = (
                         f"register a test asserting {name} bit-identical "
-                        f"to {base} (see tests/core/test_vectorized_parity.py)"
+                        f"to {base} (see tests/core/test_fused_parity.py)"
                     )
                 yield self.finding_at(
                     module.path, node.lineno, node.col_offset, message, hint

@@ -21,8 +21,8 @@ parity checksums) can diff directly.
 Multi-shard traces are a directory of ``shard-NNNNN.cdrz`` files;
 :func:`iter_cdrz_chunks` streams any file, directory or explicit path list
 as bounded-size :class:`ColumnarCDRBatch` chunks whose arrays are *slices*
-of the memory map — the out-of-core path of
-:meth:`repro.core.streaming.StreamingAnalyzer.consume_columnar`.
+of the memory map — the out-of-core input of
+:meth:`repro.core.fused.FusedEngine.consume`.
 """
 
 from __future__ import annotations
@@ -419,8 +419,8 @@ def read_cdr_batch(path: str | Path, *, mmap: bool = True) -> CDRBatch:
     This is the bridge to the record-based pipeline: records *are*
     materialized here (the pipeline consumes objects), but the header's
     sortedness flag lets an already-ordered trace skip the construction
-    sort, and the batch keeps its columnar view so the vectorized engine
-    never re-encodes.
+    sort, and the batch keeps its columnar view so the fused engine never
+    re-encodes.
     """
     col, header = read_cdrz(path, mmap=mmap)
     if not header.sorted:
@@ -515,8 +515,8 @@ def iter_cdrz_chunks(
     order — the same global row stream the shards were written from.
     Empty shards yield nothing.  Peak memory is one chunk's worth of
     touched pages, independent of trace size, which is what lets the
-    out-of-core analyzer (:meth:`repro.core.streaming.StreamingAnalyzer.
-    consume_columnar`) process month-scale traces on a laptop.
+    fused engine (:meth:`repro.core.fused.FusedEngine.consume`) process
+    month-scale traces on a laptop.
     """
     if chunk_rows < 1:
         raise CDRValidationError(f"chunk_rows must be >= 1, got {chunk_rows}")

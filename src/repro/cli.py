@@ -8,7 +8,7 @@ Python::
     python -m repro.cli convert  trace.csv.gz trace.cdrz
     python -m repro.cli inspect  trace.cdrz
     python -m repro.cli analyze  --trace trace.cdrz --days 28 [--markdown]
-    python -m repro.cli stream   --trace shards/ --days 90 --workers 4
+    python -m repro.cli analyze  --trace shards/ --days 90 --workers 4
     python -m repro.cli quality  --trace trace.cdrz --days 28
     python -m repro.cli fota     --trace trace.cdrz --days 28 [--max-concurrent N]
     python -m repro.cli journeys --trace trace.cdrz --days 28
@@ -43,6 +43,7 @@ from repro.cdr.io import (
 )
 from repro.cdr.quality import assess_quality
 from repro.core.pipeline import AnalysisPipeline
+from repro.core.preprocess import NoUsableRecordsError
 from repro.core.report import format_report, format_report_markdown
 from repro.network.load import CellLoadModel
 from repro.network.topology import build_topology
@@ -55,8 +56,8 @@ if TYPE_CHECKING:
     from repro.cdr.columnar import ColumnarCDRBatch
     from repro.cdr.records import ConnectionRecord
 
-#: One help string for every shard-sweeping command (analyze, stream,
-#: serve): worker semantics are identical everywhere — results never
+#: One help string for every shard-sweeping command (analyze, serve,
+#: twin): worker semantics are identical everywhere — results never
 #: depend on the count, 1 sweeps in process, 0 means one per CPU.
 _WORKERS_HELP = (
     "worker processes for shard sweeps; results are identical at any "
@@ -148,45 +149,9 @@ def _add_analyze(
     p.add_argument(
         "--markdown", action="store_true", help="emit the report as markdown"
     )
-    p.add_argument(
-        "--engine",
-        default="fused",
-        choices=("fused", "vectorized", "reference"),
-        help="Section 4 implementation: fused (default, one pass over "
-        "shared intermediates), vectorized (per-analysis columnar twins) "
-        "or reference (record loops); all three are bit-identical. With "
-        "--workers != 1 the fused engine map-reduces cdrz shards and still "
-        "prints full statistics; other engines fall back to the streaming "
-        "summary",
-    )
+    # With --workers != 1 the fused engine map-reduces a cdrz trace shard
+    # by shard and prints a summary of the same statistics.
     p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
-
-
-def _add_stream(
-    subparsers: argparse._SubParsersAction[argparse.ArgumentParser],
-) -> None:
-    p = subparsers.add_parser(
-        "stream",
-        help="out-of-core streaming analysis of a cdrz trace (map-reduce)",
-    )
-    p.add_argument(
-        "--trace", required=True, help=".cdrz file or shard directory"
-    )
-    p.add_argument("--days", type=int, default=28)
-    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
-    p.add_argument(
-        "--chunk-rows",
-        type=int,
-        default=None,
-        help="rows per streamed chunk (bounds per-worker memory)",
-    )
-    p.add_argument(
-        "--quantile-bin-s",
-        type=float,
-        default=1.0,
-        help="histogram-quantile bin width; duration quantiles are exact "
-        "to half this",
-    )
 
 
 def _add_quality(
@@ -337,7 +302,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_convert(subparsers)
     _add_inspect(subparsers)
     _add_analyze(subparsers)
-    _add_stream(subparsers)
     _add_quality(subparsers)
     _add_fota(subparsers)
     _add_journeys(subparsers)
@@ -523,82 +487,12 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_stream(
-    trace: str,
-    days: int,
-    workers: int,
-    chunk_rows: int | None,
-    quantile_bin_s: float,
-) -> int:
-    """Shared engine behind ``stream`` and ``analyze --workers N``."""
-    import os
+def _analyze_shards(args: argparse.Namespace) -> int:
+    """``analyze --workers N``: full Section 4 statistics by map-reduce.
 
-    from repro.cdr.errors import CDRValidationError
-    from repro.cdr.store import DEFAULT_CHUNK_ROWS, shard_manifest
-    from repro.core.mapreduce import analyze_shards
-
-    clock = StudyClock(n_days=days)
-    n_workers = workers if workers > 0 else (os.cpu_count() or 1)
-    try:
-        manifest = shard_manifest(trace)
-        result, stats = analyze_shards(
-            trace,
-            clock,
-            workers=n_workers,
-            chunk_rows=chunk_rows or DEFAULT_CHUNK_ROWS,
-            quantile_bin_s=quantile_bin_s,
-        )
-    except CDRValidationError as exc:
-        print(f"stream analysis needs a cdrz trace: {exc}", file=sys.stderr)
-        return 2
-    total_rows = sum(entry.n_rows for entry in manifest)
-    print(
-        f"map-reduce over {stats.n_shards} shard(s), {total_rows:,} rows, "
-        f"{stats.workers} worker(s); peak RSS "
-        f"{stats.peak_rss_bytes / 1e6:.0f} MB"
-    )
-    print(
-        f"records kept {result.n_records:,} "
-        f"(+{result.n_ghosts_dropped:,} ghosts dropped; "
-        f"{stats.n_empty_shards} empty shard(s))"
-    )
-    print(
-        f"duration: median {result.duration_median:.1f} s, "
-        f"p73 {result.duration_p73:.1f} s, mean {result.duration_mean_full:.1f} s "
-        f"(truncated {result.duration_mean_truncated:.1f} s), "
-        f">600 s: {result.fraction_over_cutoff:.1%}"
-    )
-    print(
-        "mean connected share (truncated): "
-        f"{result.mean_connect_share_truncated:.2%}"
-    )
-    cars = result.distinct_cars_per_day
-    cells = result.distinct_cells_per_day
-    print(
-        f"distinct per day (HLL): cars mean {cars.mean():.0f} "
-        f"(max {cars.max():.0f}), cells mean {cells.mean():.0f} "
-        f"(max {cells.max():.0f})"
-    )
-    shares = ", ".join(
-        f"{carrier} {fraction:.1%}"
-        for carrier, fraction in result.carrier_time_fraction.items()
-    )
-    print(f"carrier time shares: {shares or 'n/a'}")
-    return 0
-
-
-def cmd_stream(args: argparse.Namespace) -> int:
-    return _run_stream(
-        args.trace, args.days, args.workers, args.chunk_rows, args.quantile_bin_s
-    )
-
-
-def _run_analyze_fused_shards(args: argparse.Namespace) -> int:
-    """``analyze --engine fused --workers N``: full Section 4 statistics.
-
-    Unlike the streaming summary, the fused map-reduce path folds exact
-    per-shard partials, so every statistic below matches the in-memory
-    report bit for bit at any worker count.
+    The fused map-reduce folds exact per-shard partials, so every
+    statistic below matches the in-memory report bit for bit at any worker
+    count (float sums to reassociation precision).
     """
     import os
 
@@ -649,6 +543,13 @@ def _run_analyze_fused_shards(args: argparse.Namespace) -> int:
         f"(truncated {connect.mean_truncated:.2%}) over "
         f"{len(connect.car_ids):,} cars"
     )
+    durations = report.durations
+    print(
+        f"duration: median {durations.median:.1f} s, "
+        f"p73 {durations.p73:.1f} s, mean {durations.mean_full:.1f} s "
+        f"(truncated {durations.mean_truncated:.1f} s), "
+        f">600 s: {durations.fraction_over_cutoff:.1%}"
+    )
     shares = ", ".join(
         f"{carrier} {fraction:.1%}"
         for carrier, fraction in report.carriers.time_fraction.items()
@@ -677,21 +578,19 @@ def _run_analyze_fused_shards(args: argparse.Namespace) -> int:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
-    if args.workers != 1:
-        if args.engine == "fused":
-            return _run_analyze_fused_shards(args)
-        return _run_stream(
-            args.trace, args.days, args.workers, chunk_rows=None, quantile_bin_s=1.0
-        )
-    config = scenario(args.scenario, n_cars=1, n_days=args.days)
-    clock = StudyClock(n_days=args.days)
-    topology = build_topology(config.topology)
-    load_model = CellLoadModel(topology, clock, seed=config.load_seed)
-    batch = load_trace(args.trace)
-    pipeline = AnalysisPipeline(clock, load_model, topology.cells)
-    report = pipeline.run(
-        batch, with_clustering=not args.no_clustering, engine=args.engine
-    )
+    try:
+        if args.workers != 1:
+            return _analyze_shards(args)
+        config = scenario(args.scenario, n_cars=1, n_days=args.days)
+        clock = StudyClock(n_days=args.days)
+        topology = build_topology(config.topology)
+        load_model = CellLoadModel(topology, clock, seed=config.load_seed)
+        batch = load_trace(args.trace)
+        pipeline = AnalysisPipeline(clock, load_model, topology.cells)
+        report = pipeline.run(batch, with_clustering=not args.no_clustering)
+    except NoUsableRecordsError as exc:
+        print(f"analyze: {args.trace}: {exc}", file=sys.stderr)
+        return 2
     if args.markdown:
         print(format_report_markdown(report))
     else:
@@ -951,7 +850,6 @@ def main(argv: list[str] | None = None) -> int:
         "convert": cmd_convert,
         "inspect": cmd_inspect,
         "analyze": cmd_analyze,
-        "stream": cmd_stream,
         "quality": cmd_quality,
         "fota": cmd_fota,
         "journeys": cmd_journeys,

@@ -6,30 +6,17 @@ over a CDR batch plus cell-load series and produces an
 the paper's tables and figures.
 """
 
-from repro.core.busy import (
-    BusyExposure,
-    BusySchedule,
-    busy_exposure,
-    busy_exposure_columnar,
-)
+from repro.core.busy import BusyExposure, BusySchedule, busy_exposure
 from repro.core.carclusters import BehaviourClusters, cluster_cars
-from repro.core.carriers import CarrierUsage, carrier_usage, carrier_usage_columnar
+from repro.core.carriers import CarrierUsage, carrier_usage
 from repro.core.clustering import BusyCellClusters, cluster_busy_cells
 from repro.core.compare import compare_reports, format_comparison
 from repro.core.concurrency import CellTimeline, cell_timeline, weekly_concurrency
-from repro.core.connect_time import (
-    ConnectTimeResult,
-    connect_time_analysis,
-    connect_time_analysis_columnar,
-)
-from repro.core.handover import (
-    HandoverStats,
-    handover_analysis,
-    handover_analysis_columnar,
-)
+from repro.core.connect_time import ConnectTimeResult, connect_time_analysis
+from repro.core.handover import HandoverStats, handover_analysis
 from repro.core.hograph import build_handover_graph, top_corridors
 from repro.core.journeys import JourneyStats, reconstruct_journeys
-from repro.core.mapreduce import MapReduceStats, MapSpec, analyze_shards, map_shard
+from repro.core.mapreduce import MapReduceStats, analyze_shards_fused
 from repro.core.matrices import (
     PeriodMasks,
     UsageMatrix,
@@ -39,24 +26,9 @@ from repro.core.matrices import (
 from repro.core.odmatrix import ODMatrix, ZoneGrid, build_od_matrix
 from repro.core.pipeline import AnalysisPipeline, AnalysisReport
 from repro.core.preprocess import PreprocessConfig, PreprocessResult, preprocess
-from repro.core.presence import (
-    DailyPresence,
-    daily_presence,
-    daily_presence_columnar,
-    weekday_table,
-)
-from repro.core.segmentation import (
-    CarSegmentation,
-    days_on_network,
-    days_on_network_columnar,
-    segment_cars,
-)
+from repro.core.presence import DailyPresence, daily_presence, weekday_table
+from repro.core.segmentation import CarSegmentation, days_on_network, segment_cars
 from repro.core.stability import FleetStability, fleet_stability
-from repro.core.streaming import (
-    StreamingAnalyzer,
-    StreamingPartial,
-    StreamingResult,
-)
 
 __all__ = [
     "AnalysisPipeline",
@@ -76,36 +48,25 @@ __all__ = [
     "HandoverStats",
     "JourneyStats",
     "MapReduceStats",
-    "MapSpec",
     "PeriodMasks",
-    "StreamingAnalyzer",
-    "StreamingPartial",
-    "StreamingResult",
     "PreprocessConfig",
     "PreprocessResult",
     "UsageMatrix",
-    "analyze_shards",
+    "analyze_shards_fused",
     "build_handover_graph",
     "build_od_matrix",
-    "map_shard",
     "compare_reports",
     "fleet_stability",
     "format_comparison",
     "busy_exposure",
-    "busy_exposure_columnar",
     "carrier_usage",
-    "carrier_usage_columnar",
     "cluster_cars",
     "cell_timeline",
     "cluster_busy_cells",
     "connect_time_analysis",
-    "connect_time_analysis_columnar",
     "daily_presence",
-    "daily_presence_columnar",
     "days_on_network",
-    "days_on_network_columnar",
     "handover_analysis",
-    "handover_analysis_columnar",
     "period_masks",
     "preprocess",
     "reconstruct_journeys",

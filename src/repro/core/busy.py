@@ -14,10 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from repro.algorithms.segments import ragged_ranges
 from repro.algorithms.stats import decile_shares
 from repro.algorithms.timebins import BIN_SECONDS
-from repro.cdr.columnar import ColumnarCDRBatch
 from repro.cdr.records import CDRBatch
 from repro.network.load import CellLoadModel
 
@@ -239,65 +237,3 @@ def busy_exposure(batch: CDRBatch, schedule: BusySchedule) -> BusyExposure:
     return _shares(car_ids, busy, total)
 
 
-def busy_exposure_columnar(
-    col: ColumnarCDRBatch, schedule: BusySchedule
-) -> BusyExposure:
-    """Vectorized :func:`busy_exposure` over a columnar batch.
-
-    Every record is split into one fragment per 15-minute bin it straddles
-    (records on cells without a busy mask stay whole), all with array
-    arithmetic: fragment seconds are clip differences, busy flags are one
-    gather from a padded per-cell mask table fetched once per cell, and the
-    per-car tallies accumulate with ``np.add.at``.  ``ufunc.at`` is
-    unbuffered and applies fragments in index order — record-major,
-    bin-minor, exactly the order the reference's ``+=`` loop adds them — so
-    the resulting shares are bit-identical.
-    """
-    n = len(col)
-    present = col.present_car_codes()
-    car_ids = [col.car_ids[int(c)] for c in present]
-    busy = np.zeros(len(car_ids))
-    total = np.zeros(len(car_ids))
-    if n == 0:
-        return _shares(car_ids, busy, total)
-    car_idx = np.searchsorted(present, col.car_code)
-
-    # One busy-mask fetch per distinct cell; unknown cells get a zero-length
-    # row in the padded table and are flagged so their records stay whole.
-    cells, cell_row = np.unique(col.cell_id, return_inverse=True)
-    masks = [schedule.busy_mask(int(c)) for c in cells]
-    known_cell = np.asarray([m is not None for m in masks], dtype=np.bool_)
-    lens = np.asarray(
-        [0 if m is None else m.size for m in masks], dtype=np.int64
-    )
-    table = np.zeros((len(masks), int(lens.max()) if len(masks) else 0), np.bool_)
-    for row, mask in enumerate(masks):
-        if mask is not None:
-            table[row, : mask.size] = mask
-
-    start = col.start
-    end = start + col.duration
-    first = np.floor_divide(start, BIN_SECONDS).astype(np.int64)
-    last = np.floor_divide(end, BIN_SECONDS).astype(np.int64)
-    last[np.mod(end, BIN_SECONDS) == 0] -= 1
-    # Zero-duration records still touch the single bin holding their start.
-    last = np.maximum(last, first)
-    known_row = known_cell[cell_row]
-    counts = np.where(known_row, last - first + 1, 1)
-
-    owner, offset = ragged_ranges(counts)
-    f_bin = first[owner] + offset
-    f_known = known_row[owner]
-    lo = np.maximum(start[owner], f_bin * BIN_SECONDS)
-    hi = np.minimum(end[owner], (f_bin + 1) * BIN_SECONDS)
-    seconds = np.where(f_known, np.maximum(0.0, hi - lo), col.duration[owner])
-
-    f_row = cell_row[owner]
-    f_busy = np.zeros(len(owner), dtype=np.bool_)
-    in_range = f_known & (f_bin >= 0) & (f_bin < lens[f_row])
-    sel = np.flatnonzero(in_range)
-    f_busy[sel] = table[f_row[sel], f_bin[sel]]
-
-    np.add.at(total, car_idx[owner], seconds)
-    np.add.at(busy, car_idx[owner[f_busy]], seconds[f_busy])
-    return _shares(car_ids, busy, total)

@@ -11,9 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from repro.cdr.columnar import ColumnarCDRBatch
 from repro.cdr.records import CDRBatch
 
 #: Canonical carrier order for reporting.
@@ -74,54 +71,3 @@ def carrier_usage(
     )
 
 
-def carrier_usage_columnar(
-    col: ColumnarCDRBatch, carriers: tuple[str, ...] = CARRIER_ORDER
-) -> CarrierUsage:
-    """Vectorized :func:`carrier_usage` over a columnar batch.
-
-    Car reach for every carrier comes from one ``bincount`` over packed
-    ``(carrier, car)`` codes — a single O(n) pass replaces the per-carrier
-    mask + ``unique`` scans, which made the old loop O(n_carriers × n).
-    Per-carrier time sums still run as ``np.cumsum`` over each carrier's
-    rows in batch order (a stable sort groups rows per carrier without
-    reordering within one), which accumulates floats in exactly the
-    sequence the reference's ``+=`` loop does, so the time shares are
-    bit-identical.
-    """
-    n = len(col)
-    total_time = float(np.cumsum(col.duration)[-1]) if n else 0.0
-    n_cars_total = int(np.unique(col.car_code).size)
-    n_cars = max(n_cars_total, 1)
-    cars_fraction: dict[str, float] = {c: 0.0 for c in carriers}
-    time_fraction: dict[str, float] = {c: 0.0 for c in carriers}
-    n_carrier_vocab = len(col.carriers)
-    if n and n_carrier_vocab:
-        n_car_vocab = max(len(col.car_ids), 1)
-        packed = col.carrier_code.astype(np.int64) * n_car_vocab + col.car_code
-        pair_counts = np.bincount(
-            packed, minlength=n_carrier_vocab * n_car_vocab
-        )
-        reach = (pair_counts.reshape(n_carrier_vocab, n_car_vocab) > 0).sum(
-            axis=1
-        )
-        order = np.argsort(col.carrier_code, kind="stable")
-        dur_sorted = col.duration[order]
-        counts = np.bincount(col.carrier_code, minlength=n_carrier_vocab)
-        bounds = np.concatenate(
-            (np.zeros(1, dtype=np.int64), np.cumsum(counts, dtype=np.int64))
-        )
-        for code, name in enumerate(col.carriers):
-            if name not in cars_fraction:
-                continue
-            a, b = int(bounds[code]), int(bounds[code + 1])
-            if a == b:
-                continue
-            t = float(np.cumsum(dur_sorted[a:b])[-1])
-            cars_fraction[name] = int(reach[code]) / n_cars
-            time_fraction[name] = t / total_time if total_time > 0 else 0.0
-    return CarrierUsage(
-        cars_fraction=cars_fraction,
-        time_fraction=time_fraction,
-        n_cars=n_cars_total,
-        total_time_s=total_time,
-    )

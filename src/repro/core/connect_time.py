@@ -15,10 +15,8 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.algorithms.intervals import total_duration
-from repro.algorithms.segments import segmented_cummax
 from repro.algorithms.stats import percentile
 from repro.algorithms.timebins import StudyClock
-from repro.cdr.columnar import ColumnarCDRBatch
 from repro.core.preprocess import PreprocessResult
 
 
@@ -81,60 +79,6 @@ def connect_time_analysis(
     return ConnectTimeResult(car_ids=car_ids, full_share=full, truncated_share=trunc)
 
 
-def _union_totals(
-    col: ColumnarCDRBatch,
-) -> tuple[list[str], npt.NDArray[np.float64]]:
-    """Per-car union-of-intervals connected seconds, cars sorted by id.
-
-    The grouped high-water-mark scan: with each car's rows contiguous and
-    chronological, a segmented running maximum of the record ends (``cm``)
-    identifies union segments — a row opens a new segment exactly when its
-    start exceeds the running maximum so far, the same ``start > end`` test
-    the reference's interval merge applies.  Segment durations then
-    accumulate per car in segment order, matching the reference's
-    sequential sum.
-    """
-    present = col.present_car_codes()
-    car_ids = [col.car_ids[int(c)] for c in present]
-    totals = np.zeros(len(car_ids))
-    n = len(col)
-    if n == 0:
-        return car_ids, totals
-    order, starts = col.car_spans()
-    s = col.start[order]
-    e = s + col.duration[order]
-    is_start = np.zeros(n, dtype=np.bool_)
-    is_start[starts] = True
-    cm = segmented_cummax(e, is_start)
-    new_seg = is_start.copy()
-    new_seg[1:] |= ~is_start[1:] & (s[1:] > cm[:-1])
-    seg_first = np.flatnonzero(new_seg)
-    seg_last = np.append(seg_first[1:] - 1, n - 1)
-    seg_dur = cm[seg_last] - s[seg_first]
-    car_of_seg = np.searchsorted(present, col.car_code[order][seg_first])
-    np.add.at(totals, car_of_seg, seg_dur)
-    return car_ids, totals
-
-
-def connect_time_analysis_columnar(
-    pre: PreprocessResult, clock: StudyClock
-) -> ConnectTimeResult:
-    """Vectorized :func:`connect_time_analysis` over the columnar views.
-
-    Bit-identical to the reference: union segments are determined by the
-    same comparisons, segment durations are the same subtractions, and the
-    per-car sums run in the same order.
-    """
-    duration = float(clock.duration)
-    car_ids, full_totals = _union_totals(pre.full.columnar())
-    _, trunc_totals = _union_totals(pre.truncated.columnar())
-    return ConnectTimeResult(
-        car_ids=car_ids,
-        full_share=full_totals / duration,
-        truncated_share=trunc_totals / duration,
-    )
-
-
 def cell_connection_durations(
     pre: PreprocessResult, truncated: bool
 ) -> npt.NDArray[np.float64]:
@@ -145,3 +89,21 @@ def cell_connection_durations(
     """
     batch = pre.truncated if truncated else pre.full
     return np.asarray([rec.duration for rec in batch], dtype=float)
+
+
+@dataclass(frozen=True)
+class DurationStats:
+    """Figure 9's headline numbers over per-cell connection durations.
+
+    ``n`` kept records; the ``median`` and 73rd percentile of the reported
+    durations; the mean of reported and of truncated durations; and the
+    fraction of records whose reported duration exceeds the truncation
+    cutoff.
+    """
+
+    n: int
+    median: float
+    p73: float
+    mean_full: float
+    mean_truncated: float
+    fraction_over_cutoff: float

@@ -1,14 +1,15 @@
 """Fused single-pass analysis engine over shared columnar intermediates.
 
-The per-analysis columnar twins (``daily_presence_columnar`` …) each
-re-derive the same expensive intermediates from the same arrays: sort
-permutations, ``np.unique`` vocabularies, packed day/car keys, bin
-fragments, and segmented session scans.  This module fuses them: one pass
-per chunk computes a shared :class:`ChunkIntermediates` bundle, and every
-registered analysis kernel consumes that bundle — adding an analysis costs
-one kernel, not one more pass over the data.
+Every Section 4 analysis needs the same expensive intermediates from the
+same arrays: sort permutations, vocabularies, packed day/car keys, bin
+fragments, and segmented session scans.  This module derives them once:
+one pass per chunk computes a shared :class:`ChunkIntermediates` bundle,
+and every registered analysis kernel consumes that bundle — adding an
+analysis costs one kernel, not one more pass over the data.  It is the
+production engine; the record-based references in the per-analysis
+modules are its oracle.
 
-Three ways to run it, strongest guarantee first:
+Two ways to run it, strongest guarantee first:
 
 * **Whole batch / any chunk size, one process** — :class:`FusedEngine`
   consumed over chunks of a batch (or one shard's cdrz chunks) is
@@ -23,12 +24,11 @@ Three ways to run it, strongest guarantee first:
   :class:`FusedPartial` per shard and the parent folds them in shard-index
   order (:func:`repro.core.mapreduce.analyze_shards_fused`).  The fold is
   deterministic and *worker-count invariant*: any ``--workers`` value
-  yields the same bits.  Counts, pair sets and session/handover statistics
-  merge exactly (bit-identical to the references); per-car and per-carrier
-  float sums merge to reassociation precision against a serial pass — the
-  same contract :mod:`repro.core.mapreduce` established for the streaming
-  analyzer, for the same reason (a sequential float chain cannot be
-  reconstructed from shard subtotals).
+  yields the same bits.  Counts, pair sets, histograms and
+  session/handover statistics merge exactly (bit-identical to the
+  references); per-car, per-carrier and duration float sums merge to
+  reassociation precision against a serial pass, because a sequential
+  float chain cannot be reconstructed from shard subtotals.
 
 Kernels implement the small :class:`FusedAnalysis` protocol —
 ``consume(intermediates)`` plus the ``export_partial`` / ``absorb_partial``
@@ -37,13 +37,14 @@ unchanged.  To register a new analysis: derive its per-chunk arithmetic
 from :class:`ChunkIntermediates` (never from the raw chunk), keep every
 cross-chunk float in a carried chain, give its partial an
 ``absorb_partial`` that folds a *later* shard into ``self``, and wire it
-into :class:`FusedEngine`.  The record-based references and the columnar
-twins remain the bit-identity oracle (``tests/core/test_fused_parity.py``).
+into :class:`FusedEngine`.  The record-based references remain the
+bit-identity oracle (``tests/core/test_fused_parity.py``).
 """
 
 from __future__ import annotations
 
 import copy
+import math
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -54,11 +55,12 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.algorithms.segments import ragged_ranges, segment_ids, segmented_cummax
+from repro.algorithms.stats import binned_order_statistic
 from repro.algorithms.timebins import BIN_SECONDS, DAY, StudyClock
 from repro.cdr.columnar import ColumnarCDRBatch
 from repro.core.busy import BusyExposure, BusySchedule, _shares
 from repro.core.carriers import CARRIER_ORDER, CarrierUsage
-from repro.core.connect_time import ConnectTimeResult
+from repro.core.connect_time import ConnectTimeResult, DurationStats
 from repro.core.handover import HandoverStats, HandoverType
 from repro.core.preprocess import (
     GHOST_DURATION_S,
@@ -74,8 +76,8 @@ from repro.network.cells import Cell
 #: reaches this many chunk arrays, bounding finalize-time concatenation.
 _PAIR_COLLAPSE = 32
 
-#: Handover kind codes, in the classification precedence order the twins
-#: use (``classify_handover``): technology change wins, then base station,
+#: Handover kind codes, in the classification precedence order of
+#: ``classify_handover``: technology change wins, then base station,
 #: sector, carrier.
 _KIND_ORDER = (
     HandoverType.INTER_RAT,
@@ -166,8 +168,7 @@ class ChunkIntermediates:
         """In-study day index per kept row plus the in-study mask.
 
         Float day indices dodge int64 overflow on absurd timestamps while
-        comparing exactly like the references' arbitrary-precision ints
-        (the established ``consume_columnar`` idiom).
+        comparing exactly like the references' arbitrary-precision ints.
         """
         day_f = np.floor_divide(self.start, DAY)
         in_study = (day_f >= 0.0) & (day_f < self.clock.n_days)
@@ -763,7 +764,7 @@ class BusyPartial:
 class BusyKernel:
     """Figure 7: per-car seconds in busy vs all cells.
 
-    The twin's fragment machinery, indexed straight by car code into
+    Fragment arithmetic indexed straight by car code into
     vocabulary-sized tallies: each truncated record splits into one fragment
     per 15-minute bin it straddles (records on cells without a busy mask
     stay whole), fragment seconds accumulate with the unbuffered
@@ -791,10 +792,12 @@ class BusyKernel:
             pos = np.searchsorted(dir_cells, cells)
             pos_c = np.minimum(pos, dir_cells.size - 1)
             known_cell = dir_cells[pos_c] == cells
+            lens = np.where(known_cell, dir_lens[pos_c], 0)
         else:
+            # No cell has a busy mask: every record stays whole, non-busy.
             known_cell = np.zeros(len(cells), dtype=np.bool_)
             pos_c = np.zeros(len(cells), dtype=np.intp)
-        lens = np.where(known_cell, dir_lens[pos_c], 0)
+            lens = np.zeros(len(cells), dtype=np.int64)
 
         start = inter.start
         duration = inter.trunc_duration
@@ -930,13 +933,12 @@ class ConnectKernel:
     so a chain closing later still contributes the reference's single
     ``cm - start`` subtraction.  A carried chain can swallow a *prefix* of
     the next chunk's chunk-local chains (a long earlier record may span
-    several of them), handled per car before the vectorized interior adds.
+    several of them), handled per car before the closed chains are kept.
 
-    ``track_partials=False`` accumulates chain durations per car in
-    chronological order — bit-identical to the reference at any chunk size.
-    ``track_partials=True`` instead collects the chain *endpoints* for
-    :class:`ConnectPartial`, deferring all float sums to the reducer's
-    finalize — which is what makes the map-reduce path exact too.
+    The kernel collects chain *endpoints*, never sums: every float add is
+    deferred to :func:`finalize_connect_partial`, which is what makes one
+    engine bit-identical to the reference at any chunk size *and* the
+    exported :class:`ConnectPartial` exact across shards.
     """
 
     def __init__(
@@ -944,18 +946,15 @@ class ConnectKernel:
         car_ids: tuple[str, ...],
         *,
         truncated: bool,
-        track_partials: bool = False,
         join_gap_s: float = 0.0,
     ) -> None:
         n = len(car_ids)
         self._car_ids = car_ids
         self._truncated = truncated
-        self._track = track_partials
         #: Chain-join tolerance: 0 unions overlapping intervals (connect
         #: time); a positive gap concatenates sessions, matching
         #: ``concatenate_gaps`` (``next.start - prev.end <= gap`` joins).
         self._gap = join_gap_s
-        self._totals = np.zeros(n)
         self._open_start = np.zeros(n)
         self._open_cm = np.zeros(n)
         self._has_open = np.zeros(n, dtype=np.bool_)
@@ -990,8 +989,6 @@ class ConnectKernel:
         run_last = np.append(run_first[1:], n_seg)
 
         interior = np.zeros(n_seg, dtype=np.bool_)
-        totals = self._totals
-        track = self._track
         has_open = self._has_open
         open_start = self._open_start
         open_cm = self._open_cm
@@ -1011,35 +1008,25 @@ class ConnectKernel:
                 if k == b:
                     open_cm[c] = oc
                     continue
-                if track:
-                    close_car.append(c)
-                    close_s.append(float(open_start[c]))
-                    close_cm.append(oc)
-                else:
-                    totals[c] += oc - open_start[c]
+                close_car.append(c)
+                close_s.append(float(open_start[c]))
+                close_cm.append(oc)
             interior[k : b - 1] = True
             open_start[c] = seg_s[b - 1]
             open_cm[c] = seg_cm[b - 1]
             has_open[c] = True
         sel = np.flatnonzero(interior)
-        if track:
-            self._blocks.append(
-                (
-                    np.concatenate(
-                        (np.asarray(close_car, dtype=np.int64), seg_car[sel])
-                    ),
-                    np.concatenate((np.asarray(close_s), seg_s[sel])),
-                    np.concatenate((np.asarray(close_cm), seg_cm[sel])),
-                )
+        self._blocks.append(
+            (
+                np.concatenate(
+                    (np.asarray(close_car, dtype=np.int64), seg_car[sel])
+                ),
+                np.concatenate((np.asarray(close_s), seg_s[sel])),
+                np.concatenate((np.asarray(close_cm), seg_cm[sel])),
             )
-        else:
-            np.add.at(totals, seg_car[sel], seg_cm[sel] - seg_s[sel])
+        )
 
     def export_partial(self) -> ConnectPartial:
-        if not self._track:
-            raise ValueError(
-                "export_partial requires ConnectKernel(track_partials=True)"
-            )
         opens = np.flatnonzero(self._has_open)
         blocks = self._blocks + [
             (
@@ -1063,25 +1050,6 @@ class ConnectKernel:
             join_gap_s=self._gap,
         )
 
-    def totals_exact(
-        self,
-    ) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.float64]]:
-        """Present car codes and their closed totals (serial mode).
-
-        Adds each car's still-open chain as the final ``cm - start``
-        subtraction, exactly as the reference closes its last merged
-        interval.  Only valid with ``track_partials=False``.
-        """
-        if self._track:
-            raise ValueError(
-                "totals_exact requires ConnectKernel(track_partials=False)"
-            )
-        present = np.flatnonzero(self._has_open)
-        totals = self._totals[present] + (
-            self._open_cm[present] - self._open_start[present]
-        )
-        return present, totals
-
 
 def finalize_connect_partial(
     partial: ConnectPartial,
@@ -1090,13 +1058,173 @@ def finalize_connect_partial(
 
     One subtraction per chain and per-car in-order adds — the reference's
     exact operation sequence, so the result is bit-identical at any worker
-    count.
+    count.  The table is sorted by car code, so each car's chains form one
+    run.
     """
-    present = np.unique(partial.car).astype(np.intp)
+    car = partial.car
+    first = np.ones(len(car), dtype=np.bool_)
+    first[1:] = car[1:] != car[:-1]
+    present = car[first].astype(np.intp)
     totals = np.zeros(len(present))
-    idx = np.searchsorted(present, partial.car)
-    np.add.at(totals, idx, partial.cm - partial.start)
+    np.add.at(totals, np.cumsum(first) - 1, partial.cm - partial.start)
     return present, totals
+
+
+# -- connection durations (Figure 9) ---------------------------------------
+
+#: Bin width of the Figure 9 duration histogram, seconds: quantiles read
+#: from it are exact to half of this.
+DURATION_BIN_S = 1.0
+
+#: A sparse histogram: sorted distinct bin indices and their counts.
+_Bins = tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]
+
+
+def _duration_bins(duration: npt.NDArray[np.float64]) -> _Bins:
+    """Sparse histogram of one chunk's durations.
+
+    Non-negative durations of sane length tally with one ``bincount`` —
+    O(n + longest) instead of a sort; anything else takes ``np.unique``.
+    """
+    keys = np.floor(duration / DURATION_BIN_S).astype(np.int64)
+    if keys.size and 0 <= int(keys.min()) and int(keys.max()) < (1 << 22):
+        tally = np.bincount(keys)
+        bins = np.flatnonzero(tally).astype(np.int64)
+        return bins, tally[bins].astype(np.int64)
+    uniq, counts = np.unique(keys, return_counts=True)
+    return uniq.astype(np.int64), counts.astype(np.int64)
+
+
+def _merge_bins(tables: list[_Bins]) -> _Bins:
+    """Exact union of sparse histograms: counts of equal bins add."""
+    if len(tables) == 1:
+        return tables[0]
+    keys = np.concatenate([t[0] for t in tables])
+    counts = np.concatenate([t[1] for t in tables])
+    if keys.size == 0:
+        return keys, counts
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    return keys[first], np.add.reduceat(counts[order], first)
+
+
+@dataclass
+class DurationPartial:
+    """Figure 9 tallies of one shard.
+
+    The reported-duration histogram is a *sparse* table of occupied
+    :data:`DURATION_BIN_S` bins and their counts — bounded by the distinct
+    bins the shard touches, never a dense array up to its longest
+    duration — and merges exactly by integer adds.  The two duration sums
+    are carried chains: bit-identical at any chunk size and, folded in
+    shard-index order, at any worker count; against one serial pass they
+    agree to reassociation precision, like the carrier time sums.
+    """
+
+    truncate_s: float
+    #: Occupied bin indices, sorted, and their record counts.
+    bins: npt.NDArray[np.int64]
+    counts: npt.NDArray[np.int64]
+    #: Records whose reported duration exceeds ``truncate_s``.
+    n_over: int
+    sum_full: float
+    sum_trunc: float
+
+    def absorb_partial(self, partial: "DurationPartial") -> None:
+        """Fold a later shard: exact histogram and count adds, float sums."""
+        if partial.truncate_s != self.truncate_s:
+            raise ValueError(
+                "cannot merge duration partials with different cutoffs: "
+                f"{self.truncate_s} vs {partial.truncate_s}"
+            )
+        self.bins, self.counts = _merge_bins(
+            [(self.bins, self.counts), (partial.bins, partial.counts)]
+        )
+        self.n_over = self.n_over + partial.n_over
+        self.sum_full = self.sum_full + partial.sum_full
+        self.sum_trunc = self.sum_trunc + partial.sum_trunc
+
+
+class DurationKernel:
+    """Figure 9: the duration distribution of individual cell connections.
+
+    The unit is the kept record, as in
+    :func:`repro.core.connect_time.cell_connection_durations`.  Duration
+    sums run as carry-chained ``np.cumsum`` in row order, the histogram
+    and the over-cutoff count are integer tallies.
+    """
+
+    def __init__(self, truncate_s: float) -> None:
+        self._truncate_s = truncate_s
+        #: Per-chunk histograms, merged at export (or every
+        #: :data:`_PAIR_COLLAPSE` chunks, bounding the backlog).
+        self._tables: list[_Bins] = []
+        self._n_over = 0
+        self._sum_full = 0.0
+        self._sum_trunc = 0.0
+
+    def consume(self, inter: ChunkIntermediates) -> None:
+        if inter.n == 0:
+            return
+        duration = inter.duration
+        trunc = inter.trunc_duration
+        self._tables.append(_duration_bins(duration))
+        if len(self._tables) >= _PAIR_COLLAPSE:
+            self._tables = [_merge_bins(self._tables)]
+        self._n_over += int(np.count_nonzero(duration > self._truncate_s))
+        self._sum_full = float(
+            np.cumsum(np.concatenate(([self._sum_full], duration)))[-1]
+        )
+        self._sum_trunc = float(
+            np.cumsum(np.concatenate(([self._sum_trunc], trunc)))[-1]
+        )
+
+    def export_partial(self) -> DurationPartial:
+        empty = np.empty(0, dtype=np.int64)
+        bins, counts = _merge_bins(self._tables or [(empty, empty)])
+        return DurationPartial(
+            truncate_s=self._truncate_s,
+            bins=bins,
+            counts=counts,
+            n_over=self._n_over,
+            sum_full=self._sum_full,
+            sum_trunc=self._sum_trunc,
+        )
+
+
+def finalize_durations(partial: DurationPartial) -> DurationStats:
+    """Close a duration partial into Figure 9's statistics.
+
+    Quantiles take the inverted-CDF rank ``ceil(q * n)`` — numpy's
+    ``method="inverted_cdf"`` — and read its bin midpoint, so each is
+    within half a bin of the exact order statistic.
+    """
+    n = int(partial.counts.sum())
+    if n == 0:
+        return DurationStats(
+            n=0,
+            median=0.0,
+            p73=0.0,
+            mean_full=0.0,
+            mean_truncated=0.0,
+            fraction_over_cutoff=0.0,
+        )
+
+    def quantile(q: float) -> float:
+        rank = max(math.ceil(q * n), 1)
+        return binned_order_statistic(
+            partial.bins, partial.counts, rank, DURATION_BIN_S
+        )
+
+    return DurationStats(
+        n=n,
+        median=quantile(0.5),
+        p73=quantile(0.73),
+        mean_full=partial.sum_full / n,
+        mean_truncated=partial.sum_trunc / n,
+        fraction_over_cutoff=partial.n_over / n,
+    )
 
 
 # -- handovers (Section 4.5) ----------------------------------------------
@@ -1126,7 +1254,7 @@ def _boundary_kind(
 ) -> int:
     """Kind code of one handover between two known, different cells.
 
-    Same precedence as ``classify_handover`` / the columnar twin's nested
+    Same precedence as ``classify_handover`` and the kernel's nested
     ``np.where``: technology change wins, then base station, sector,
     carrier — indices into :data:`_KIND_ORDER`.
     """
@@ -1564,10 +1692,9 @@ class FusedPartial:
 
     Folding shards in index order with :meth:`absorb_partial` and then
     finalizing reproduces the serial engine: every sub-partial's merge is
-    exact (integer counts, pair-set unions, endpoint welds), except the
-    per-car busy tallies and per-carrier time sums, which merge to
-    reassociation precision — the same contract ``core.mapreduce``
-    documents for the streaming analyzer.
+    exact (integer counts, pair-set unions, endpoint welds, histogram
+    adds), except the per-car busy tallies and the per-carrier and
+    duration sums, which merge to reassociation precision.
     """
 
     n_records: int
@@ -1577,6 +1704,7 @@ class FusedPartial:
     carriers: CarriersPartial
     connect_full: ConnectPartial
     connect_trunc: ConnectPartial
+    durations: DurationPartial
     busy: BusyPartial | None
     handover: HandoverPartial | None
 
@@ -1593,6 +1721,7 @@ class FusedPartial:
         self.carriers.absorb_partial(partial.carriers)
         self.connect_full.absorb_partial(partial.connect_full)
         self.connect_trunc.absorb_partial(partial.connect_trunc)
+        self.durations.absorb_partial(partial.durations)
         if self.busy is not None and partial.busy is not None:
             self.busy.absorb_partial(partial.busy)
         if self.handover is not None and partial.handover is not None:
@@ -1612,6 +1741,7 @@ class FusedReport:
     presence: DailyPresence
     days: dict[str, int]
     connect_time: ConnectTimeResult
+    durations: DurationStats
     carriers: CarrierUsage
     exposure: BusyExposure | None
     segmentation: CarSegmentation | None
@@ -1628,14 +1758,9 @@ class FusedEngine:
     is needed.  All chunks must share one car/carrier vocabulary — exactly
     the guarantee `.cdrz` shards give — and cross-shard work goes through
     :meth:`export_partial` / :meth:`FusedPartial.absorb_partial` instead of
-    feeding one engine from two shards.
-
-    ``track_partials`` selects the connect-time representation: ``False``
-    (default) accumulates per-car totals in place — the fast path for a
-    single-process run — while ``True`` keeps union-chain endpoint tables
-    so the engine can export a :class:`FusedPartial`.  Both are
-    bit-identical to the references for a single engine; only partial
-    export requires tracking.
+    feeding one engine from two shards.  :meth:`finalize` closes the same
+    partial :meth:`export_partial` ships, so a single engine and a folded
+    map-reduce run share one code path.
     """
 
     def __init__(
@@ -1645,17 +1770,13 @@ class FusedEngine:
         *,
         schedule: BusySchedule | None = None,
         cells: dict[int, Cell] | None = None,
-        carriers: tuple[str, ...] = CARRIER_ORDER,
         min_records: int = 2,
-        track_partials: bool = False,
     ) -> None:
         self.clock = clock
         self.config = config or PreprocessConfig()
         self._schedule = schedule
         self._cells = cells
-        self._carrier_order = carriers
         self._min_records = min_records
-        self._track = track_partials
         self._n_records = 0
         self._n_ghosts = 0
         self._vocab: tuple[tuple[str, ...], tuple[str, ...]] | None = None
@@ -1665,6 +1786,7 @@ class FusedEngine:
         self._carriers: CarriersKernel | None = None
         self._connect_full: ConnectKernel | None = None
         self._connect_trunc: ConnectKernel | None = None
+        self._durations: DurationKernel | None = None
         self._busy: BusyKernel | None = None
         self._handover: HandoverKernel | None = None
 
@@ -1674,21 +1796,17 @@ class FusedEngine:
         self._vocab = (car_ids, carrier_names)
         self._presence = PresenceKernel(self.clock, car_ids)
         self._days = DaysKernel(self.clock, car_ids)
-        self._carriers = CarriersKernel(
-            car_ids, carrier_names, self._carrier_order
-        )
-        self._connect_full = ConnectKernel(
-            car_ids, truncated=False, track_partials=self._track
-        )
-        self._connect_trunc = ConnectKernel(
-            car_ids, truncated=True, track_partials=self._track
-        )
+        self._carriers = CarriersKernel(car_ids, carrier_names, CARRIER_ORDER)
+        self._connect_full = ConnectKernel(car_ids, truncated=False)
+        self._connect_trunc = ConnectKernel(car_ids, truncated=True)
+        self._durations = DurationKernel(self.config.truncate_s)
         kernels: list[FusedAnalysis] = [
             self._presence,
             self._days,
             self._carriers,
             self._connect_full,
             self._connect_trunc,
+            self._durations,
         ]
         if self._schedule is not None:
             self._busy = BusyKernel(self._schedule, car_ids)
@@ -1718,72 +1836,25 @@ class FusedEngine:
         for kernel in self._kernels:
             kernel.consume(inter)
 
-    def _bound(self) -> tuple[tuple[str, ...], tuple[str, ...]]:
-        if self._vocab is None:
-            raise ValueError("FusedEngine has consumed no chunks")
-        return self._vocab
-
-    def _connect_result(self) -> ConnectTimeResult:
-        full = self._connect_full
-        trunc = self._connect_trunc
-        if full is None or trunc is None:
-            raise ValueError("FusedEngine has consumed no chunks")
-        if self._track:
-            present, full_totals = finalize_connect_partial(
-                full.export_partial()
-            )
-            _, trunc_totals = finalize_connect_partial(trunc.export_partial())
-        else:
-            present, full_totals = full.totals_exact()
-            _, trunc_totals = trunc.totals_exact()
-        car_vocab = self._bound()[0]
-        duration = float(self.clock.duration)
-        return ConnectTimeResult(
-            car_ids=[car_vocab[int(c)] for c in present],
-            full_share=full_totals / duration,
-            truncated_share=trunc_totals / duration,
-        )
-
     def finalize(self) -> FusedReport:
         """Close every kernel into its paper statistic."""
-        self._bound()
-        presence_k = self._presence
-        days_k = self._days
-        carriers_k = self._carriers
-        if presence_k is None or days_k is None or carriers_k is None:
-            raise ValueError("FusedEngine has consumed no chunks")
-        days = days_k.finalize()
-        exposure = self._busy.finalize() if self._busy is not None else None
-        segmentation = (
-            segment_cars(days, exposure) if exposure is not None else None
-        )
-        return FusedReport(
-            presence=presence_k.finalize(),
-            days=days,
-            connect_time=self._connect_result(),
-            carriers=carriers_k.finalize(),
-            exposure=exposure,
-            segmentation=segmentation,
-            handovers=(
-                self._handover.finalize() if self._handover is not None else None
-            ),
-            n_ghosts=self._n_ghosts,
-        )
+        return finalize_fused(self.export_partial(), self.clock)
 
     def export_partial(self) -> FusedPartial:
         """Ship this shard's state for an index-ordered cross-shard fold."""
-        self._bound()
         presence_k = self._presence
         days_k = self._days
         carriers_k = self._carriers
         full_k = self._connect_full
         trunc_k = self._connect_trunc
+        durations_k = self._durations
         if (
             presence_k is None
             or days_k is None
             or carriers_k is None
             or full_k is None
             or trunc_k is None
+            or durations_k is None
         ):
             raise ValueError("FusedEngine has consumed no chunks")
         return FusedPartial(
@@ -1794,6 +1865,7 @@ class FusedEngine:
             carriers=carriers_k.export_partial(),
             connect_full=full_k.export_partial(),
             connect_trunc=trunc_k.export_partial(),
+            durations=durations_k.export_partial(),
             busy=self._busy.export_partial() if self._busy is not None else None,
             handover=(
                 self._handover.export_partial()
@@ -1825,24 +1897,33 @@ def fold_fused_partials(partials: Iterable[FusedPartial]) -> FusedPartial:
     return merged
 
 
+def _connect_result(
+    full: ConnectPartial, trunc: ConnectPartial, clock: StudyClock
+) -> ConnectTimeResult:
+    """Close the full and truncated chain tables into Figure 3's shares."""
+    present, full_totals = finalize_connect_partial(full)
+    _, trunc_totals = finalize_connect_partial(trunc)
+    duration = float(clock.duration)
+    return ConnectTimeResult(
+        car_ids=[full.car_ids[int(c)] for c in present],
+        full_share=full_totals / duration,
+        truncated_share=trunc_totals / duration,
+    )
+
+
 def finalize_fused(partial: FusedPartial, clock: StudyClock) -> FusedReport:
     """Close a (possibly merged) :class:`FusedPartial` into a report."""
     days = finalize_days(partial.days)
     exposure = (
         finalize_busy(partial.busy) if partial.busy is not None else None
     )
-    duration = float(clock.duration)
-    present, full_totals = finalize_connect_partial(partial.connect_full)
-    _, trunc_totals = finalize_connect_partial(partial.connect_trunc)
-    connect = ConnectTimeResult(
-        car_ids=[partial.connect_full.car_ids[int(c)] for c in present],
-        full_share=full_totals / duration,
-        truncated_share=trunc_totals / duration,
-    )
     return FusedReport(
         presence=finalize_presence(partial.presence, clock),
         days=days,
-        connect_time=connect,
+        connect_time=_connect_result(
+            partial.connect_full, partial.connect_trunc, clock
+        ),
+        durations=finalize_durations(partial.durations),
         carriers=finalize_carriers(partial.carriers),
         exposure=exposure,
         segmentation=(
@@ -1929,13 +2010,8 @@ def connect_time_analysis_fused(
     trunc_k = ConnectKernel(col.car_ids, truncated=True)
     full_k.consume(inter)
     trunc_k.consume(inter)
-    present, full_totals = full_k.totals_exact()
-    _, trunc_totals = trunc_k.totals_exact()
-    duration = float(clock.duration)
-    return ConnectTimeResult(
-        car_ids=[col.car_ids[int(c)] for c in present],
-        full_share=full_totals / duration,
-        truncated_share=trunc_totals / duration,
+    return _connect_result(
+        full_k.export_partial(), trunc_k.export_partial(), clock
     )
 
 

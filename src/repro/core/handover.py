@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from repro.algorithms.segments import segment_ids, segmented_cummax
 from repro.algorithms.stats import percentile
 from repro.cdr.records import CDRBatch
 from repro.core.preprocess import PreprocessResult
@@ -133,106 +132,6 @@ def handover_analysis(
                 types[classify_handover(cells[prev.cell_id], cells[cur.cell_id])] += 1
             counts.append(handovers)
     return HandoverStats(per_session=np.asarray(counts, dtype=float), type_counts=types)
-
-
-def handover_analysis_columnar(
-    pre: PreprocessResult,
-    cells: dict[int, Cell],
-    min_records: int = 2,
-) -> HandoverStats:
-    """Vectorized :func:`handover_analysis` over the truncated columnar view.
-
-    Rearranges the batch car-major (chronological within car), finds network
-    session boundaries with a segmented high-water-mark scan (a session
-    breaks exactly where the reference's gap grouping breaks: ``start -
-    running max end > gap``), and counts cell changes between consecutive
-    known-cell rows of each session with array comparisons.  Handover types
-    come from integer lookups into per-cell attribute arrays built once from
-    the directory.  Sessions are emitted in the reference's order (cars
-    sorted by id, sessions chronological), so ``per_session`` matches
-    element for element.
-    """
-    col = pre.truncated.columnar()
-    n = len(col)
-    gap = pre.config.network_session_gap_s
-    empty_stats = HandoverStats(
-        per_session=np.asarray([], dtype=float), type_counts=Counter()
-    )
-    if n == 0:
-        return empty_stats
-
-    order, starts = col.car_spans()
-    s = col.start[order]
-    e = s + col.duration[order]
-    cell = col.cell_id[order]
-    is_car_start = np.zeros(n, dtype=np.bool_)
-    is_car_start[starts] = True
-    cm = segmented_cummax(e, is_car_start)
-    new_sess = is_car_start.copy()
-    new_sess[1:] |= ~is_car_start[1:] & (s[1:] - cm[:-1] > gap)
-    sid = segment_ids(new_sess)
-    n_sessions = int(sid[-1]) + 1
-
-    directory = np.fromiter(sorted(cells), dtype=np.int64, count=len(cells))
-    known = (
-        np.isin(cell, directory)
-        if directory.size
-        else np.zeros(n, dtype=np.bool_)
-    )
-    size_per = np.bincount(sid, minlength=n_sessions)
-    known_per = np.bincount(sid[known], minlength=n_sessions)
-    keep = ~((known_per < min_records) & (size_per >= min_records))
-
-    # Per-known-row attributes for classification, gathered once from the
-    # sorted directory.
-    tech_index = {t: i for i, t in enumerate(
-        sorted({c.technology for c in cells.values()}, key=lambda t: t.value)
-    )}
-    dir_tech = np.asarray(
-        [tech_index[cells[int(c)].technology] for c in directory], dtype=np.int64
-    )
-    dir_bs = np.asarray(
-        [cells[int(c)].base_station_id for c in directory], dtype=np.int64
-    )
-    dir_sector = np.asarray(
-        [cells[int(c)].sector_index for c in directory], dtype=np.int64
-    )
-    kr = np.flatnonzero(known)
-    k_dir = np.searchsorted(directory, cell[kr])
-
-    src = kr[:-1]
-    dst = kr[1:]
-    pair = (
-        (sid[src] == sid[dst]) & (cell[src] != cell[dst]) & keep[sid[src]]
-    )
-    ho_counts = np.bincount(sid[src[pair]], minlength=n_sessions)
-
-    src_a = k_dir[:-1][pair]
-    dst_a = k_dir[1:][pair]
-    kind = np.where(
-        dir_tech[src_a] != dir_tech[dst_a],
-        0,
-        np.where(
-            dir_bs[src_a] != dir_bs[dst_a],
-            1,
-            np.where(dir_sector[src_a] != dir_sector[dst_a], 2, 3),
-        ),
-    )
-    kind_order = (
-        HandoverType.INTER_RAT,
-        HandoverType.INTER_BASE_STATION,
-        HandoverType.INTER_SECTOR,
-        HandoverType.INTER_CARRIER,
-    )
-    kind_counts = np.bincount(kind, minlength=4)
-    types: Counter[HandoverType] = Counter()
-    for i, ho_type in enumerate(kind_order):
-        if int(kind_counts[i]) > 0:
-            types[ho_type] = int(kind_counts[i])
-
-    return HandoverStats(
-        per_session=ho_counts[keep].astype(float), type_counts=types
-    )
 
 
 def handovers_in_batch(

@@ -3,27 +3,24 @@
 The paper's dataset — 1.1 billion CDRs from a million cars over 90 days —
 is embarrassingly parallel on disk: :func:`repro.cdr.store.write_sharded_cdrz`
 lays a trace out as ``shard-NNNNN.cdrz`` files that together form one
-globally start-sorted row stream.  :func:`analyze_shards` fans the
-out-of-core streaming pass (:class:`repro.core.streaming.StreamingAnalyzer`)
-across worker processes, one *shard* at a time:
+globally start-sorted row stream.  :func:`analyze_shards_fused` fans the
+fused engine (:class:`repro.core.fused.FusedEngine`) across worker
+processes, one *shard* at a time:
 
 **Map.**  Workers claim shard indices from the pool queue.  Each shard is
-consumed with ``consume_columnar`` under bounded memory (one chunk of
-memory-mapped pages at a time) by a fresh analyzer in mergeable mode
-(``quantile_mode="histogram"``, ``track_partials=True``), and the resulting
-:class:`~repro.core.streaming.StreamingPartial` — a pure function of that
-shard's bytes — is shipped back to the parent.
+consumed chunk by chunk under bounded memory (one chunk of memory-mapped
+pages at a time) by a fresh engine, and the resulting
+:class:`~repro.core.fused.FusedPartial` — a pure function of that shard's
+bytes — is shipped back to the parent.
 
 **Reduce.**  The parent folds the partials with
-:meth:`~repro.core.streaming.StreamingAnalyzer.absorb_partial` in *shard
-index order*, whatever order workers finished in.  Because every partial
-depends only on its shard and the fold order is fixed, the reduced result
-is bit-identical for any worker count (including ``workers=1``, which runs
-the same per-shard fold inline with no pool).  Counts, histogram bins,
-HyperLogLog registers and the per-day estimates merge exactly; the
-histogram quantiles are exact to ``quantile_bin_s / 2``; the float sums
-are deterministic and agree with a serial pass to reassociation precision.
-The parity suite in ``tests/core/test_mapreduce.py`` asserts all of this.
+:meth:`~repro.core.fused.FusedPartial.absorb_partial` in *shard index
+order*, whatever order workers finished in.  Because every partial depends
+only on its shard and the fold order is fixed, the reduced report is
+bit-identical for any worker count (including ``workers=1``, which runs
+the same per-shard fold inline with no pool).  The parity suites in
+``tests/core/test_fused_parity.py`` and ``tests/core/test_mapreduce.py``
+assert this.
 
 Timing deliberately lives in ``benchmarks/`` (library code takes no
 wall-clock readings); this module reports structural stats plus peak RSS.
@@ -46,12 +43,7 @@ from repro.core.fused import (
     FusedReport,
     finalize_fused,
 )
-from repro.core.preprocess import PreprocessConfig
-from repro.core.streaming import (
-    StreamingAnalyzer,
-    StreamingPartial,
-    StreamingResult,
-)
+from repro.core.preprocess import NoUsableRecordsError, PreprocessConfig
 from repro.network.cells import Cell
 
 try:  # pragma: no cover - absent only on non-POSIX platforms
@@ -61,20 +53,8 @@ except ImportError:  # pragma: no cover
 
 
 @dataclass(frozen=True)
-class MapSpec:
-    """Everything a map worker needs to turn a shard index into a partial."""
-
-    shards: tuple[Path, ...]
-    clock: StudyClock
-    truncate_s: float
-    hll_precision: int
-    quantile_bin_s: float
-    chunk_rows: int
-
-
-@dataclass(frozen=True)
 class MapReduceStats:
-    """Run facts reported alongside the reduced :class:`StreamingResult`."""
+    """Run facts reported alongside the reduced :class:`FusedReport`."""
 
     n_shards: int
     n_empty_shards: int
@@ -82,41 +62,6 @@ class MapReduceStats:
     n_ghosts_dropped: int
     workers: int
     peak_rss_bytes: int
-
-
-#: Per-process map spec.  Under the fork start method the parent fills it
-#: before the pool starts and children inherit it for free; under spawn
-#: each worker fills its own copy in :func:`_init_worker`.
-_WORKER_SPEC: MapSpec | None = None
-
-
-def _init_worker(spec: MapSpec) -> None:
-    """Spawn-path initializer: install the pickled map spec."""
-    global _WORKER_SPEC
-    _WORKER_SPEC = spec
-
-
-def map_shard(spec: MapSpec, index: int) -> StreamingPartial:
-    """Map one shard to its accumulator partial (pure in the shard bytes)."""
-    analyzer = StreamingAnalyzer(
-        spec.clock,
-        truncate_s=spec.truncate_s,
-        hll_precision=spec.hll_precision,
-        quantile_mode="histogram",
-        quantile_bin_s=spec.quantile_bin_s,
-        track_partials=True,
-    )
-    for chunk in iter_cdrz_chunks(spec.shards[index], chunk_rows=spec.chunk_rows):
-        analyzer.consume_columnar(chunk)
-    return analyzer.export_partial()
-
-
-def _map_indexed(index: int) -> tuple[int, StreamingPartial]:
-    """Worker body: claim one shard index, return ``(index, partial)``."""
-    spec = _WORKER_SPEC
-    if spec is None:
-        raise RuntimeError("map worker used before initialization")
-    return index, map_shard(spec, index)
 
 
 def peak_rss_bytes() -> int:
@@ -131,103 +76,6 @@ def peak_rss_bytes() -> int:
     own = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     children = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss
     return int(max(own, children)) * scale
-
-
-def _map_parallel(spec: MapSpec, n_workers: int) -> dict[int, StreamingPartial]:
-    """Fan the shard indices over a process pool; collect partials by index.
-
-    ``imap_unordered`` lets fast shards return while slow ones run —
-    completion order is nondeterministic, which is why the caller folds by
-    index, never by arrival.
-    """
-    global _WORKER_SPEC
-    methods = multiprocessing.get_all_start_methods()
-    use_fork = "fork" in methods
-    ctx = multiprocessing.get_context("fork" if use_fork else "spawn")
-    initializer: Callable[[MapSpec], None] | None
-    initargs: tuple[MapSpec, ...]
-    if use_fork:
-        # Children inherit the parent's spec through fork; nothing pickled.
-        _WORKER_SPEC = spec
-        initializer, initargs = None, ()
-    else:
-        initializer, initargs = _init_worker, (spec,)
-    indexed: dict[int, StreamingPartial] = {}
-    try:
-        with ctx.Pool(
-            processes=n_workers, initializer=initializer, initargs=initargs
-        ) as pool:
-            for index, partial in pool.imap_unordered(
-                _map_indexed, range(len(spec.shards)), chunksize=1
-            ):
-                indexed[index] = partial
-    finally:
-        _WORKER_SPEC = None
-    return indexed
-
-
-def analyze_shards(
-    source: str | Path | Sequence[str | Path],
-    clock: StudyClock,
-    *,
-    workers: int = 1,
-    chunk_rows: int = DEFAULT_CHUNK_ROWS,
-    truncate_s: float = 600.0,
-    hll_precision: int = 12,
-    quantile_bin_s: float = 1.0,
-) -> tuple[StreamingResult, MapReduceStats]:
-    """Run the streaming analysis over shards with ``workers`` processes.
-
-    ``source`` is anything :func:`repro.cdr.store.resolve_shards` accepts —
-    a shard directory, one ``.cdrz`` file, or an explicit path list (kept
-    in the given order, which must be global start order).  The result is
-    identical for any ``workers`` value; see the module docstring for the
-    determinism argument.  Empty shards reduce as no-ops and are counted
-    in the returned stats.
-    """
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    shards = tuple(resolve_shards(source))
-    spec = MapSpec(
-        shards=shards,
-        clock=clock,
-        truncate_s=truncate_s,
-        hll_precision=hll_precision,
-        quantile_bin_s=quantile_bin_s,
-        chunk_rows=chunk_rows,
-    )
-    n_workers = min(workers, len(shards))
-    if n_workers <= 1:
-        indexed = {i: map_shard(spec, i) for i in range(len(shards))}
-    else:
-        indexed = _map_parallel(spec, n_workers)
-
-    reducer = StreamingAnalyzer(
-        clock,
-        truncate_s=truncate_s,
-        hll_precision=hll_precision,
-        quantile_mode="histogram",
-        quantile_bin_s=quantile_bin_s,
-    )
-    n_empty = 0
-    for index in range(len(shards)):
-        partial = indexed[index]
-        if partial.n_records == 0 and partial.n_ghosts == 0:
-            n_empty += 1
-        reducer.absorb_partial(partial)
-    result = reducer.finalize()
-    stats = MapReduceStats(
-        n_shards=len(shards),
-        n_empty_shards=n_empty,
-        n_records=result.n_records,
-        n_ghosts_dropped=result.n_ghosts_dropped,
-        workers=n_workers,
-        peak_rss_bytes=peak_rss_bytes(),
-    )
-    return result, stats
-
-
-# -- fused Section-4 map-reduce -------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -248,7 +96,9 @@ class FusedMapSpec:
     chunk_rows: int
 
 
-#: Per-process fused map spec, mirroring :data:`_WORKER_SPEC`.
+#: Per-process map spec.  Under the fork start method the parent fills it
+#: before the pool starts and children inherit it for free; under spawn
+#: each worker fills its own copy in :func:`_init_fused_worker`.
 _FUSED_SPEC: FusedMapSpec | None = None
 
 
@@ -270,7 +120,6 @@ def map_shard_fused(spec: FusedMapSpec, index: int) -> FusedPartial | None:
         schedule=spec.schedule,
         cells=spec.cells,
         min_records=spec.min_records,
-        track_partials=True,
     )
     consumed = False
     for chunk in iter_cdrz_chunks(spec.shards[index], chunk_rows=spec.chunk_rows):
@@ -292,7 +141,12 @@ def _map_fused_indexed(index: int) -> tuple[int, FusedPartial | None]:
 def _map_fused_parallel(
     spec: FusedMapSpec, n_workers: int, indices: Sequence[int]
 ) -> dict[int, FusedPartial | None]:
-    """Fan the given shard indices over a pool; collect partials by index."""
+    """Fan the given shard indices over a pool; collect partials by index.
+
+    ``imap_unordered`` lets fast shards return while slow ones run —
+    completion order is nondeterministic, which is why callers fold by
+    index, never by arrival.
+    """
     global _FUSED_SPEC
     methods = multiprocessing.get_all_start_methods()
     use_fork = "fork" in methods
@@ -300,6 +154,7 @@ def _map_fused_parallel(
     initializer: Callable[[FusedMapSpec], None] | None
     initargs: tuple[FusedMapSpec, ...]
     if use_fork:
+        # Children inherit the parent's spec through fork; nothing pickled.
         _FUSED_SPEC = spec
         initializer, initargs = None, ()
     else:
@@ -361,18 +216,22 @@ def analyze_shards_fused(
 ) -> tuple[FusedReport, MapReduceStats]:
     """Run every Section 4 analysis over shards with ``workers`` processes.
 
-    The fused counterpart of :func:`analyze_shards`: workers stream each
-    shard through one :class:`~repro.core.fused.FusedEngine` in
-    partial-tracking mode, and the parent folds the returned
-    :class:`~repro.core.fused.FusedPartial` bundles in *shard index order*
-    before closing them with :func:`~repro.core.fused.finalize_fused`.
-    Presence, days-on-network, connect time, handovers, carrier reach and
-    the ghost count reduce *exactly* — bit-identical to a single serial
-    engine (and to the record-based references) at any worker count — while
-    the per-car busy tallies and per-carrier time sums merge to
-    reassociation precision, the same contract :func:`analyze_shards`
-    documents.  ``exposure``/``segmentation``/``handovers`` are ``None``
-    unless ``schedule``/``cells`` are given, mirroring the pipeline.
+    ``source`` is anything :func:`repro.cdr.store.resolve_shards` accepts —
+    a shard directory, one ``.cdrz`` file, or an explicit path list (kept
+    in the given order, which must be global start order).  Workers stream
+    each shard through one :class:`~repro.core.fused.FusedEngine`, and the
+    parent folds the returned :class:`~repro.core.fused.FusedPartial`
+    bundles in *shard index order* before closing them with
+    :func:`~repro.core.fused.finalize_fused`.  Presence, days-on-network,
+    connect time, handovers, carrier reach, the duration histogram and the
+    ghost count reduce *exactly* — bit-identical to a single serial engine
+    (and to the record-based references) at any worker count — while the
+    per-car busy tallies and the per-carrier and duration sums merge to
+    reassociation precision.  ``exposure``/``segmentation``/``handovers``
+    are ``None`` unless ``schedule``/``cells`` are given, mirroring the
+    pipeline.  Empty shards reduce as no-ops and are counted in the
+    returned stats; a source with no kept record at all (no rows, or
+    ghosts only) raises :class:`~repro.core.preprocess.NoUsableRecordsError`.
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -402,10 +261,9 @@ def analyze_shards_fused(
             merged = partial
         else:
             merged.absorb_partial(partial)
-    if merged is None:
-        raise ValueError(
-            "no rows in any shard; the fused engine needs at least one chunk"
-        )
+    if merged is None or merged.n_records == 0:
+        n_ghosts = merged.n_ghosts if merged is not None else 0
+        raise NoUsableRecordsError(n_rows=n_ghosts, n_ghosts=n_ghosts)
     report = finalize_fused(merged, clock)
     stats = MapReduceStats(
         n_shards=len(shards),

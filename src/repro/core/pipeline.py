@@ -12,26 +12,14 @@ from dataclasses import dataclass, field
 
 from repro.algorithms.timebins import StudyClock
 from repro.cdr.records import CDRBatch
-from repro.core.busy import (
-    BusyExposure,
-    BusySchedule,
-    busy_exposure,
-    busy_exposure_columnar,
-)
-from repro.core.carriers import CarrierUsage, carrier_usage, carrier_usage_columnar
+from repro.core.busy import BusyExposure, BusySchedule, busy_exposure
+from repro.core.carriers import CarrierUsage, carrier_usage
 from repro.core.clustering import BusyCellClusters, cluster_busy_cells
-from repro.core.connect_time import (
-    ConnectTimeResult,
-    connect_time_analysis,
-    connect_time_analysis_columnar,
-)
+from repro.core.connect_time import ConnectTimeResult, connect_time_analysis
 from repro.core.fused import FusedEngine
-from repro.core.handover import (
-    HandoverStats,
-    handover_analysis,
-    handover_analysis_columnar,
-)
+from repro.core.handover import HandoverStats, handover_analysis
 from repro.core.preprocess import (
+    NoUsableRecordsError,
     PreprocessConfig,
     PreprocessResult,
     preprocess,
@@ -41,15 +29,9 @@ from repro.core.presence import (
     DailyPresence,
     WeekdayRow,
     daily_presence,
-    daily_presence_columnar,
     weekday_table,
 )
-from repro.core.segmentation import (
-    CarSegmentation,
-    days_on_network,
-    days_on_network_columnar,
-    segment_cars,
-)
+from repro.core.segmentation import CarSegmentation, days_on_network, segment_cars
 from repro.network.cells import Cell
 from repro.network.load import CellLoadModel
 
@@ -117,52 +99,48 @@ class AnalysisPipeline:
         with_clustering: bool = True,
         cluster_k: int = 2,
         exclude_loss_days: bool = False,
-        engine: str = "vectorized",
+        engine: str = "fused",
     ) -> AnalysisReport:
         """Run every analysis and return the filled report.
 
         ``engine`` selects the implementation of the Section 4 analyses:
-        ``"fused"`` makes one pass over the batch computing shared
+        ``"fused"`` (default) makes one pass over the batch computing shared
         intermediates for every analysis at once
-        (:class:`repro.core.fused.FusedEngine`) with lazy preprocessing —
-        the fastest path; ``"vectorized"`` (default) runs the per-analysis
-        columnar twins; ``"reference"`` runs the original record-based
-        loops.  All three produce identical reports (the parity suites
-        assert bit-equality), so the switch exists for verification and
-        benchmarking, not correctness.
+        (:class:`repro.core.fused.FusedEngine`) with lazy preprocessing;
+        ``"reference"`` runs the original record-based loops, the oracle
+        the fused engine is tested against.  Both produce identical reports
+        (the parity suites assert bit-equality), so the switch exists for
+        verification and benchmarking, not correctness.
 
         ``exclude_loss_days`` runs the data-quality loss-day detector and
         removes flagged days from the Table 1 weekday statistics (the paper
         notes its three loss days "do not affect the overall results"; this
-        makes that claim checkable).  Raises ``ValueError`` for a batch with
-        no usable records: every downstream statistic would be undefined,
-        and an explicit error beats a report full of NaNs.
+        makes that claim checkable).  Raises :class:`NoUsableRecordsError`
+        for a batch with no usable records: every downstream statistic would
+        be undefined, and an explicit error beats a report full of NaNs.
         """
-        if engine not in ("vectorized", "reference", "fused"):
+        if engine not in ("fused", "reference"):
             raise ValueError(
-                "engine must be 'vectorized', 'reference' or 'fused', "
-                f"got {engine!r}"
+                f"engine must be 'fused' or 'reference', got {engine!r}"
             )
-        vectorized = engine == "vectorized"
-        fused = engine == "fused"
         notes: list[str] = []
         # The fused path defers record materialization: its engine runs on
         # the columnar views alone, so building ConnectionRecord objects
         # would be pure overhead unless clustering or loss-day detection
         # asks for them later.
-        if fused:
+        if engine == "fused":
             pre = preprocess_lazy(batch, self.preprocess_config)
         else:
             pre = preprocess(batch, self.preprocess_config)
         if pre.n_kept == 0:
-            raise ValueError(
-                "batch contains no usable records after preprocessing "
-                f"({pre.n_dropped_ghosts} ghost records dropped)"
+            # Nothing kept, so every row read was a ghost.
+            raise NoUsableRecordsError(
+                n_rows=pre.n_dropped_ghosts, n_ghosts=pre.n_dropped_ghosts
             )
         notes.append(f"dropped {pre.n_dropped_ghosts} exactly-1-hour ghost records")
 
-        fused_report = None
-        if fused:
+        handovers: HandoverStats | None = None
+        if engine == "fused":
             fused_engine = FusedEngine(
                 self.clock,
                 self.preprocess_config,
@@ -170,14 +148,26 @@ class AnalysisPipeline:
                 cells=self.cells,
             )
             fused_engine.consume(pre.columnar_full())
-            fused_report = fused_engine.finalize()
-
-        if fused_report is not None:
-            presence = fused_report.presence
-        elif vectorized:
-            presence = daily_presence_columnar(pre.full.columnar(), self.clock)
+            fused = fused_engine.finalize()
+            if fused.exposure is None or fused.segmentation is None:
+                raise RuntimeError("fused pipeline ran without a schedule")
+            presence = fused.presence
+            connect_time = fused.connect_time
+            days = fused.days
+            carriers = fused.carriers
+            exposure = fused.exposure
+            segmentation = fused.segmentation
+            handovers = fused.handovers
         else:
             presence = daily_presence(pre.full, self.clock)
+            connect_time = connect_time_analysis(pre, self.clock)
+            days = days_on_network(pre.full, self.clock)
+            exposure = busy_exposure(pre.truncated, self.schedule)
+            carriers = carrier_usage(pre.full)
+            segmentation = segment_cars(days, exposure)
+            if self.cells is not None:
+                handovers = handover_analysis(pre, self.cells)
+
         excluded: tuple[int, ...] = ()
         if exclude_loss_days:
             from repro.cdr.quality import detect_loss_days
@@ -190,38 +180,6 @@ class AnalysisPipeline:
                     f"{list(excluded)}"
                 )
         weekday_rows = weekday_table(presence, exclude_days=excluded)
-        schedule = self.schedule
-        if fused_report is not None:
-            connect_time = fused_report.connect_time
-            days = fused_report.days
-            carriers = fused_report.carriers
-            if fused_report.exposure is None or fused_report.segmentation is None:
-                raise RuntimeError("fused pipeline ran without a schedule")
-            exposure = fused_report.exposure
-            segmentation = fused_report.segmentation
-        else:
-            if vectorized:
-                connect_time = connect_time_analysis_columnar(pre, self.clock)
-                days = days_on_network_columnar(pre.full.columnar(), self.clock)
-                exposure = busy_exposure_columnar(
-                    pre.truncated.columnar(), schedule
-                )
-                carriers = carrier_usage_columnar(pre.full.columnar())
-            else:
-                connect_time = connect_time_analysis(pre, self.clock)
-                days = days_on_network(pre.full, self.clock)
-                exposure = busy_exposure(pre.truncated, schedule)
-                carriers = carrier_usage(pre.full)
-            segmentation = segment_cars(days, exposure)
-
-        handovers: HandoverStats | None = None
-        if fused_report is not None:
-            handovers = fused_report.handovers
-        elif self.cells is not None:
-            if vectorized:
-                handovers = handover_analysis_columnar(pre, self.cells)
-            else:
-                handovers = handover_analysis(pre, self.cells)
 
         clusters: BusyCellClusters | None = None
         if with_clustering:

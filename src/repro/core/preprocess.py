@@ -24,12 +24,29 @@ import numpy.typing as npt
 
 from repro.algorithms.intervals import Interval, concatenate_gaps
 from repro.cdr.columnar import ColumnarCDRBatch
+from repro.cdr.errors import ReproError
 from repro.cdr.records import CDRBatch, ConnectionRecord
 
 #: Duration that marks a record as an erroneous periodic-reporting ghost.
 GHOST_DURATION_S = 3600.0
 #: Tolerance around exactly one hour when matching ghost records.
 GHOST_TOLERANCE_S = 0.5
+
+
+class NoUsableRecordsError(ReproError, ValueError):
+    """Cleaning kept no record: the trace is empty or holds only ghosts.
+
+    Every Section 4 statistic would be undefined, so the in-memory pipeline
+    and the shard map-reduce both raise this instead of a report of NaNs.
+    """
+
+    def __init__(self, n_rows: int, n_ghosts: int) -> None:
+        super().__init__(
+            f"no usable records after preprocessing: {n_rows:,} rows read, "
+            f"{n_ghosts:,} ghost records dropped"
+        )
+        self.n_rows = n_rows
+        self.n_ghosts = n_ghosts
 
 
 @dataclass(frozen=True)

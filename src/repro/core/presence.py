@@ -14,8 +14,7 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.algorithms.stats import TrendLine, linear_trend
-from repro.algorithms.timebins import DAY, WEEKDAY_NAMES, StudyClock
-from repro.cdr.columnar import ColumnarCDRBatch
+from repro.algorithms.timebins import WEEKDAY_NAMES, StudyClock
 from repro.cdr.records import CDRBatch
 
 
@@ -83,45 +82,6 @@ def daily_presence(batch: CDRBatch, clock: StudyClock) -> DailyPresence:
         cell_fraction=np.asarray([len(s) / n_cells for s in cells_by_day]),
         n_cars_total=len(all_cars),
         n_cells_total=len(all_cells),
-    )
-
-
-def daily_presence_columnar(
-    col: ColumnarCDRBatch, clock: StudyClock
-) -> DailyPresence:
-    """Vectorized :func:`daily_presence` over a columnar batch.
-
-    Counts distinct ``(day, car)`` and ``(day, cell)`` pairs with one
-    ``np.unique`` over packed integer keys instead of a Python set-add per
-    record.  Output is bit-identical to the reference: the per-day counts
-    are exact integers and the closing division matches Python's
-    ``len(s) / n`` (both are one correctly rounded IEEE division).
-    """
-    day = np.floor_divide(col.start, DAY).astype(np.int64)
-    valid = (day >= 0) & (day < clock.n_days)
-    days_v = day[valid]
-    cars_v = col.car_code[valid].astype(np.int64)
-    cells_v = col.cell_id[valid]
-
-    n_car_vocab = max(len(col.car_ids), 1)
-    car_pairs = np.unique(days_v * n_car_vocab + cars_v)
-    car_counts = np.bincount(car_pairs // n_car_vocab, minlength=clock.n_days)
-    n_cars_total = int(np.unique(cars_v).size)
-
-    # Cell ids are arbitrary int64 values (possibly sparse), so densify them
-    # before packing with the day index.
-    cell_vocab, cell_codes = np.unique(cells_v, return_inverse=True)
-    n_cell_vocab = max(int(cell_vocab.size), 1)
-    cell_pairs = np.unique(days_v * n_cell_vocab + cell_codes)
-    cell_counts = np.bincount(cell_pairs // n_cell_vocab, minlength=clock.n_days)
-    n_cells_total = int(cell_vocab.size)
-
-    return DailyPresence(
-        clock=clock,
-        car_fraction=car_counts / max(n_cars_total, 1),
-        cell_fraction=cell_counts / max(n_cells_total, 1),
-        n_cars_total=n_cars_total,
-        n_cells_total=n_cells_total,
     )
 
 

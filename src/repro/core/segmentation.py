@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
-from repro.algorithms.timebins import DAY, StudyClock
-from repro.cdr.columnar import ColumnarCDRBatch
+from repro.algorithms.timebins import StudyClock
 from repro.cdr.records import CDRBatch
 from repro.core.busy import BusyExposure
 
@@ -68,26 +67,6 @@ def days_on_network(batch: CDRBatch, clock: StudyClock) -> dict[str, int]:
         if 0 <= day < clock.n_days:
             days.setdefault(rec.car_id, set()).add(day)
     return {car: len(s) for car, s in days.items()}
-
-
-def days_on_network_columnar(
-    col: ColumnarCDRBatch, clock: StudyClock
-) -> dict[str, int]:
-    """Vectorized :func:`days_on_network` over a columnar batch.
-
-    Packs ``(car_code, day)`` into one integer key, deduplicates with
-    ``np.unique`` and counts distinct days per car with ``return_counts`` —
-    the integer-exact equivalent of the reference's per-record set adds.
-    """
-    day = np.floor_divide(col.start, DAY).astype(np.int64)
-    valid = (day >= 0) & (day < clock.n_days)
-    n_days = np.int64(clock.n_days)
-    pairs = np.unique(col.car_code[valid].astype(np.int64) * n_days + day[valid])
-    codes, counts = np.unique(pairs // n_days, return_counts=True)
-    return {
-        col.car_ids[int(c)]: int(n)
-        for c, n in zip(codes.tolist(), counts.tolist())
-    }
 
 
 def days_histogram(

@@ -18,9 +18,9 @@ Merge discipline (the RL010 contract):
   aggregate-session table — and every gap read from it — is bit-identical
   at any chunk size and worker count.
 
-The quantile read-out is histogram-based: with the default 1-second bins
-a duration quantile is exact to half a bin, the same bound
-:mod:`repro.core.mapreduce` documents for its streaming quantiles.
+The quantile read-out is histogram-based and shared with the fused
+Figure 9 kernel (:func:`repro.algorithms.stats.binned_order_statistic`):
+with the default 1-second bins a duration quantile is exact to half a bin.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 import numpy.typing as npt
 
+from repro.algorithms.stats import binned_order_statistic
 from repro.algorithms.timebins import DAY, StudyClock
 from repro.core.fused import ChunkIntermediates, ConnectKernel, ConnectPartial
 from repro.core.preprocess import PreprocessConfig
@@ -103,10 +104,7 @@ class TwinStatsKernel:
         self._hour_counts = np.zeros(N_HOURS, dtype=np.int64)
         self._duration_bins = np.zeros(self._n_bins, dtype=np.int64)
         self._sessions = ConnectKernel(
-            car_ids,
-            truncated=True,
-            track_partials=True,
-            join_gap_s=session_gap_s,
+            car_ids, truncated=True, join_gap_s=session_gap_s
         )
 
     def consume(self, inter: ChunkIntermediates) -> None:
@@ -154,9 +152,9 @@ def diurnal_shape(partial: TwinStatsPartial) -> npt.NDArray[np.float64]:
 def duration_quantile(partial: TwinStatsPartial, q: float) -> float:
     """The ``q`` (0..1) duration quantile, exact to half a histogram bin.
 
-    Reads the inverted-CDF order statistic out of the merged histogram and
-    returns the containing bin's midpoint — deterministic at any shard
-    split because the counts merge exactly.
+    Reads the lower order statistic (0-based rank ``floor(q * (n - 1))``)
+    out of the merged histogram and returns the containing bin's midpoint
+    — deterministic at any shard split because the counts merge exactly.
     """
     if not 0 <= q <= 1:
         raise ValueError(f"quantile must be in [0, 1], got {q}")
@@ -164,10 +162,9 @@ def duration_quantile(partial: TwinStatsPartial, q: float) -> float:
     n = int(counts.sum())
     if n == 0:
         return 0.0
-    rank = int(np.floor(q * (n - 1)))
-    cum = np.cumsum(counts)
-    k = int(np.searchsorted(cum, rank + 1))
-    return (k + 0.5) * partial.bin_s
+    bins = np.arange(len(counts), dtype=np.int64)
+    rank = int(np.floor(q * (n - 1))) + 1
+    return binned_order_statistic(bins, counts, rank, partial.bin_s)
 
 
 def session_gaps(

@@ -90,6 +90,15 @@ def _error(status: int, message: str) -> _Response:
     return _json_response(status, {"error": message, "status": status})
 
 
+def _content_length(headers: Mapping[str, str]) -> int | None:
+    """The request body length, or ``None`` when the header is malformed."""
+    try:
+        length = int(headers.get("content-length", "0") or "0")
+    except ValueError:
+        return None
+    return length if length >= 0 else None
+
+
 class ServiceApp:
     """Routes HTTP requests onto one :class:`ServiceState`."""
 
@@ -106,6 +115,9 @@ class ServiceApp:
         self._executor = ThreadPoolExecutor(
             max_workers=executor_threads, thread_name_prefix="repro-service"
         )
+        #: Keep-alive connections waiting for their next request line,
+        #: with the task serving each — what shutdown closes.
+        self._idle: dict[asyncio.StreamWriter, asyncio.Task[None]] = {}
 
     async def start_server(self, host: str, port: int) -> asyncio.Server:
         """Bind and return the listening server (port 0 = ephemeral)."""
@@ -115,14 +127,33 @@ class ServiceApp:
         """Stop the executor; in-flight requests finish first."""
         self._executor.shutdown(wait=True)
 
+    async def close_idle_connections(self) -> None:
+        """Close keep-alive connections between requests, and wait for them.
+
+        Their handlers see end-of-stream and return normally, so stopping
+        the loop afterwards cancels no idle handler (a cancelled one would
+        log a ``CancelledError`` traceback).
+        """
+        idle = list(self._idle.items())
+        for writer, _ in idle:
+            writer.close()
+        if idle:
+            await asyncio.wait([task for _, task in idle])
+
     # -- request handling --------------------------------------------------
 
     async def _handle_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
         try:
             while True:
-                request_line = await reader.readline()
+                if task is not None:
+                    self._idle[writer] = task
+                try:
+                    request_line = await reader.readline()
+                finally:
+                    self._idle.pop(writer, None)
                 if not request_line or request_line.strip() == b"":
                     break
                 try:
@@ -136,7 +167,12 @@ class ServiceApp:
                 if headers is None:
                     await self._write(writer, _error(400, "malformed headers"))
                     break
-                body_len = int(headers.get("content-length", "0") or "0")
+                body_len = _content_length(headers)
+                if body_len is None:
+                    await self._write(
+                        writer, _error(400, "malformed Content-Length")
+                    )
+                    break
                 if body_len:
                     await reader.readexactly(body_len)
                 response = await self._dispatch(method.upper(), target)
@@ -291,6 +327,7 @@ async def _serve_until(
             async with server:
                 await stop.wait()
     finally:
+        await app.close_idle_connections()
         app.shutdown()
     return bound
 
@@ -372,4 +409,5 @@ class ServiceThread:
             async with server:
                 await self._stop.wait()
         finally:
+            await self._app.close_idle_connections()
             self._app.shutdown()

@@ -59,7 +59,7 @@ class ServiceConfig:
     """Everything the daemon needs to serve one trace.
 
     ``workers`` follows the CLI convention shared by ``analyze`` and
-    ``stream``: results are identical at any count, ``1`` sweeps shards in
+    ``twin``: results are identical at any count, ``1`` sweeps shards in
     process, ``0`` uses all CPUs.  Only fields that change *results* enter
     the config fingerprint — worker count, chunk size and cache budget
     affect speed, never bytes.

@@ -400,7 +400,7 @@ TWINNED = {
         def busy_exposure(records):
             return sum(r.busy for r in records)
 
-        def busy_exposure_columnar(batch):
+        def busy_exposure_fused(batch):
             return int(batch.busy.sum())
         """,
 }
@@ -411,10 +411,10 @@ def test_rl017_twin_with_parity_test_is_clean():
         TWINNED,
         tests={
             "tests/test_parity.py": """\
-                from repro.metrics import busy_exposure, busy_exposure_columnar
+                from repro.metrics import busy_exposure, busy_exposure_fused
 
                 def test_parity(records, batch):
-                    assert busy_exposure_columnar(batch) == busy_exposure(records)
+                    assert busy_exposure_fused(batch) == busy_exposure(records)
                 """,
         },
     )
@@ -434,10 +434,10 @@ def test_rl017_flags_twin_tested_without_its_reference():
         TWINNED,
         tests={
             "tests/test_fast_path.py": """\
-                from repro.metrics import busy_exposure_columnar
+                from repro.metrics import busy_exposure_fused
 
                 def test_runs(batch):
-                    assert busy_exposure_columnar(batch) >= 0
+                    assert busy_exposure_fused(batch) >= 0
                 """,
         },
     )
@@ -453,7 +453,7 @@ def test_rl017_split_coverage_across_files_does_not_count():
         TWINNED,
         tests={
             "tests/test_fast.py": """\
-                from repro.metrics import busy_exposure_columnar
+                from repro.metrics import busy_exposure_fused
                 """,
             "tests/test_slow.py": """\
                 from repro.metrics import busy_exposure
@@ -472,7 +472,7 @@ def test_rl017_method_twins_are_covered_too():
                 def consume(self, records):
                     pass
 
-                def consume_columnar(self, batch):
+                def consume_fused(self, batch):
                     pass
             """,
     }
@@ -482,7 +482,7 @@ def test_rl017_method_twins_are_covered_too():
             "tests/test_engine.py": """\
                 def test_parity(engine, records, batch):
                     a = engine.consume(records)
-                    b = engine.consume_columnar(batch)
+                    b = engine.consume_fused(batch)
                     assert a == b
                 """,
         },
@@ -492,7 +492,7 @@ def test_rl017_method_twins_are_covered_too():
     uncovered = build_project(sources, tests={})
     findings = run_rule("RL017", uncovered)
     assert len(findings) == 1
-    assert "consume_columnar" in findings[0].message
+    assert "consume_fused" in findings[0].message
 
 
 def test_rl017_twin_without_reference_needs_only_its_own_test():
@@ -501,13 +501,13 @@ def test_rl017_twin_without_reference_needs_only_its_own_test():
     project = build_project(
         {
             "src/repro/metrics.py": """\
-                def exposure_columnar(batch):
+                def exposure_fused(batch):
                     return int(batch.busy.sum())
                 """,
         },
         tests={
             "tests/test_fast.py": """\
-                from repro.metrics import exposure_columnar
+                from repro.metrics import exposure_fused
                 """,
         },
     )
@@ -563,3 +563,21 @@ def test_rl017_fused_twin_tested_without_reference_is_flagged():
     findings = run_rule("RL017", project)
     assert len(findings) == 1
     assert "no single test file also exercises its reference" in findings[0].message
+
+
+def test_rl017_columnar_suffix_is_not_a_twin():
+    # Only ``*_fused`` pairs with a reference: a ``*_columnar`` helper is an
+    # ordinary function, with or without a test.
+    project = build_project(
+        {
+            "src/repro/metrics.py": """\
+                def busy_exposure(records):
+                    return sum(r.busy for r in records)
+
+                def busy_exposure_columnar(batch):
+                    return int(batch.busy.sum())
+                """,
+        },
+        tests={},
+    )
+    assert run_rule("RL017", project) == []

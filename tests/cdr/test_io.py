@@ -147,11 +147,19 @@ class TestDailyPartitions:
         with pytest.raises(CDRValidationError):
             list(read_records_daily(tmp_path / "empty"))
 
-    def test_streaming_analyzer_over_daily_feed(self, tmp_path, clock):
-        # The realistic out-of-core path: daily archives -> streaming pass.
-        from repro.core.streaming import StreamingAnalyzer
+    def test_fused_engine_over_daily_feed(self, tmp_path, clock):
+        # Daily archives -> one fused pass over the concatenated feed.
+        from repro.cdr.columnar import ColumnarCDRBatch
+        from repro.core.fused import FusedEngine
 
         trace = self._trace()
         write_records_daily(tmp_path / "feed", trace)
-        result = StreamingAnalyzer(clock).run(read_records_daily(tmp_path / "feed"))
-        assert result.n_records == 4
+        engine = FusedEngine(clock)
+        engine.consume(
+            ColumnarCDRBatch.from_records(
+                list(read_records_daily(tmp_path / "feed"))
+            )
+        )
+        report = engine.finalize()
+        assert report.durations.n == 4
+        assert report.days == {"car-a": 2, "car-b": 1, "car-c": 1}

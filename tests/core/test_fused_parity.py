@@ -1,12 +1,14 @@
-"""Bit-exact parity for the fused engine (PR 8).
+"""Bit-exact parity between the fused engine and the reference loops.
 
-The fused engine promises the same thing the columnar twins promised in
-PRs 3–6, one level up: a *single* pass over shared per-chunk intermediates
-must reproduce every record-based reference bit for bit — at any chunk
-size, across pickled cross-shard partials, and at any map-reduce worker
-count.  These tests hold that promise on the adversarial fixtures of the
-columnar parity suite, on random hypothesis batches with random chunk
-sizes, and end to end over sharded ``.cdrz`` stores.
+A *single* pass over shared per-chunk intermediates must reproduce every
+record-based reference bit for bit — at any chunk size, across pickled
+cross-shard partials, and at any map-reduce worker count.  These tests
+hold that promise on hand-built adversarial batches (overlapping records,
+bin/day boundary straddling, unknown cells, empty carriers, single-record
+cars), on random hypothesis batches with random chunk sizes, end to end
+over sharded ``.cdrz`` stores, and at the level of a whole pipeline run.
+Figure 9's duration quantiles come from a 1-second histogram, so they are
+checked to half a bin instead of bit for bit.
 """
 
 from __future__ import annotations
@@ -18,14 +20,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.timebins import BIN_SECONDS, DAY
+from repro.algorithms.timebins import BIN_SECONDS, DAY, StudyClock
 from repro.cdr.records import CDRBatch, ConnectionRecord
 from repro.cdr.store import write_sharded_cdrz
 from repro.core.busy import BusySchedule, busy_exposure
 from repro.core.carriers import carrier_usage
-from repro.core.connect_time import connect_time_analysis
+from repro.core.connect_time import (
+    cell_connection_durations,
+    connect_time_analysis,
+)
 from repro.core.fused import (
-    ChunkIntermediates,
     FusedEngine,
     busy_exposure_fused,
     carrier_usage_fused,
@@ -36,12 +40,44 @@ from repro.core.fused import (
     handover_analysis_fused,
 )
 from repro.core.handover import handover_analysis
-from repro.core.mapreduce import analyze_shards, analyze_shards_fused
-from repro.core.preprocess import preprocess
+from repro.core.mapreduce import analyze_shards_fused
+from repro.core.preprocess import NoUsableRecordsError, PreprocessConfig, preprocess
 from repro.core.presence import daily_presence
 from repro.core.segmentation import days_on_network, segment_cars
-from repro.core.streaming import StreamingAnalyzer
-from tests.core.test_vectorized_parity import CELLS, CLOCK, rec, schedule_for
+from repro.network.cells import CARRIERS, Cell
+from repro.network.geometry import Point
+
+CLOCK = StudyClock(start_weekday=0, n_days=7)
+
+#: A small cell directory: two sectors on one base station plus a second
+#: site, mixing carriers so every handover type is reachable.
+CELLS = {
+    1: Cell(1, base_station_id=10, sector_index=0, carrier=CARRIERS["C3"],
+            location=Point(0.0, 0.0), azimuth_deg=0.0),
+    2: Cell(2, base_station_id=10, sector_index=0, carrier=CARRIERS["C4"],
+            location=Point(0.0, 0.0), azimuth_deg=0.0),
+    3: Cell(3, base_station_id=10, sector_index=1, carrier=CARRIERS["C3"],
+            location=Point(0.0, 0.0), azimuth_deg=120.0),
+    4: Cell(4, base_station_id=20, sector_index=0, carrier=CARRIERS["C1"],
+            location=Point(1.0, 1.0), azimuth_deg=0.0),
+}
+
+
+def rec(start, car="car-a", cell=1, carrier="C3", tech="4G", dur=60.0):
+    return ConnectionRecord(
+        start=float(start), car_id=car, cell_id=cell,
+        carrier=carrier, technology=tech, duration=float(dur),
+    )
+
+
+def schedule_for(cell_ids, n_bins=None, period=3):
+    """Deterministic busy masks: cell ``c`` is busy in bins where
+    ``(bin + c) % period == 0``.  Cells outside ``cell_ids`` stay unknown."""
+    n_bins = n_bins or CLOCK.n_days * DAY // BIN_SECONDS
+    bins = np.arange(n_bins)
+    return BusySchedule.from_series(
+        {c: np.where((bins + c) % period == 0, 0.9, 0.1) for c in cell_ids}
+    )
 
 
 def chunked(col, size):
@@ -83,6 +119,24 @@ def assert_report_matches(report, pre, schedule, cells):
     assert report.handovers.type_counts == ref_h.type_counts
 
     assert report.n_ghosts == pre.n_dropped_ghosts
+    assert_durations_match(report.durations, pre)
+
+
+def assert_durations_match(stats, pre):
+    """Figure 9 against ``cell_connection_durations``: counts and the
+    over-cutoff share exactly, quantiles within half a 1-s bin of the
+    inverted-CDF order statistic, means to reassociation precision."""
+    full = cell_connection_durations(pre, truncated=False)
+    trunc = cell_connection_durations(pre, truncated=True)
+    assert stats.n == len(full)
+    assert stats.fraction_over_cutoff == (
+        np.count_nonzero(full > pre.config.truncate_s) / len(full)
+    )
+    for q, value in ((0.5, stats.median), (0.73, stats.p73)):
+        exact = float(np.quantile(full, q, method="inverted_cdf"))
+        assert abs(value - exact) <= 0.5
+    assert stats.mean_full == pytest.approx(full.mean(), rel=1e-9)
+    assert stats.mean_truncated == pytest.approx(trunc.mean(), rel=1e-9)
 
 
 def assert_fused_matches_reference(batch, schedule, cells):
@@ -178,6 +232,40 @@ class TestAdversarialBatches:
         ])
         assert_fused_matches_reference(batch, schedule_for([1, 2, 3]), CELLS)
 
+    def test_all_cells_unknown(self):
+        batch = CDRBatch([rec(100.0, cell=99), rec(300.0, cell=98, car="car-b")])
+        assert_fused_matches_reference(batch, schedule_for([]), CELLS)
+
+    def test_empty_carriers_report_zero(self):
+        batch = CDRBatch([
+            rec(100.0, carrier="C2", tech="3G"),
+            rec(400.0, carrier="C2", tech="3G"),
+        ])
+        pre = preprocess(batch)
+        usage = carrier_usage_fused(pre.full.columnar())
+        assert usage == carrier_usage(pre.full)
+        for c in ("C1", "C3", "C4", "C5"):
+            assert usage.cars_fraction[c] == 0.0
+            assert usage.time_fraction[c] == 0.0
+        assert_fused_matches_reference(batch, schedule_for([1]), CELLS)
+
+    def test_single_record_cars(self):
+        batch = CDRBatch([
+            rec(100.0, car=f"car-{i}", cell=1 + i % 4, dur=10.0 * i + 1.0)
+            for i in range(5)
+        ])
+        assert_fused_matches_reference(batch, schedule_for([1, 2, 3, 4]), CELLS)
+
+    def test_session_below_min_records_with_unknown_cells(self):
+        # A two-record session with one known cell is skipped by the
+        # min-records rule; a one-record session is kept (count 0).
+        batch = CDRBatch([
+            rec(100.0, cell=1, dur=50.0),
+            rec(200.0, cell=99, dur=50.0),
+            rec(5000.0, cell=2, carrier="C4", dur=50.0),
+        ])
+        assert_fused_matches_reference(batch, schedule_for([1, 2]), CELLS)
+
     def test_engine_rejects_vocabulary_change(self):
         a = CDRBatch([rec(100.0)]).columnar()
         b = CDRBatch([rec(200.0, car="car-z")]).columnar()
@@ -235,9 +323,7 @@ def test_pickled_partial_folds_match_single_engine(batch, n_splits):
 
     merged = None
     for chunk in chunked(raw, size):
-        engine = FusedEngine(
-            CLOCK, schedule=schedule, cells=CELLS, track_partials=True
-        )
+        engine = FusedEngine(CLOCK, schedule=schedule, cells=CELLS)
         engine.consume(chunk)
         partial = pickle.loads(pickle.dumps(engine.export_partial()))
         if merged is None:
@@ -246,9 +332,7 @@ def test_pickled_partial_folds_match_single_engine(batch, n_splits):
             merged.absorb_partial(partial)
     report = finalize_fused(merged, CLOCK)
 
-    single = FusedEngine(
-        CLOCK, schedule=schedule, cells=CELLS, track_partials=True
-    )
+    single = FusedEngine(CLOCK, schedule=schedule, cells=CELLS)
     single.consume(raw)
     expected = single.finalize()
 
@@ -286,44 +370,83 @@ def test_pickled_partial_folds_match_single_engine(batch, n_splits):
     )
     assert report.handovers.type_counts == expected.handovers.type_counts
     assert report.n_ghosts == expected.n_ghosts
+    got, want = report.durations, expected.durations
+    assert (got.n, got.median, got.p73, got.fraction_over_cutoff) == (
+        want.n, want.median, want.p73, want.fraction_over_cutoff
+    )
+    np.testing.assert_allclose(
+        [got.mean_full, got.mean_truncated],
+        [want.mean_full, want.mean_truncated],
+        rtol=1e-12,
+    )
 
 
-class TestStreamingIntermediates:
-    def test_consume_intermediates_matches_consume_columnar(self):
-        batch = CDRBatch([
-            rec(100.0, dur=50.0),
-            rec(500.0, car="car-b", cell=2, carrier="C4", dur=3600.0),
-            rec(900.0, car="car-b", cell=3, dur=70.0),
-        ])
-        col = batch.columnar()
-        via_columnar = StreamingAnalyzer(CLOCK)
-        via_columnar.consume_columnar(col)
-        a = via_columnar.finalize()
-        via_inter = StreamingAnalyzer(CLOCK)
-        via_inter.consume_intermediates(
-            ChunkIntermediates(col, CLOCK, via_inter.truncate_s)
+class TestFigure9Durations:
+    def test_controlled_stream(self):
+        # Four kept records (one ghost dropped), two of them over 600 s.
+        batch = CDRBatch(
+            [rec(i * 10_000.0, dur=d) for i, d in enumerate((100, 200, 700, 1300))]
+            + [rec(50_000.0, dur=3600.0)]
         )
-        b = via_inter.finalize()
-        assert a.n_records == b.n_records
-        assert a.n_ghosts_dropped == b.n_ghosts_dropped
-        assert a.duration_mean_full == b.duration_mean_full
-        assert a.mean_connect_share_truncated == b.mean_connect_share_truncated
+        engine = FusedEngine(CLOCK)
+        engine.consume(batch.columnar())
+        report = engine.finalize()
+        assert report.n_ghosts == 1
+        stats = report.durations
+        assert stats.n == 4
+        assert stats.fraction_over_cutoff == 0.5
+        # Inverted-CDF ranks ceil(0.5 * 4) = 2 and ceil(0.73 * 4) = 3, read
+        # as the midpoints of their 1-s bins.
+        assert stats.median == 200.5
+        assert stats.p73 == 700.5
+        assert stats.mean_full == 575.0
+        assert stats.mean_truncated == 375.0
 
-    def test_mismatched_clock_or_cutoff_is_rejected(self):
+    def test_bit_identical_at_every_chunk_size(self):
+        batch = CDRBatch([
+            rec(100.0 * i, car=f"car-{i % 3}", dur=d)
+            for i, d in enumerate(
+                (0.0, 599.9, 600.0, 600.1, 3600.0, 0.25, 1e5 + 0.7, 42.0, 3599.5)
+            )
+        ])
+        raw = batch.columnar()
+        results = set()
+        for size in range(1, len(raw) + 1):
+            engine = FusedEngine(CLOCK)
+            for chunk in chunked(raw, size):
+                engine.consume(chunk)
+            results.add(engine.finalize().durations)
+        assert len(results) == 1
+        assert_durations_match(results.pop(), preprocess(batch))
+
+    def test_partial_is_a_sparse_table_of_occupied_bins(self):
+        batch = CDRBatch([
+            rec(100.0 * i, dur=d)
+            for i, d in enumerate((5.0, 5.4, 17.0, 107_538.2, 66_203.0))
+        ])
+        engine = FusedEngine(CLOCK)
+        engine.consume(batch.columnar())
+        partial = engine.export_partial().durations
+        assert partial.bins.tolist() == [5, 17, 66_203, 107_538]
+        assert partial.counts.tolist() == [2, 1, 1, 1]
+        assert partial.n_over == 2
+
+    def test_ghost_only_engine_finalizes_to_zeros(self):
+        engine = FusedEngine(CLOCK)
+        engine.consume(CDRBatch([rec(100.0, dur=3600.0)]).columnar())
+        stats = engine.finalize().durations
+        assert (stats.n, stats.median, stats.mean_full) == (0, 0.0, 0.0)
+        assert stats.fraction_over_cutoff == 0.0
+
+    def test_absorb_rejects_a_different_cutoff(self):
         col = CDRBatch([rec(100.0)]).columnar()
-        analyzer = StreamingAnalyzer(CLOCK)
-        from repro.algorithms.timebins import StudyClock
-
-        with pytest.raises(ValueError, match="different clock"):
-            analyzer.consume_intermediates(
-                ChunkIntermediates(
-                    col, StudyClock(n_days=3), analyzer.truncate_s
-                )
-            )
-        with pytest.raises(ValueError, match="truncation cutoff"):
-            analyzer.consume_intermediates(
-                ChunkIntermediates(col, CLOCK, analyzer.truncate_s + 1.0)
-            )
+        partials = []
+        for truncate_s in (600.0, 300.0):
+            engine = FusedEngine(CLOCK, PreprocessConfig(truncate_s=truncate_s))
+            engine.consume(col)
+            partials.append(engine.export_partial().durations)
+        with pytest.raises(ValueError, match="cutoffs"):
+            partials[0].absorb_partial(partials[1])
 
 
 class TestFusedMapReduce:
@@ -369,6 +492,7 @@ class TestFusedMapReduce:
             )
             assert other.handovers.type_counts == base.handovers.type_counts
             assert other.carriers == base.carriers
+            assert other.durations == base.durations
 
     def test_matches_in_memory_references(
         self, sharded, dataset, topology, schedule, clock
@@ -406,36 +530,25 @@ class TestFusedMapReduce:
             report.exposure.busy_share, ref_b.busy_share, rtol=1e-12
         )
 
-    def test_streaming_and_fused_mapreduce_agree_on_counts(
-        self, sharded, clock
+    def test_optional_analyses_need_schedule_and_cells(
+        self, sharded, dataset, clock
     ):
-        # The fused fold and the streaming fold must count the same rows.
-        fused_report, fused_stats = analyze_shards_fused(
-            sharded, clock, workers=2
-        )
-        stream_result, stream_stats = analyze_shards(sharded, clock, workers=2)
-        assert fused_stats.n_records == stream_result.n_records
-        assert fused_stats.n_ghosts_dropped == stream_result.n_ghosts_dropped
-        assert fused_stats.n_shards == stream_stats.n_shards
-        assert fused_report.exposure is None
-        assert fused_report.handovers is None
+        report, stats = analyze_shards_fused(sharded, clock, workers=2)
+        pre = preprocess(dataset.batch)
+        assert stats.n_records == len(pre.full)
+        assert stats.n_ghosts_dropped == pre.n_dropped_ghosts
+        assert report.exposure is None
+        assert report.segmentation is None
+        assert report.handovers is None
 
-    def test_map_shard_fused_agrees_with_streaming_map_shard(
-        self, sharded, clock
-    ):
-        # Per-shard parity: the fused mapper and the streaming mapper must
-        # see the same rows and drop the same ghosts from identical bytes.
-        from repro.cdr.store import resolve_shards
-        from repro.core.mapreduce import (
-            FusedMapSpec,
-            MapSpec,
-            map_shard,
-            map_shard_fused,
-        )
-        from repro.core.preprocess import PreprocessConfig
+    def test_map_shard_fused_counts_each_shards_rows(self, sharded, clock):
+        # Per-shard accounting: each partial keeps and drops exactly the
+        # rows preprocessing keeps and drops from that shard's bytes.
+        from repro.cdr.store import read_batch_cdrz, resolve_shards
+        from repro.core.mapreduce import FusedMapSpec, map_shard_fused
 
         shards = tuple(resolve_shards(sharded))
-        fused_spec = FusedMapSpec(
+        spec = FusedMapSpec(
             shards=shards,
             clock=clock,
             config=PreprocessConfig(),
@@ -444,20 +557,12 @@ class TestFusedMapReduce:
             min_records=2,
             chunk_rows=256,
         )
-        stream_spec = MapSpec(
-            shards=shards,
-            clock=clock,
-            truncate_s=600.0,
-            hll_precision=12,
-            quantile_bin_s=1.0,
-            chunk_rows=256,
-        )
-        for index in range(len(shards)):
-            fused = map_shard_fused(fused_spec, index)
-            stream = map_shard(stream_spec, index)
-            assert fused is not None
-            assert fused.n_records == stream.n_records
-            assert fused.n_ghosts == stream.n_ghosts
+        for index, shard in enumerate(shards):
+            partial = map_shard_fused(spec, index)
+            pre = preprocess(read_batch_cdrz(shard).to_batch())
+            assert partial is not None
+            assert partial.n_records == len(pre.full)
+            assert partial.n_ghosts == pre.n_dropped_ghosts
 
     def test_map_shards_fused_partial_sweeps_fold_to_full_report(
         self, sharded, clock
@@ -466,9 +571,8 @@ class TestFusedMapReduce:
         # with map_shards_fused and folding must reproduce the one-sweep
         # analyze_shards_fused report bit for bit.
         from repro.cdr.store import resolve_shards
-        from repro.core.fused import finalize_fused, fold_fused_partials
+        from repro.core.fused import fold_fused_partials
         from repro.core.mapreduce import FusedMapSpec, map_shards_fused
-        from repro.core.preprocess import PreprocessConfig
 
         shards = tuple(resolve_shards(sharded))
         spec = FusedMapSpec(
@@ -518,5 +622,62 @@ class TestFusedMapReduce:
     def test_empty_source_is_rejected(self, tmp_path, clock, dataset):
         empty = dataset.batch.columnar().rows(0, 0)
         write_sharded_cdrz(tmp_path, empty, shard_rows=10)
-        with pytest.raises(ValueError, match="shard"):
+        with pytest.raises(NoUsableRecordsError, match="no usable records"):
             analyze_shards_fused(tmp_path, clock, workers=1)
+
+
+def assert_reports_equal(a, b):
+    """Two :class:`AnalysisReport` objects agree in every field, bit for bit."""
+    assert a.pre.n_kept == b.pre.n_kept
+    assert a.pre.n_dropped_ghosts == b.pre.n_dropped_ghosts
+    assert list(a.pre.full) == list(b.pre.full)
+    assert list(a.pre.truncated) == list(b.pre.truncated)
+    assert a.presence.n_cars_total == b.presence.n_cars_total
+    assert a.presence.n_cells_total == b.presence.n_cells_total
+    assert np.array_equal(a.presence.car_fraction, b.presence.car_fraction)
+    assert np.array_equal(a.presence.cell_fraction, b.presence.cell_fraction)
+    assert a.weekday_rows == b.weekday_rows
+    assert a.connect_time.car_ids == b.connect_time.car_ids
+    assert np.array_equal(a.connect_time.full_share, b.connect_time.full_share)
+    assert np.array_equal(
+        a.connect_time.truncated_share, b.connect_time.truncated_share
+    )
+    assert a.days == b.days
+    assert a.exposure.car_ids == b.exposure.car_ids
+    assert np.array_equal(a.exposure.busy_share, b.exposure.busy_share)
+    assert np.array_equal(a.exposure.nonbusy_share, b.exposure.nonbusy_share)
+    assert a.segmentation == b.segmentation
+    assert a.carriers == b.carriers
+    assert a.handovers is not None and b.handovers is not None
+    assert np.array_equal(a.handovers.per_session, b.handovers.per_session)
+    assert a.handovers.type_counts == b.handovers.type_counts
+    assert (a.clusters is None) == (b.clusters is None)
+    if a.clusters is not None and b.clusters is not None:
+        assert a.clusters.cell_ids == b.clusters.cell_ids
+        assert np.array_equal(a.clusters.vectors, b.clusters.vectors)
+        assert a.clusters.ordering == b.clusters.ordering
+        assert np.array_equal(a.clusters.result.labels, b.clusters.result.labels)
+    assert a.notes == b.notes
+
+
+def test_pipeline_engines_produce_identical_reports(dataset):
+    from repro.core.pipeline import AnalysisPipeline
+
+    pipeline = AnalysisPipeline(
+        dataset.clock,
+        load_model=dataset.load_model,
+        cells=dataset.topology.cells,
+    )
+    ref = pipeline.run(dataset.batch, engine="reference")
+    assert_reports_equal(pipeline.run(dataset.batch, engine="fused"), ref)
+    # The default engine is the fused one.
+    assert_reports_equal(pipeline.run(dataset.batch), ref)
+
+
+@pytest.mark.parametrize("engine", ["vectorized", "turbo"])
+def test_pipeline_rejects_unknown_engine(dataset, engine):
+    from repro.core.pipeline import AnalysisPipeline
+
+    pipeline = AnalysisPipeline(dataset.clock, load_model=dataset.load_model)
+    with pytest.raises(ValueError, match="engine"):
+        pipeline.run(dataset.batch, engine=engine)

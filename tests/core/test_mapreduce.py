@@ -2,16 +2,16 @@
 
 The contract under test (see ``repro/core/mapreduce.py``):
 
-* the reduced result is *identical* — every field, bit for bit — for any
+* the reduced report is *identical* — every field, bit for bit — for any
   worker count on the same shard directory;
-* counts, histogram-derived statistics (quantiles, fraction over cutoff)
-  and the HyperLogLog per-day estimates are exactly equal to a serial
-  ``run_columnar`` pass in the same quantile mode;
-* the float sums (means, carrier shares, per-car connected time) agree
+* counts, pair sets, chain tables and the Figure 9 duration histogram are
+  exactly equal to one serial fused engine over the whole stream;
+* the float sums (duration means, carrier shares, busy tallies) agree
   with the serial pass to float-reassociation precision;
-* the histogram quantile stand-in is within ``quantile_bin_s / 2`` of the
-  exact order statistic of the kept durations;
-* empty shards and empty partials are legal and reduce as no-ops.
+* the Figure 9 quantiles are within half a 1-s bin of the exact order
+  statistic of the kept durations;
+* empty and ghost-only shards are legal and reduce as no-ops, while a
+  source with no kept record at all raises ``NoUsableRecordsError``.
 """
 
 from dataclasses import replace
@@ -24,10 +24,18 @@ from hypothesis import strategies as st
 from repro.algorithms.timebins import DAY, StudyClock
 from repro.cdr.columnar import ColumnarCDRBatch
 from repro.cdr.records import ConnectionRecord
-from repro.cdr.store import write_batch_cdrz, write_sharded_cdrz
-from repro.core.mapreduce import MapSpec, analyze_shards, map_shard
-from repro.core.preprocess import is_ghost_record
-from repro.core.streaming import StreamingAnalyzer
+from repro.cdr.store import resolve_shards, write_batch_cdrz, write_sharded_cdrz
+from repro.core.fused import FusedEngine, finalize_fused
+from repro.core.mapreduce import (
+    FusedMapSpec,
+    analyze_shards_fused,
+    map_shard_fused,
+)
+from repro.core.preprocess import (
+    NoUsableRecordsError,
+    PreprocessConfig,
+    is_ghost_record,
+)
 
 N_DAYS = 10
 TRUNCATE_S = 600.0
@@ -61,21 +69,25 @@ def make_records(n=4000, n_cars=30, seed=0):
     return sorted(records, key=lambda r: r.start)
 
 
-def assert_results_identical(a, b):
-    assert a.n_records == b.n_records
-    assert a.n_ghosts_dropped == b.n_ghosts_dropped
-    for field in (
-        "duration_median",
-        "duration_p73",
-        "duration_mean_full",
-        "duration_mean_truncated",
-        "fraction_over_cutoff",
-        "mean_connect_share_truncated",
-    ):
-        assert getattr(a, field) == getattr(b, field), field
-    np.testing.assert_array_equal(a.distinct_cars_per_day, b.distinct_cars_per_day)
-    np.testing.assert_array_equal(a.distinct_cells_per_day, b.distinct_cells_per_day)
-    assert a.carrier_time_fraction == b.carrier_time_fraction
+def report_fields(report):
+    """Every field of a FusedReport as plain comparable values."""
+    return (
+        report.presence.car_fraction.tolist(),
+        report.presence.cell_fraction.tolist(),
+        report.presence.n_cars_total,
+        report.presence.n_cells_total,
+        report.days,
+        report.connect_time.car_ids,
+        report.connect_time.full_share.tolist(),
+        report.connect_time.truncated_share.tolist(),
+        report.durations,
+        report.carriers,
+        report.n_ghosts,
+    )
+
+
+def assert_reports_identical(a, b):
+    assert report_fields(a) == report_fields(b)
 
 
 def exact_car_totals(records, truncate_s=TRUNCATE_S):
@@ -102,6 +114,13 @@ def exact_car_totals(records, truncate_s=TRUNCATE_S):
     return totals
 
 
+def serial_report(records, clock):
+    """One fused engine over the whole stream, no shards."""
+    engine = FusedEngine(clock)
+    engine.consume(ColumnarCDRBatch.from_records(records))
+    return engine.finalize()
+
+
 @pytest.fixture(scope="module")
 def clock():
     return StudyClock(n_days=N_DAYS)
@@ -123,15 +142,14 @@ def shard_dir(tmp_path_factory, records):
 
 @pytest.fixture(scope="module")
 def serial_result(clock, records):
-    analyzer = StreamingAnalyzer(clock, quantile_mode="histogram")
-    return analyzer.run_columnar([ColumnarCDRBatch.from_records(records)])
+    return serial_report(records, clock)
 
 
 class TestWorkerCountParity:
     @pytest.fixture(scope="class")
     def by_workers(self, shard_dir, clock):
         return {
-            workers: analyze_shards(
+            workers: analyze_shards_fused(
                 shard_dir, clock, workers=workers, chunk_rows=256
             )
             for workers in (1, 2, 4)
@@ -141,7 +159,7 @@ class TestWorkerCountParity:
         reference, _ = by_workers[1]
         for workers in (2, 4):
             result, _ = by_workers[workers]
-            assert_results_identical(reference, result)
+            assert_reports_identical(reference, result)
 
     def test_stats_report_the_run(self, by_workers, records):
         result, stats = by_workers[4]
@@ -149,67 +167,72 @@ class TestWorkerCountParity:
         assert stats.n_shards == 8
         assert stats.n_empty_shards == 0
         assert stats.workers == 4
-        assert stats.n_records == len(records) - n_ghosts == result.n_records
-        assert stats.n_ghosts_dropped == n_ghosts
+        assert stats.n_records == len(records) - n_ghosts == result.durations.n
+        assert stats.n_ghosts_dropped == n_ghosts == result.n_ghosts
         assert stats.peak_rss_bytes > 0
 
 
 class TestSerialParity:
     @pytest.fixture(scope="class")
     def reduced(self, shard_dir, clock):
-        result, _ = analyze_shards(shard_dir, clock, workers=2, chunk_rows=256)
+        result, _ = analyze_shards_fused(
+            shard_dir, clock, workers=2, chunk_rows=256
+        )
         return result
 
     def test_counts_and_histogram_stats_exact(self, reduced, serial_result):
-        assert reduced.n_records == serial_result.n_records
-        assert reduced.n_ghosts_dropped == serial_result.n_ghosts_dropped
-        assert reduced.duration_median == serial_result.duration_median
-        assert reduced.duration_p73 == serial_result.duration_p73
-        assert reduced.fraction_over_cutoff == serial_result.fraction_over_cutoff
+        got, want = reduced.durations, serial_result.durations
+        assert reduced.n_ghosts == serial_result.n_ghosts
+        assert got.n == want.n
+        assert got.median == want.median
+        assert got.p73 == want.p73
+        assert got.fraction_over_cutoff == want.fraction_over_cutoff
 
-    def test_hyperloglog_estimates_exact(self, reduced, serial_result):
-        # Register-maxima merges are exact, so the per-day estimates are
-        # bit-equal, not merely close.
+    def test_presence_and_days_exact(self, reduced, serial_result):
+        # Distinct day/car and day/cell pair sets merge by exact unions.
         np.testing.assert_array_equal(
-            reduced.distinct_cars_per_day, serial_result.distinct_cars_per_day
+            reduced.presence.car_fraction, serial_result.presence.car_fraction
         )
         np.testing.assert_array_equal(
-            reduced.distinct_cells_per_day, serial_result.distinct_cells_per_day
+            reduced.presence.cell_fraction, serial_result.presence.cell_fraction
+        )
+        assert reduced.days == serial_result.days
+        assert reduced.carriers.cars_fraction == (
+            serial_result.carriers.cars_fraction
         )
 
     def test_float_sums_within_reassociation_precision(
         self, reduced, serial_result
     ):
-        assert reduced.duration_mean_full == pytest.approx(
-            serial_result.duration_mean_full, rel=1e-9
+        got, want = reduced.durations, serial_result.durations
+        assert got.mean_full == pytest.approx(want.mean_full, rel=1e-9)
+        assert got.mean_truncated == pytest.approx(want.mean_truncated, rel=1e-9)
+        assert set(reduced.carriers.time_fraction) == set(
+            serial_result.carriers.time_fraction
         )
-        assert reduced.duration_mean_truncated == pytest.approx(
-            serial_result.duration_mean_truncated, rel=1e-9
-        )
-        assert reduced.mean_connect_share_truncated == pytest.approx(
-            serial_result.mean_connect_share_truncated, rel=1e-9
-        )
-        assert set(reduced.carrier_time_fraction) == set(
-            serial_result.carrier_time_fraction
-        )
-        for carrier, fraction in reduced.carrier_time_fraction.items():
+        for carrier, fraction in reduced.carriers.time_fraction.items():
             assert fraction == pytest.approx(
-                serial_result.carrier_time_fraction[carrier], rel=1e-9
+                serial_result.carriers.time_fraction[carrier], rel=1e-9
             )
 
     def test_quantiles_within_documented_bound(self, reduced, records):
         kept = np.asarray(
             [r.duration for r in records if not is_ghost_record(r)]
         )
-        for q, value in ((0.5, reduced.duration_median), (0.73, reduced.duration_p73)):
+        durations = reduced.durations
+        for q, value in ((0.5, durations.median), (0.73, durations.p73)):
             exact = float(np.quantile(kept, q, method="inverted_cdf"))
-            assert abs(value - exact) <= 0.5  # quantile_bin_s=1.0 -> bin/2
+            assert abs(value - exact) <= 0.5  # 1-s bins -> bin/2
 
     def test_connect_time_matches_interval_union(self, reduced, clock, records):
+        # Chain tables weld exactly, so the folded shares are the
+        # reference's single subtractions and in-order adds.
         totals = exact_car_totals(records)
-        expected = float(np.mean(list(totals.values()))) / clock.duration
-        assert reduced.mean_connect_share_truncated == pytest.approx(
-            expected, rel=1e-9
+        connect = reduced.connect_time
+        assert connect.car_ids == sorted(totals)
+        expected = np.asarray([totals[car] for car in connect.car_ids])
+        np.testing.assert_allclose(
+            connect.truncated_share, expected / clock.duration, rtol=1e-9
         )
 
 
@@ -230,100 +253,83 @@ class TestEdgeShardLayouts:
     def test_ragged_shards_reduce_identically(
         self, ragged_dir, clock, serial_result
     ):
-        reference, stats = analyze_shards(ragged_dir, clock, workers=1)
-        result, _ = analyze_shards(ragged_dir, clock, workers=2)
+        reference, stats = analyze_shards_fused(ragged_dir, clock, workers=1)
+        result, _ = analyze_shards_fused(ragged_dir, clock, workers=2)
         assert stats.n_shards == 6
         assert stats.n_empty_shards == 1
-        assert_results_identical(reference, result)
-        assert result.n_records == serial_result.n_records
-        assert result.duration_median == serial_result.duration_median
+        assert_reports_identical(reference, result)
+        assert result.durations.n == serial_result.durations.n
+        assert result.durations.median == serial_result.durations.median
 
-    def test_all_empty_shards_finalize_empty(self, tmp_path, clock):
+    def test_all_empty_shards_have_no_usable_records(self, tmp_path, clock):
         directory = tmp_path / "empties"
         write_sharded_cdrz(
             directory, ColumnarCDRBatch.from_records([]), shard_rows=10
         )
-        result, stats = analyze_shards(directory, clock, workers=1)
-        assert result.n_records == 0
-        assert result.mean_connect_share_truncated == 0.0
-        assert stats.n_empty_shards == stats.n_shards == 1
+        for workers in (1, 2):
+            with pytest.raises(NoUsableRecordsError, match="0 rows read"):
+                analyze_shards_fused(directory, clock, workers=workers)
 
-    def test_ghost_only_shard_is_tolerated(self, tmp_path, clock):
+    def test_ghost_only_directory_has_no_usable_records(self, tmp_path, clock):
         ghosts = [rec(5.0, "a", 1, "C1", "4G", 3600.0)] * 3
         directory = tmp_path / "ghosts"
         write_sharded_cdrz(
-            directory, ColumnarCDRBatch.from_records(ghosts), shard_rows=10
+            directory, ColumnarCDRBatch.from_records(ghosts), shard_rows=2
         )
-        result, stats = analyze_shards(directory, clock, workers=1)
-        assert result.n_records == 0
-        assert result.n_ghosts_dropped == 3
+        for workers in (1, 2):
+            with pytest.raises(NoUsableRecordsError) as info:
+                analyze_shards_fused(directory, clock, workers=workers)
+            assert (info.value.n_rows, info.value.n_ghosts) == (3, 3)
+
+    def test_ghost_only_shard_is_tolerated(self, tmp_path, clock):
+        directory = tmp_path / "mixed"
+        directory.mkdir()
+        ghosts = [rec(5.0, "a", 1, "C1", "4G", 3600.0)] * 3
+        real = [rec(50.0, "a", 1, "C1", "4G", 30.0)]
+        for index, rows in enumerate((ghosts, real)):
+            write_batch_cdrz(
+                directory / f"shard-{index:05d}.cdrz",
+                ColumnarCDRBatch.from_records(rows),
+            )
+        result, stats = analyze_shards_fused(directory, clock, workers=1)
+        assert stats.n_records == 1
+        assert stats.n_ghosts_dropped == 3
         assert stats.n_empty_shards == 0
+        assert result.durations.n == 1
 
 
 class TestPartialContract:
-    def test_export_requires_mergeable_mode(self, clock):
-        with pytest.raises(ValueError, match="export_partial requires"):
-            StreamingAnalyzer(clock).export_partial()
-        with pytest.raises(ValueError, match="export_partial requires"):
-            StreamingAnalyzer(clock, quantile_mode="histogram").export_partial()
-
-    def test_track_partials_requires_histogram_mode(self, clock):
-        with pytest.raises(ValueError, match="track_partials requires"):
-            StreamingAnalyzer(clock, track_partials=True)
-
-    def test_absorb_requires_histogram_mode(self, clock):
-        worker = StreamingAnalyzer(
-            clock, quantile_mode="histogram", track_partials=True
-        )
-        with pytest.raises(ValueError, match="absorb_partial requires"):
-            StreamingAnalyzer(clock).absorb_partial(worker.export_partial())
-
-    def test_absorb_rejects_out_of_order_partials(self, clock):
-        def partial_for(start):
-            analyzer = StreamingAnalyzer(
-                clock, quantile_mode="histogram", track_partials=True
-            )
-            analyzer.consume([rec(start, "a", 1, "C1", "4G", 50.0)])
-            return analyzer.export_partial()
-
-        reducer = StreamingAnalyzer(clock, quantile_mode="histogram")
-        reducer.absorb_partial(partial_for(1000.0))
-        with pytest.raises(ValueError, match="out of order"):
-            reducer.absorb_partial(partial_for(0.0))
-
     def test_absorb_rejects_mismatched_truncation(self, clock):
-        worker = StreamingAnalyzer(
-            clock, truncate_s=300.0, quantile_mode="histogram", track_partials=True
-        )
-        reducer = StreamingAnalyzer(clock, quantile_mode="histogram")
-        with pytest.raises(ValueError, match="truncate_s mismatch"):
-            reducer.absorb_partial(worker.export_partial())
-
-    def test_unknown_quantile_mode_rejected(self, clock):
-        with pytest.raises(ValueError, match="quantile_mode"):
-            StreamingAnalyzer(clock, quantile_mode="tdigest")
+        col = ColumnarCDRBatch.from_records([rec(5.0, "a", 1, "C1", "4G", 50.0)])
+        partials = []
+        for truncate_s in (TRUNCATE_S, 300.0):
+            engine = FusedEngine(clock, PreprocessConfig(truncate_s=truncate_s))
+            engine.consume(col)
+            partials.append(engine.export_partial())
+        with pytest.raises(ValueError, match="cutoffs"):
+            partials[0].absorb_partial(partials[1])
 
     def test_workers_validated(self, shard_dir, clock):
         with pytest.raises(ValueError, match="workers"):
-            analyze_shards(shard_dir, clock, workers=0)
+            analyze_shards_fused(shard_dir, clock, workers=0)
 
     def test_map_shard_is_pure_in_the_shard(self, shard_dir, clock):
-        from repro.cdr.store import resolve_shards
-
-        spec = MapSpec(
+        spec = FusedMapSpec(
             shards=tuple(resolve_shards(shard_dir)),
             clock=clock,
-            truncate_s=TRUNCATE_S,
-            hll_precision=12,
-            quantile_bin_s=1.0,
+            config=PreprocessConfig(),
+            schedule=None,
+            cells=None,
+            min_records=2,
             chunk_rows=128,
         )
-        first = map_shard(spec, 3)
-        second = map_shard(spec, 3)
+        first = map_shard_fused(spec, 3)
+        second = map_shard_fused(spec, 3)
+        assert first is not None and second is not None
         assert first.n_records == second.n_records
-        assert first.car_total == second.car_total
-        assert first.car_head == second.car_head
-        assert first.start_min == second.start_min
+        assert_reports_identical(
+            finalize_fused(first, clock), finalize_fused(second, clock)
+        )
 
 
 _durations = st.one_of(
@@ -352,48 +358,54 @@ class TestHypothesisFoldParity:
     )
     @settings(max_examples=60, deadline=None)
     def test_any_partition_folds_to_the_same_result(self, records, cuts):
-        """Shard partials folded in order == one serial mergeable pass.
+        """Shard partials folded in order == one serial engine.
 
         Splits the sorted stream at arbitrary boundaries (empty slices
-        included), maps each slice through a partial-tracking analyzer, and
+        included), maps each non-empty slice through its own engine, and
         absorbs in order — the in-process equivalent of the worker pool.
         """
         clock = StudyClock(n_days=N_DAYS)
-        serial = StreamingAnalyzer(clock, quantile_mode="histogram").run_columnar(
-            [ColumnarCDRBatch.from_records(records)]
-        )
+        kept = [r for r in records if not is_ghost_record(r)]
+        if not kept:
+            return
+        serial = serial_report(records, clock)
         bounds = sorted({0, len(records), *[min(c, len(records)) for c in cuts]})
-        reducer = StreamingAnalyzer(clock, quantile_mode="histogram")
+        folded = None
         for lo, hi in zip(bounds[:-1], bounds[1:]):
-            worker = StreamingAnalyzer(
-                clock, quantile_mode="histogram", track_partials=True
-            )
-            worker.consume_columnar(
-                ColumnarCDRBatch.from_records(records[lo:hi])
-            )
-            reducer.absorb_partial(worker.export_partial())
-        folded = reducer.finalize()
+            if lo == hi:
+                continue
+            engine = FusedEngine(clock)
+            engine.consume(ColumnarCDRBatch.from_records(records[lo:hi]))
+            partial = engine.export_partial()
+            if folded is None:
+                folded = partial
+            else:
+                folded.absorb_partial(partial)
+        result = finalize_fused(folded, clock)
 
-        assert folded.n_records == serial.n_records
-        assert folded.n_ghosts_dropped == serial.n_ghosts_dropped
-        assert folded.duration_median == serial.duration_median
-        assert folded.duration_p73 == serial.duration_p73
-        assert folded.fraction_over_cutoff == serial.fraction_over_cutoff
+        assert result.n_ghosts == serial.n_ghosts
+        got, want = result.durations, serial.durations
+        assert (got.n, got.median, got.p73, got.fraction_over_cutoff) == (
+            want.n, want.median, want.p73, want.fraction_over_cutoff
+        )
+        assert got.mean_full == pytest.approx(want.mean_full, rel=1e-9, abs=1e-12)
         np.testing.assert_array_equal(
-            folded.distinct_cars_per_day, serial.distinct_cars_per_day
+            result.presence.car_fraction, serial.presence.car_fraction
         )
         np.testing.assert_array_equal(
-            folded.distinct_cells_per_day, serial.distinct_cells_per_day
+            result.presence.cell_fraction, serial.presence.cell_fraction
         )
-        assert folded.duration_mean_full == pytest.approx(
-            serial.duration_mean_full, rel=1e-9, abs=1e-12
-        )
-        assert folded.mean_connect_share_truncated == pytest.approx(
-            serial.mean_connect_share_truncated, rel=1e-9, abs=1e-12
+        assert result.days == serial.days
+        assert result.connect_time.car_ids == serial.connect_time.car_ids
+        np.testing.assert_array_equal(
+            result.connect_time.truncated_share,
+            serial.connect_time.truncated_share,
         )
         totals = exact_car_totals(records)
-        if totals:
-            expected = float(np.mean(list(totals.values()))) / clock.duration
-            assert folded.mean_connect_share_truncated == pytest.approx(
-                expected, rel=1e-9, abs=1e-12
-            )
+        expected = np.asarray([totals[c] for c in result.connect_time.car_ids])
+        np.testing.assert_allclose(
+            result.connect_time.truncated_share,
+            expected / clock.duration,
+            rtol=1e-9,
+            atol=1e-12,
+        )

@@ -175,37 +175,35 @@ class TestWorkflows:
         assert code == 0
         return directory
 
-    def test_stream_reports_identically_at_any_worker_count(
+    def test_analyze_shards_report_identically_at_any_worker_count(
         self, shard_dir, capsys
     ):
         outputs = []
-        for workers in ("1", "2"):
+        for workers in ("2", "3"):
             code = main(
                 [
-                    "stream",
+                    "analyze",
                     "--trace",
                     str(shard_dir),
+                    "--scenario",
+                    "smoke",
                     "--days",
                     "7",
                     "--workers",
                     workers,
-                    "--chunk-rows",
-                    "128",
                 ]
             )
             out = capsys.readouterr().out
             assert code == 0
-            assert "map-reduce over" in out
             assert "duration: median" in out
-            assert "carrier time shares" in out
             # Everything below the run header is derived from the reduced
-            # result, which must not depend on the worker count.
+            # report, which must not depend on the worker count.
             outputs.append(out.split("\n", 1)[1])
         assert outputs[0] == outputs[1]
 
     def test_analyze_workers_routes_to_fused_mapreduce(self, shard_dir, capsys):
-        # Default engine: the fused map-reduce path, which prints the full
-        # Section 4 statistics rather than the streaming summary.
+        # The fused map-reduce path prints the full Section 4 statistics
+        # plus Figure 9's duration summary.
         code = main(
             [
                 "analyze",
@@ -221,34 +219,62 @@ class TestWorkflows:
         assert code == 0
         assert "fused map-reduce over" in out
         assert "connect time: mean share" in out
+        assert "duration: median" in out
+        assert ">600 s:" in out
         assert "carrier time shares" in out
 
-    def test_analyze_workers_with_vectorized_engine_streams(
-        self, shard_dir, capsys
-    ):
-        code = main(
-            [
-                "analyze",
-                "--trace",
-                str(shard_dir),
-                "--days",
-                "7",
-                "--workers",
-                "2",
-                "--engine",
-                "vectorized",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "map-reduce over" in out
-        assert "mean connected share" in out
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["stream", "--trace", "x", "--days", "7"],
+            ["analyze", "--trace", "x", "--engine", "fused"],
+        ],
+    )
+    def test_removed_stream_command_and_engine_flag(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "error:" in capsys.readouterr().err
 
-    def test_stream_rejects_text_traces(self, trace_path, capsys):
-        code = main(["stream", "--trace", str(trace_path), "--days", "7"])
+    def test_analyze_workers_rejects_text_traces(self, trace_path, capsys):
+        code = main(
+            ["analyze", "--trace", str(trace_path), "--days", "7", "--workers", "2"]
+        )
         err = capsys.readouterr().err
         assert code == 2
         assert "needs a cdrz trace" in err
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize(
+        "durations, ghosts",
+        [((), 0), ((3600.0, 3600.0, 3600.0), 3)],
+        ids=["zero-rows", "ghosts-only"],
+    )
+    def test_analyze_without_usable_rows_exits_cleanly(
+        self, tmp_path, capsys, workers, durations, ghosts
+    ):
+        from repro.cdr.columnar import ColumnarCDRBatch
+        from repro.cdr.records import ConnectionRecord
+        from repro.cdr.store import write_sharded_cdrz
+
+        shards = tmp_path / "shards"
+        records = [
+            ConnectionRecord(100.0 * i, "car-a", 1, "C3", "4G", d)
+            for i, d in enumerate(durations)
+        ]
+        write_sharded_cdrz(
+            shards, ColumnarCDRBatch.from_records(records), shard_rows=2
+        )
+        code = main(
+            ["analyze", "--trace", str(shards), "--days", "7", "--workers", workers]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert "no usable records" in lines[0]
+        assert f"{ghosts} rows read, {ghosts} ghost records dropped" in lines[0]
 
     def test_analyze_markdown(self, trace_path, capsys):
         code = main(

@@ -3,8 +3,6 @@ and the shared ``--workers`` contract."""
 
 import argparse
 
-import pytest
-
 from repro.cdr.columnar import ColumnarCDRBatch
 from repro.cdr.records import ConnectionRecord
 from repro.cdr.store import write_batch_cdrz, write_sharded_cdrz
@@ -25,12 +23,12 @@ def workers_help(parser: argparse.ArgumentParser, command: str) -> str:
 
 
 class TestWorkersAlignment:
-    def test_analyze_stream_serve_document_workers_identically(self):
+    def test_analyze_serve_twin_document_workers_identically(self):
         """One semantics, one help string: 0 = all CPUs, everywhere."""
         parser = build_parser()
         texts = {
             command: workers_help(parser, command)
-            for command in ("analyze", "stream", "serve")
+            for command in ("analyze", "serve", "twin")
         }
         assert len(set(texts.values())) == 1, texts
         assert "0 = one per CPU" in texts["analyze"]

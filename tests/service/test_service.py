@@ -14,7 +14,9 @@ The contracts under test (see ``repro/service/``):
 """
 
 import json
+import logging
 import shutil
+import socket
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -385,3 +387,36 @@ class TestHttpIngest:
         copy = tmp_path / "b"
         shutil.copytree(original, copy)
         assert all_query_bytes(ServiceState(service_config(copy))) == cold_bytes
+
+
+class TestConnectionHandling:
+    @pytest.mark.parametrize("length", [b"abc", b"-5"])
+    def test_malformed_content_length_gets_400(self, live_service, length):
+        with socket.create_connection(("127.0.0.1", live_service.port)) as sock:
+            sock.settimeout(10)
+            sock.sendall(
+                b"POST /ingest HTTP/1.1\r\nContent-Length: " + length + b"\r\n\r\n"
+            )
+            reply = b""
+            while chunk := sock.recv(4096):
+                reply += chunk
+        head, _, body = reply.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert json.loads(body)["error"] == "malformed Content-Length"
+
+    def test_stop_closes_idle_keep_alive_connections_quietly(
+        self, tmp_path, chunks, caplog
+    ):
+        trace = tmp_path / "trace"
+        write_chunks(trace, chunks, [0])
+        state = ServiceState(service_config(trace))
+        with caplog.at_level(logging.DEBUG, logger="asyncio"):
+            with ServiceThread(state) as server:
+                idle = socket.create_connection(("127.0.0.1", server.port))
+                idle.settimeout(10)
+                idle.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+                assert idle.recv(4096).startswith(b"HTTP/1.1 200 ")
+            # The daemon closed its end: the client reads end-of-stream.
+            assert idle.recv(4096) == b""
+            idle.close()
+        assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
