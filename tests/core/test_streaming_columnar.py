@@ -1,9 +1,12 @@
-"""Chunked-columnar streaming is bit-identical to the scalar pass.
+"""Chunked columnar streams through the fused engine are bit-identical.
 
 The acceptance bar is exact equality — not ``approx`` — on every field of
-:class:`StreamingResult`: the columnar path must apply the same IEEE-754
-operations in the same order to every order-sensitive accumulator, at any
-chunk size, including chunks of one row.
+:class:`~repro.core.fused.FusedReport` between one whole-batch pass and the
+same rows fed as bounded chunks, at any chunk size including chunks of one
+row, without building a single record object.  The whole-batch pass is in
+turn held to the record-based references on an adversarial stream that
+sits on every edge of the ghost rule, the truncation cutoff and the study
+window.
 """
 
 import numpy as np
@@ -13,9 +16,15 @@ from hypothesis import strategies as st
 
 from repro.algorithms.timebins import DAY, StudyClock
 from repro.cdr.columnar import ColumnarCDRBatch
-from repro.cdr.records import ConnectionRecord, count_record_constructions
-from repro.cdr.store import iter_cdrz_chunks, write_sharded_cdrz
-from repro.core.streaming import StreamingAnalyzer
+from repro.cdr.records import CDRBatch, ConnectionRecord, count_record_constructions
+from repro.core.carriers import carrier_usage
+from repro.core.connect_time import connect_time_analysis
+from repro.core.fused import FusedEngine
+from repro.core.preprocess import preprocess
+from repro.core.presence import daily_presence
+from repro.core.segmentation import days_on_network
+
+from tests.core.test_fused_parity import assert_durations_match
 
 
 def rec(start, car, cell, carrier, tech, duration):
@@ -23,20 +32,46 @@ def rec(start, car, cell, carrier, tech, duration):
 
 
 def assert_results_identical(a, b):
-    assert a.n_records == b.n_records
-    assert a.n_ghosts_dropped == b.n_ghosts_dropped
-    for field in (
-        "duration_median",
-        "duration_p73",
-        "duration_mean_full",
-        "duration_mean_truncated",
-        "fraction_over_cutoff",
-        "mean_connect_share_truncated",
-    ):
-        assert getattr(a, field) == getattr(b, field), field
-    np.testing.assert_array_equal(a.distinct_cars_per_day, b.distinct_cars_per_day)
-    np.testing.assert_array_equal(a.distinct_cells_per_day, b.distinct_cells_per_day)
-    assert a.carrier_time_fraction == b.carrier_time_fraction
+    assert a.n_ghosts == b.n_ghosts
+    assert a.presence.n_cars_total == b.presence.n_cars_total
+    assert a.presence.n_cells_total == b.presence.n_cells_total
+    np.testing.assert_array_equal(a.presence.car_fraction, b.presence.car_fraction)
+    np.testing.assert_array_equal(a.presence.cell_fraction, b.presence.cell_fraction)
+    assert a.days == b.days
+    assert a.connect_time.car_ids == b.connect_time.car_ids
+    np.testing.assert_array_equal(a.connect_time.full_share, b.connect_time.full_share)
+    np.testing.assert_array_equal(
+        a.connect_time.truncated_share, b.connect_time.truncated_share
+    )
+    assert a.durations == b.durations
+    assert a.carriers == b.carriers
+
+
+def assert_matches_references(result, records, clock):
+    """The whole-batch pass against the record-based references."""
+    pre = preprocess(CDRBatch(records))
+    assert result.n_ghosts == pre.n_dropped_ghosts
+    ref_p = daily_presence(pre.full, clock)
+    assert result.presence.n_cars_total == ref_p.n_cars_total
+    np.testing.assert_array_equal(result.presence.car_fraction, ref_p.car_fraction)
+    np.testing.assert_array_equal(result.presence.cell_fraction, ref_p.cell_fraction)
+    assert result.days == days_on_network(pre.full, clock)
+    assert result.carriers == carrier_usage(pre.full)
+    if len(pre.full):
+        ref_c = connect_time_analysis(pre, clock)
+        assert result.connect_time.car_ids == ref_c.car_ids
+        np.testing.assert_array_equal(result.connect_time.full_share, ref_c.full_share)
+        np.testing.assert_array_equal(
+            result.connect_time.truncated_share, ref_c.truncated_share
+        )
+        assert_durations_match(result.durations, pre)
+
+
+def run_chunks(clock, chunks):
+    engine = FusedEngine(clock)
+    for chunk in chunks:
+        engine.consume(chunk)
+    return engine.finalize()
 
 
 def chunked(col, size):
@@ -69,7 +104,6 @@ def adversarial():
         rec(3 * DAY, "c", 5, "C3", "4G", 1e7),  # extends past the study
         rec(90 * DAY + 5.0, "d", 6, "C1", "4G", 1.0),  # after the window
     ]
-    # The stream must be sorted by start for the per-car overlap merge.
     return sorted(recs, key=lambda r: r.start)
 
 
@@ -81,80 +115,36 @@ def clock():
 class TestAdversarialParity:
     @pytest.mark.parametrize("chunk_rows", [1, 2, 3, 7, 1000])
     def test_bit_identical_at_any_chunk_size(self, adversarial, clock, chunk_rows):
-        reference = StreamingAnalyzer(clock).run(adversarial)
         col = ColumnarCDRBatch.from_records(adversarial)
+        reference = run_chunks(clock, [col])
+        assert_matches_references(reference, adversarial, clock)
         with count_record_constructions() as counter:
-            result = StreamingAnalyzer(clock).run_columnar(
-                chunked(col, chunk_rows)
-            )
-        assert counter.count == 0
-        assert_results_identical(reference, result)
-
-    def test_per_chunk_private_vocabularies(self, adversarial, clock):
-        # Chunks from different shards carry different vocabularies; the
-        # analyzer must decode through each chunk's own tables.
-        reference = StreamingAnalyzer(clock).run(adversarial)
-        half = len(adversarial) // 2
-        chunks = [
-            ColumnarCDRBatch.from_records(adversarial[:half]),
-            ColumnarCDRBatch.from_records(adversarial[half:]),
-        ]
-        result = StreamingAnalyzer(clock).run_columnar(chunks)
-        assert_results_identical(reference, result)
-
-    def test_mixed_scalar_and_columnar_pass(self, adversarial, clock):
-        reference = StreamingAnalyzer(clock).run(adversarial)
-        analyzer = StreamingAnalyzer(clock)
-        analyzer.begin()
-        half = len(adversarial) // 2
-        analyzer.consume(adversarial[:half])
-        analyzer.consume_columnar(ColumnarCDRBatch.from_records(adversarial[half:]))
-        assert_results_identical(reference, analyzer.finalize())
-
-    def test_from_cdrz_shards_on_disk(self, adversarial, clock, tmp_path):
-        reference = StreamingAnalyzer(clock).run(adversarial)
-        col = ColumnarCDRBatch.from_records(adversarial)
-        write_sharded_cdrz(tmp_path / "shards", col, shard_rows=4)
-        with count_record_constructions() as counter:
-            result = StreamingAnalyzer(clock).run_columnar(
-                iter_cdrz_chunks(tmp_path / "shards", chunk_rows=3)
-            )
+            result = run_chunks(clock, chunked(col, chunk_rows))
         assert counter.count == 0
         assert_results_identical(reference, result)
 
     def test_ghost_only_stream_finalizes_empty(self, clock):
-        # Empty shards are legal at scale: a ghost-only (or empty) pass
-        # finalizes to a well-defined zeroed result instead of raising.
+        # A ghost-only shard is legal at scale: it finalizes to a
+        # well-defined zeroed result instead of raising.
         ghosts = [rec(0.0, "a", 1, "C1", "4G", 3600.0)]
-        scalar = StreamingAnalyzer(clock).run(ghosts)
-        columnar = StreamingAnalyzer(clock).run_columnar(
-            [ColumnarCDRBatch.from_records(ghosts)]
-        )
-        for result in (scalar, columnar):
-            assert result.n_records == 0
-            assert result.n_ghosts_dropped == 1
-            assert result.duration_median == 0.0
-            assert result.duration_mean_full == 0.0
-            assert result.fraction_over_cutoff == 0.0
-            assert result.mean_connect_share_truncated == 0.0
-            assert result.carrier_time_fraction == {}
-            assert result.distinct_cars_per_day.tolist() == [0.0] * clock.n_days
-            assert result.distinct_cells_per_day.tolist() == [0.0] * clock.n_days
-        assert_results_identical(scalar, columnar)
-
-    def test_fully_empty_stream_finalizes_empty(self, clock):
-        result = StreamingAnalyzer(clock).run([])
-        assert result.n_records == 0
-        assert result.n_ghosts_dropped == 0
-        assert result.mean_connect_share_truncated == 0.0
+        result = run_chunks(clock, [ColumnarCDRBatch.from_records(ghosts)])
+        assert result.n_ghosts == 1
+        assert result.durations.n == 0
+        assert result.durations.median == 0.0
+        assert result.durations.mean_full == 0.0
+        assert result.durations.fraction_over_cutoff == 0.0
+        assert result.connect_time.car_ids == []
+        assert set(result.carriers.time_fraction.values()) == {0.0}
+        assert result.presence.car_fraction.tolist() == [0.0] * clock.n_days
+        assert result.presence.cell_fraction.tolist() == [0.0] * clock.n_days
 
     def test_empty_chunks_are_no_ops(self, adversarial, clock):
-        reference = StreamingAnalyzer(clock).run(adversarial)
-        empty = ColumnarCDRBatch.from_records([])
         col = ColumnarCDRBatch.from_records(adversarial)
-        result = StreamingAnalyzer(clock).run_columnar(
-            [empty, col, empty]
-        )
+        reference = run_chunks(clock, [col])
+        # Empty slices keep the batch's vocabulary, as chunks of one shard do.
+        empty = col.rows(0, 0)
+        result = run_chunks(clock, [empty, col, col.rows(len(col), len(col))])
+        assert len(empty) == 0
         assert_results_identical(reference, result)
 
 
@@ -186,7 +176,8 @@ class TestHypothesisParity:
     @settings(max_examples=60, deadline=None)
     def test_random_streams_bit_identical(self, records, chunk_rows):
         clock = StudyClock(n_days=10)
-        reference = StreamingAnalyzer(clock).run(records)
         col = ColumnarCDRBatch.from_records(records)
-        result = StreamingAnalyzer(clock).run_columnar(chunked(col, chunk_rows))
+        reference = run_chunks(clock, [col])
+        assert_matches_references(reference, records, clock)
+        result = run_chunks(clock, chunked(col, chunk_rows))
         assert_results_identical(reference, result)
