@@ -1081,16 +1081,8 @@ _Bins = tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]
 
 
 def _duration_bins(duration: npt.NDArray[np.float64]) -> _Bins:
-    """Sparse histogram of one chunk's durations.
-
-    Non-negative durations of sane length tally with one ``bincount`` —
-    O(n + longest) instead of a sort; anything else takes ``np.unique``.
-    """
+    """Sparse histogram of one chunk's durations."""
     keys = np.floor(duration / DURATION_BIN_S).astype(np.int64)
-    if keys.size and 0 <= int(keys.min()) and int(keys.max()) < (1 << 22):
-        tally = np.bincount(keys)
-        bins = np.flatnonzero(tally).astype(np.int64)
-        return bins, tally[bins].astype(np.int64)
     uniq, counts = np.unique(keys, return_counts=True)
     return uniq.astype(np.int64), counts.astype(np.int64)
 

@@ -262,8 +262,7 @@ def analyze_shards_fused(
         else:
             merged.absorb_partial(partial)
     if merged is None or merged.n_records == 0:
-        n_ghosts = merged.n_ghosts if merged is not None else 0
-        raise NoUsableRecordsError(n_rows=n_ghosts, n_ghosts=n_ghosts)
+        raise NoUsableRecordsError(merged.n_ghosts if merged is not None else 0)
     report = finalize_fused(merged, clock)
     stats = MapReduceStats(
         n_shards=len(shards),

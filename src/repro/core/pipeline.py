@@ -133,10 +133,7 @@ class AnalysisPipeline:
         else:
             pre = preprocess(batch, self.preprocess_config)
         if pre.n_kept == 0:
-            # Nothing kept, so every row read was a ghost.
-            raise NoUsableRecordsError(
-                n_rows=pre.n_dropped_ghosts, n_ghosts=pre.n_dropped_ghosts
-            )
+            raise NoUsableRecordsError(pre.n_dropped_ghosts)
         notes.append(f"dropped {pre.n_dropped_ghosts} exactly-1-hour ghost records")
 
         handovers: HandoverStats | None = None

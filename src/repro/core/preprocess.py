@@ -40,12 +40,12 @@ class NoUsableRecordsError(ReproError, ValueError):
     and the shard map-reduce both raise this instead of a report of NaNs.
     """
 
-    def __init__(self, n_rows: int, n_ghosts: int) -> None:
+    def __init__(self, n_ghosts: int) -> None:
+        # Ghost dropping is the only filter, so every row read was a ghost.
         super().__init__(
-            f"no usable records after preprocessing: {n_rows:,} rows read, "
+            f"no usable records after preprocessing: {n_ghosts:,} rows read, "
             f"{n_ghosts:,} ghost records dropped"
         )
-        self.n_rows = n_rows
         self.n_ghosts = n_ghosts
 
 

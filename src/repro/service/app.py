@@ -118,6 +118,8 @@ class ServiceApp:
         #: Keep-alive connections waiting for their next request line,
         #: with the task serving each — what shutdown closes.
         self._idle: dict[asyncio.StreamWriter, asyncio.Task[None]] = {}
+        #: Set at shutdown: a connection closes after its current reply.
+        self._closing = False
 
     async def start_server(self, host: str, port: int) -> asyncio.Server:
         """Bind and return the listening server (port 0 = ephemeral)."""
@@ -132,8 +134,10 @@ class ServiceApp:
 
         Their handlers see end-of-stream and return normally, so stopping
         the loop afterwards cancels no idle handler (a cancelled one would
-        log a ``CancelledError`` traceback).
+        log a ``CancelledError`` traceback).  A connection mid-request
+        finishes its reply, then closes instead of waiting for another.
         """
+        self._closing = True
         idle = list(self._idle.items())
         for writer, _ in idle:
             writer.close()
@@ -147,7 +151,7 @@ class ServiceApp:
     ) -> None:
         task = asyncio.current_task()
         try:
-            while True:
+            while not self._closing:
                 if task is not None:
                     self._idle[writer] = task
                 try:
@@ -176,7 +180,10 @@ class ServiceApp:
                 if body_len:
                     await reader.readexactly(body_len)
                 response = await self._dispatch(method.upper(), target)
-                keep_alive = headers.get("connection", "keep-alive") != "close"
+                keep_alive = (
+                    headers.get("connection", "keep-alive") != "close"
+                    and not self._closing
+                )
                 await self._write(writer, response, keep_alive=keep_alive)
                 if not keep_alive:
                     break
@@ -312,29 +319,34 @@ class ServiceApp:
         return await loop.run_in_executor(self._executor, fn)
 
 
-async def _serve_until(
-    app: ServiceApp, host: str, port: int, stop: asyncio.Event | None
-) -> int:
-    """Serve until ``stop`` is set (or forever), returning the bound port."""
-    server = await app.start_server(host, port)
-    sockets = server.sockets
-    bound = int(sockets[0].getsockname()[1]) if sockets else port
+async def _serve(app: ServiceApp, server: asyncio.Server, stop: asyncio.Event) -> None:
+    """Serve until ``stop`` is set or the task is cancelled, then close.
+
+    Every connection is closed before leaving the server context: from
+    Python 3.12.1 its exit waits for all of them, and an idle keep-alive
+    connection would never close by itself.  (``Server.serve_forever``
+    waits the same way when cancelled, so it is not used.)
+    """
     try:
-        if stop is None:
-            async with server:
-                await server.serve_forever()
-        else:
-            async with server:
+        async with server:
+            try:
                 await stop.wait()
+            finally:
+                server.close()
+                await app.close_idle_connections()
     finally:
-        await app.close_idle_connections()
         app.shutdown()
-    return bound
+
+
+async def _serve_until_interrupted(app: ServiceApp, host: str, port: int) -> None:
+    """Serve until the task is cancelled, as ``asyncio.run`` does on Ctrl-C."""
+    server = await app.start_server(host, port)
+    await _serve(app, server, asyncio.Event())
 
 
 def serve_forever(state: ServiceState, host: str, port: int) -> None:
-    """Blocking entry point used by ``repro-cars serve``."""
-    asyncio.run(_serve_until(ServiceApp(state), host, port, stop=None))
+    """Blocking entry point used by ``repro-cars serve``; Ctrl-C stops it."""
+    asyncio.run(_serve_until_interrupted(ServiceApp(state), host, port))
 
 
 class ServiceThread:
@@ -405,9 +417,4 @@ class ServiceThread:
         if sockets:
             self.port = int(sockets[0].getsockname()[1])
         self._ready.set()
-        try:
-            async with server:
-                await self._stop.wait()
-        finally:
-            await self._app.close_idle_connections()
-            self._app.shutdown()
+        await _serve(self._app, server, self._stop)

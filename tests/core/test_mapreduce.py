@@ -279,7 +279,7 @@ class TestEdgeShardLayouts:
         for workers in (1, 2):
             with pytest.raises(NoUsableRecordsError) as info:
                 analyze_shards_fused(directory, clock, workers=workers)
-            assert (info.value.n_rows, info.value.n_ghosts) == (3, 3)
+            assert info.value.n_ghosts == 3
 
     def test_ghost_only_shard_is_tolerated(self, tmp_path, clock):
         directory = tmp_path / "mixed"

@@ -13,10 +13,13 @@ The contracts under test (see ``repro/service/``):
   states with the same (scenario, days) key.
 """
 
+import asyncio
 import json
 import logging
 import shutil
 import socket
+import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -405,18 +408,40 @@ class TestConnectionHandling:
         assert json.loads(body)["error"] == "malformed Content-Length"
 
     def test_stop_closes_idle_keep_alive_connections_quietly(
-        self, tmp_path, chunks, caplog
+        self, tmp_path, chunks, caplog, monkeypatch
     ):
+        if sys.version_info < (3, 12, 1):
+            # Leaving a server context waits for every open connection from
+            # Python 3.12.1 on; emulate that so an idle keep-alive connection
+            # left open at shutdown hangs stop() on any version.
+            monkeypatch.setattr(
+                asyncio.base_events.Server, "wait_closed", _wait_closed_3_12_1
+            )
         trace = tmp_path / "trace"
         write_chunks(trace, chunks, [0])
         state = ServiceState(service_config(trace))
+        server = ServiceThread(state)
         with caplog.at_level(logging.DEBUG, logger="asyncio"):
-            with ServiceThread(state) as server:
-                idle = socket.create_connection(("127.0.0.1", server.port))
-                idle.settimeout(10)
-                idle.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
-                assert idle.recv(4096).startswith(b"HTTP/1.1 200 ")
+            server.start()
+            idle = socket.create_connection(("127.0.0.1", server.port))
+            idle.settimeout(10)
+            idle.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+            assert idle.recv(4096).startswith(b"HTTP/1.1 200 ")
+            stopper = threading.Thread(target=server.stop, daemon=True)
+            stopper.start()
+            stopper.join(timeout=20)
+            assert not stopper.is_alive(), "stop() hung on an idle connection"
             # The daemon closed its end: the client reads end-of-stream.
             assert idle.recv(4096) == b""
             idle.close()
         assert not [r for r in caplog.records if r.levelno >= logging.ERROR]
+
+
+async def _wait_closed_3_12_1(self):
+    """``asyncio.Server.wait_closed`` as of Python 3.12.1: wait until the
+    server is closed *and* every connection it accepted has been dropped."""
+    if self._waiters is None:
+        return
+    waiter = self._loop.create_future()
+    self._waiters.append(waiter)
+    await waiter
