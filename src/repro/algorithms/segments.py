@@ -1,13 +1,13 @@
 """Segmented array scans for grouped (ragged) data.
 
-The vectorized analyses flatten per-car / per-cell groups into one
+The fused engine's kernels flatten per-car / per-cell groups into one
 contiguous array ordered group-major.  This module provides the primitives
-those analyses share: expanding per-row counts into ragged ``(owner,
+those kernels share: expanding per-row counts into ragged ``(owner,
 offset)`` ranges, numbering contiguous segments, and a segmented running
 maximum.
 
-Exactness matters here: the vectorized analysis engine is parity-tested to
-produce bit-identical results to the per-record reference loops, so every
+Exactness matters here: the fused engine is parity-tested to produce
+bit-identical results to the per-record reference loops, so every
 helper must reproduce sequential float semantics.  ``maximum`` never
 rounds, which is why the doubling scan in :func:`segmented_cummax` is safe;
 ``cumsum``/``ufunc.at`` (used by callers) accumulate in element order, which

@@ -1,110 +1,67 @@
-"""Bit-exact parity between the columnar engine and the reference loops.
+"""Bit-exact parity between the pipeline's two engines on adversarial batches.
 
-The columnar fast paths promise *identical* outputs, not merely close ones:
-every accumulation order and rounding step was chosen to match the
-record-based reference exactly.  These tests hold that promise on
-hand-built adversarial batches (overlapping records, bin/day boundary
-straddling, unknown cells, empty carriers, single-record cars), on random
-hypothesis batches, and at the level of a whole pipeline run.
+``AnalysisPipeline.run(engine="fused")`` answers Section 4 with the
+single-pass fused engine over lazily preprocessed columns;
+``engine="reference"`` runs the record-based loops over eagerly built
+records.  The two must produce *identical* reports, not merely close ones.
+These tests hold that promise end to end — lazy preprocessing, ghost
+cleaning, busy masks, handover classification and segmentation together —
+on hand-built adversarial batches (overlapping records, bin/day boundary
+straddling, unknown cells, empty carriers, single-record cars) and on
+random hypothesis batches.  The per-analysis kernels are checked one by
+one in ``test_fused_parity``.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
-from repro.algorithms.timebins import BIN_SECONDS, DAY, StudyClock
-from repro.cdr.records import CDRBatch, ConnectionRecord
-from repro.core.busy import BusySchedule, busy_exposure, busy_exposure_columnar
-from repro.core.carriers import carrier_usage, carrier_usage_columnar
-from repro.core.connect_time import (
-    connect_time_analysis,
-    connect_time_analysis_columnar,
+from repro.algorithms.timebins import BIN_SECONDS, DAY
+from repro.cdr.records import CDRBatch
+from repro.core.pipeline import AnalysisPipeline
+from repro.core.preprocess import NoUsableRecordsError, preprocess
+from repro.network.load import CellLoadModel
+
+from tests.core.test_fused_parity import (
+    CELLS,
+    CLOCK,
+    assert_reports_equal,
+    batch_st,
+    rec,
+    schedule_for,
 )
-from repro.core.handover import handover_analysis, handover_analysis_columnar
-from repro.core.preprocess import preprocess
-from repro.core.presence import daily_presence, daily_presence_columnar
-from repro.core.segmentation import days_on_network, days_on_network_columnar
-from repro.network.cells import CARRIERS, Cell
-from repro.network.geometry import Point
-
-CLOCK = StudyClock(start_weekday=0, n_days=7)
-
-#: A small cell directory: two sectors on one base station plus a second
-#: site, mixing carriers so every handover type is reachable.
-CELLS = {
-    1: Cell(1, base_station_id=10, sector_index=0, carrier=CARRIERS["C3"],
-            location=Point(0.0, 0.0), azimuth_deg=0.0),
-    2: Cell(2, base_station_id=10, sector_index=0, carrier=CARRIERS["C4"],
-            location=Point(0.0, 0.0), azimuth_deg=0.0),
-    3: Cell(3, base_station_id=10, sector_index=1, carrier=CARRIERS["C3"],
-            location=Point(0.0, 0.0), azimuth_deg=120.0),
-    4: Cell(4, base_station_id=20, sector_index=0, carrier=CARRIERS["C1"],
-            location=Point(1.0, 1.0), azimuth_deg=0.0),
-}
 
 
-def rec(start, car="car-a", cell=1, carrier="C3", tech="4G", dur=60.0):
-    return ConnectionRecord(
-        start=float(start), car_id=car, cell_id=cell,
-        carrier=carrier, technology=tech, duration=float(dur),
-    )
+@pytest.fixture(scope="module")
+def week_load_model(topology):
+    """The pipeline needs a load model to build its schedule; every test
+    here swaps in explicit masks instead, so only the constructor uses it."""
+    return CellLoadModel(topology, CLOCK, seed=5)
 
 
-def schedule_for(cell_ids, n_bins=None, period=3):
-    """Deterministic busy masks: cell ``c`` is busy in bins where
-    ``(bin + c) % period == 0``.  Cells outside ``cell_ids`` stay unknown."""
-    n_bins = n_bins or CLOCK.n_days * DAY // BIN_SECONDS
-    bins = np.arange(n_bins)
-    return BusySchedule.from_series(
-        {c: np.where((bins + c) % period == 0, 0.9, 0.1) for c in cell_ids}
-    )
+def assert_engines_agree(batch, schedule, load_model):
+    """Run the whole pipeline through both engines; require equal reports.
 
-
-def assert_engines_agree(batch, schedule=None, cells=None):
-    """Run every Section 4 analysis through both engines; require equality."""
-    pre = preprocess(batch)
-    if len(pre.full) == 0:
-        return
-    full_col = pre.full.columnar()
-    trunc_col = pre.truncated.columnar()
-
-    ref = daily_presence(pre.full, CLOCK)
-    vec = daily_presence_columnar(full_col, CLOCK)
-    assert vec.n_cars_total == ref.n_cars_total
-    assert vec.n_cells_total == ref.n_cells_total
-    assert np.array_equal(vec.car_fraction, ref.car_fraction)
-    assert np.array_equal(vec.cell_fraction, ref.cell_fraction)
-
-    assert days_on_network_columnar(full_col, CLOCK) == days_on_network(
-        pre.full, CLOCK
-    )
-
-    assert carrier_usage_columnar(full_col) == carrier_usage(pre.full)
-
-    if schedule is not None:
-        ref_b = busy_exposure(pre.truncated, schedule)
-        vec_b = busy_exposure_columnar(trunc_col, schedule)
-        assert vec_b.car_ids == ref_b.car_ids
-        assert np.array_equal(vec_b.busy_share, ref_b.busy_share)
-        assert np.array_equal(vec_b.nonbusy_share, ref_b.nonbusy_share)
-
-    ref_c = connect_time_analysis(pre, CLOCK)
-    vec_c = connect_time_analysis_columnar(pre, CLOCK)
-    assert vec_c.car_ids == ref_c.car_ids
-    assert np.array_equal(vec_c.full_share, ref_c.full_share)
-    assert np.array_equal(vec_c.truncated_share, ref_c.truncated_share)
-
-    if cells is not None:
-        ref_h = handover_analysis(pre, cells)
-        vec_h = handover_analysis_columnar(pre, cells)
-        assert np.array_equal(vec_h.per_session, ref_h.per_session)
-        assert vec_h.type_counts == ref_h.type_counts
+    A batch with no usable records must be refused by both engines alike.
+    """
+    pipeline = AnalysisPipeline(CLOCK, load_model=load_model, cells=CELLS)
+    # Deterministic masks keep cells outside ``schedule`` unknown, which a
+    # load model over the synthetic topology would not.
+    pipeline.schedule = schedule
+    if preprocess(batch).n_kept == 0:
+        for engine in ("reference", "fused"):
+            with pytest.raises(NoUsableRecordsError):
+                pipeline.run(batch, with_clustering=False, engine=engine)
+        return None
+    ref = pipeline.run(batch, with_clustering=False, engine="reference")
+    fused = pipeline.run(batch, with_clustering=False, engine="fused")
+    assert_reports_equal(fused, ref)
+    return fused
 
 
 class TestAdversarialBatches:
-    def test_overlapping_records_one_car(self):
+    def test_overlapping_records_one_car(self, week_load_model):
         # Parallel bearers: identical starts, nested and staggered overlaps.
         batch = CDRBatch([
             rec(1000.0, dur=500.0),
@@ -112,9 +69,9 @@ class TestAdversarialBatches:
             rec(1100.0, dur=50.0, cell=3),
             rec(1400.0, dur=300.0, cell=4, carrier="C1"),
         ])
-        assert_engines_agree(batch, schedule_for([1, 2, 3, 4]), CELLS)
+        assert_engines_agree(batch, schedule_for([1, 2, 3, 4]), week_load_model)
 
-    def test_bin_and_day_boundary_straddling(self):
+    def test_bin_and_day_boundary_straddling(self, week_load_model):
         batch = CDRBatch([
             # Ends exactly on a bin boundary: last bin must not be counted.
             rec(BIN_SECONDS - 100.0, dur=100.0),
@@ -125,16 +82,16 @@ class TestAdversarialBatches:
             # Whole-day record (ghost rule removes exactly 3600 s, not this).
             rec(3 * DAY + 1.0, car="car-b", cell=4, carrier="C1", dur=3599.0),
         ])
-        assert_engines_agree(batch, schedule_for([1, 2, 3, 4]), CELLS)
+        assert_engines_agree(batch, schedule_for([1, 2, 3, 4]), week_load_model)
 
-    def test_records_outside_study_window(self):
+    def test_records_outside_study_window(self, week_load_model):
         batch = CDRBatch([
             rec(100.0),
             rec(CLOCK.n_days * DAY + 5.0, car="car-b", cell=2, carrier="C4"),
         ])
-        assert_engines_agree(batch, schedule_for([1, 2]), CELLS)
+        assert_engines_agree(batch, schedule_for([1, 2]), week_load_model)
 
-    def test_unknown_cells_skip_busy_masks_and_handovers(self):
+    def test_unknown_cells_skip_busy_masks_and_handovers(self, week_load_model):
         # Cells 77/88 have no busy series and are missing from the
         # directory; their records stay whole (all non-busy) and are
         # ignored by handover classification.
@@ -144,30 +101,30 @@ class TestAdversarialBatches:
             rec(1250.0, cell=88, dur=40.0),
             rec(1300.0, cell=2, carrier="C4", dur=100.0),
         ])
-        assert_engines_agree(batch, schedule_for([1, 2]), CELLS)
+        assert_engines_agree(batch, schedule_for([1, 2]), week_load_model)
 
-    def test_all_cells_unknown(self):
+    def test_all_cells_unknown(self, week_load_model):
         batch = CDRBatch([rec(100.0, cell=99), rec(300.0, cell=98, car="car-b")])
-        assert_engines_agree(batch, schedule_for([]), CELLS)
+        assert_engines_agree(batch, schedule_for([]), week_load_model)
 
-    def test_empty_carriers_report_zero(self):
-        batch = CDRBatch([rec(100.0, carrier="C2", tech="3G"), rec(400.0, carrier="C2", tech="3G")])
-        usage_ref = carrier_usage(preprocess(batch).full)
-        usage_vec = carrier_usage_columnar(preprocess(batch).full.columnar())
-        assert usage_vec == usage_ref
+    def test_empty_carriers_report_zero(self, week_load_model):
+        batch = CDRBatch([
+            rec(100.0, carrier="C2", tech="3G"),
+            rec(400.0, carrier="C2", tech="3G"),
+        ])
+        report = assert_engines_agree(batch, schedule_for([1]), week_load_model)
         for c in ("C1", "C3", "C4", "C5"):
-            assert usage_vec.cars_fraction[c] == 0.0
-            assert usage_vec.time_fraction[c] == 0.0
-        assert_engines_agree(batch, schedule_for([1]), CELLS)
+            assert report.carriers.cars_fraction[c] == 0.0
+            assert report.carriers.time_fraction[c] == 0.0
 
-    def test_single_record_cars(self):
+    def test_single_record_cars(self, week_load_model):
         batch = CDRBatch([
             rec(100.0, car=f"car-{i}", cell=1 + i % 4, dur=10.0 * i + 1.0)
             for i in range(5)
         ])
-        assert_engines_agree(batch, schedule_for([1, 2, 3, 4]), CELLS)
+        assert_engines_agree(batch, schedule_for([1, 2, 3, 4]), week_load_model)
 
-    def test_session_below_min_records_with_unknown_cells(self):
+    def test_session_below_min_records_with_unknown_cells(self, week_load_model):
         # A two-record session with one known cell is skipped by the
         # min-records rule; a one-record session is kept (count 0).
         batch = CDRBatch([
@@ -175,63 +132,12 @@ class TestAdversarialBatches:
             rec(200.0, cell=99, dur=50.0),
             rec(5000.0, cell=2, carrier="C4", dur=50.0),
         ])
-        assert_engines_agree(batch, schedule_for([1, 2]), CELLS)
-
-
-record_st = st.builds(
-    ConnectionRecord,
-    start=st.floats(min_value=0, max_value=7 * DAY + 500, allow_nan=False),
-    car_id=st.sampled_from([f"car-{i}" for i in range(5)]),
-    cell_id=st.integers(min_value=1, max_value=6),
-    carrier=st.sampled_from(["C1", "C2", "C3", "C4", "C5"]),
-    technology=st.sampled_from(["3G", "4G"]),
-    duration=st.floats(min_value=0, max_value=2 * DAY, allow_nan=False),
-)
-batch_st = st.lists(record_st, min_size=1, max_size=50).map(CDRBatch)
+        assert_engines_agree(batch, schedule_for([1, 2]), week_load_model)
 
 
 @given(batch_st)
 @settings(max_examples=60, deadline=None)
-def test_engines_agree_on_random_batches(batch):
+def test_engines_agree_on_random_batches(week_load_model, batch):
     # Cells 5 and 6 are deliberately absent from both the busy schedule and
     # the directory, so random batches also exercise the unknown-cell paths.
-    assert_engines_agree(batch, schedule_for([1, 2, 3, 4]), CELLS)
-
-
-def test_pipeline_engines_produce_identical_reports(dataset):
-    from repro.core.pipeline import AnalysisPipeline
-
-    pipeline = AnalysisPipeline(
-        dataset.clock,
-        load_model=dataset.load_model,
-        cells=dataset.topology.cells,
-    )
-    ref = pipeline.run(dataset.batch, engine="reference")
-    vec = pipeline.run(dataset.batch, engine="vectorized")
-
-    assert np.array_equal(vec.presence.car_fraction, ref.presence.car_fraction)
-    assert np.array_equal(vec.presence.cell_fraction, ref.presence.cell_fraction)
-    assert vec.weekday_rows == ref.weekday_rows
-    assert vec.connect_time.car_ids == ref.connect_time.car_ids
-    assert np.array_equal(vec.connect_time.full_share, ref.connect_time.full_share)
-    assert np.array_equal(
-        vec.connect_time.truncated_share, ref.connect_time.truncated_share
-    )
-    assert vec.days == ref.days
-    assert vec.exposure.car_ids == ref.exposure.car_ids
-    assert np.array_equal(vec.exposure.busy_share, ref.exposure.busy_share)
-    assert vec.segmentation == ref.segmentation
-    assert vec.carriers == ref.carriers
-    assert vec.handovers is not None and ref.handovers is not None
-    assert np.array_equal(vec.handovers.per_session, ref.handovers.per_session)
-    assert vec.handovers.type_counts == ref.handovers.type_counts
-
-
-def test_pipeline_rejects_unknown_engine(dataset):
-    import pytest
-
-    from repro.core.pipeline import AnalysisPipeline
-
-    pipeline = AnalysisPipeline(dataset.clock, load_model=dataset.load_model)
-    with pytest.raises(ValueError, match="engine"):
-        pipeline.run(dataset.batch, engine="turbo")
+    assert_engines_agree(batch, schedule_for([1, 2, 3, 4]), week_load_model)
