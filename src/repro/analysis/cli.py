@@ -29,6 +29,7 @@ from repro.analysis.config import LintConfig, load_config
 from repro.analysis.registry import all_rules
 from repro.analysis.reporting import render_json, render_sarif, render_text
 from repro.analysis.runner import lint_paths
+from repro.cpus import available_cpus
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,7 +57,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=1,
         metavar="N",
         help="worker processes for the per-file pass "
-        "(0 = one per CPU; default: 1, serial)",
+        "(0 = one per CPU this process may use; default: 1, serial)",
     )
     parser.add_argument(
         "--baseline",
@@ -136,7 +137,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.jobs < 0:
         print(f"repro-lint: --jobs must be >= 0, got {args.jobs}", file=sys.stderr)
         return 2
-    jobs = args.jobs or os.cpu_count() or 1
+    jobs = args.jobs or available_cpus()
 
     if args.write_baseline:
         result = lint_paths(paths, cfg, baseline=Baseline(), jobs=jobs)

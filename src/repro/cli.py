@@ -58,10 +58,11 @@ if TYPE_CHECKING:
 
 #: One help string for every shard-sweeping command (analyze, serve,
 #: twin): worker semantics are identical everywhere — results never
-#: depend on the count, 1 sweeps in process, 0 means one per CPU.
+#: depend on the count, 1 sweeps in process, 0 means one per CPU in the
+#: process's affinity mask (:func:`repro.cpus.available_cpus`).
 _WORKERS_HELP = (
     "worker processes for shard sweeps; results are identical at any "
-    "count (1 = in-process, 0 = one per CPU)"
+    "count (1 = in-process, 0 = one per CPU this process may use)"
 )
 
 #: Writable trace formats; ``auto`` resolves from the output path suffix.
@@ -81,7 +82,7 @@ def _add_generate(
         type=int,
         default=1,
         help="worker processes for generation; output is identical at any "
-        "count (1 = serial, 0 = one per CPU)",
+        "count (1 = serial, 0 = one per CPU this process may use)",
     )
     p.add_argument(
         "--out", required=True, help="output trace path (.csv[.gz], .jsonl[.gz], .cdrz)"
@@ -494,19 +495,18 @@ def _analyze_shards(args: argparse.Namespace) -> int:
     statistic below matches the in-memory report bit for bit at any worker
     count (float sums to reassociation precision).
     """
-    import os
-
     from repro.cdr.errors import CDRValidationError
     from repro.cdr.store import shard_manifest
     from repro.core.busy import BusySchedule
     from repro.core.mapreduce import analyze_shards_fused
+    from repro.cpus import available_cpus
 
     config = scenario(args.scenario, n_cars=1, n_days=args.days)
     clock = StudyClock(n_days=args.days)
     topology = build_topology(config.topology)
     load_model = CellLoadModel(topology, clock, seed=config.load_seed)
     schedule = BusySchedule.from_load_model(load_model)
-    n_workers = args.workers if args.workers > 0 else (os.cpu_count() or 1)
+    n_workers = args.workers if args.workers > 0 else available_cpus()
     try:
         manifest = shard_manifest(args.trace)
         report, stats = analyze_shards_fused(

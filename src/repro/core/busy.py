@@ -15,62 +15,80 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.algorithms.stats import decile_shares
-from repro.algorithms.timebins import BIN_SECONDS
+from repro.algorithms.timebins import BIN_SECONDS, BINS_PER_DAY
 from repro.cdr.records import CDRBatch
 from repro.network.load import CellLoadModel
 
 #: The paper's busy threshold on U_PRB per 15-minute bin.
 BUSY_THRESHOLD = 0.80
 
-#: Default byte cap on the cached :meth:`BusySchedule.mask_table` grid.
-#: A paper-scale topology (tens of thousands of cells x a 90-day bin axis)
-#: stays well under this; anything larger is rebuilt on demand instead of
-#: pinned for the schedule's lifetime.
-MASK_TABLE_CACHE_BYTES = 256 * 1024 * 1024
+#: Cells synthesized per :meth:`CellLoadModel.series_block` call while
+#: :meth:`BusySchedule.mask_table` fills its grid: enough to amortize the
+#: bulk seeding's fixed cost per call, few enough that the block's float
+#: series (48 KiB per study day) stays well under the whole grid's
+#: boolean masks (150 KiB per study day on the default topology).
+MASK_BLOCK_CELLS = 64
+
+_MaskTable = tuple[
+    npt.NDArray[np.int64], npt.NDArray[np.int64], npt.NDArray[np.bool_]
+]
+
+
+def _pad(masks: dict[int, npt.NDArray[np.bool_]]) -> _MaskTable:
+    """Explicit masks of any lengths as one ``False``-padded grid."""
+    cell_ids = np.fromiter(sorted(masks), dtype=np.int64, count=len(masks))
+    rows = [masks[int(c)] for c in cell_ids]
+    lens = np.asarray([m.size for m in rows], dtype=np.int64)
+    grid = np.zeros((len(rows), int(lens.max(initial=0))), dtype=np.bool_)
+    for row, mask in enumerate(rows):
+        grid[row, : mask.size] = mask
+    return cell_ids, lens, grid
+
+
+def _synthesize(model: CellLoadModel, threshold: float) -> _MaskTable:
+    """Every topology cell's busy mask over the model's whole calendar."""
+    cells = sorted(model.topology.cells)
+    width = model.clock.n_days * BINS_PER_DAY
+    grid = np.empty((len(cells), width), dtype=np.bool_)
+    for lo in range(0, len(cells), MASK_BLOCK_CELLS):
+        block = cells[lo : lo + MASK_BLOCK_CELLS]
+        np.greater(model.series_block(block), threshold, out=grid[lo : lo + len(block)])
+    cell_ids = np.asarray(cells, dtype=np.int64)
+    return cell_ids, np.full(len(cells), width, dtype=np.int64), grid
 
 
 class BusySchedule:
     """Per-cell boolean busy masks over the study's 15-minute bins.
 
-    Wraps either a :class:`CellLoadModel` (the synthetic network's counters)
-    or explicit per-cell utilization series, and answers "was this cell busy
-    during this bin".  Cells with no known series are treated as never busy,
-    matching how an operator handles cells missing counters.
+    Wraps either explicit per-cell masks (:meth:`from_series`) or a
+    :class:`CellLoadModel` (the synthetic network's counters), and answers
+    "was this cell busy during this bin".  Cells with no known series are
+    treated as never busy, matching how an operator handles cells missing
+    counters.  A model-backed schedule keeps its masks in one place, the
+    :meth:`mask_table` grid, built in full on first use.
     """
 
     def __init__(
         self,
         masks: dict[int, npt.NDArray[np.bool_]],
         threshold: float = BUSY_THRESHOLD,
-        mask_table_cache_bytes: int = MASK_TABLE_CACHE_BYTES,
+        model: CellLoadModel | None = None,
     ) -> None:
         if not 0 < threshold < 1:
             raise ValueError(f"threshold must be in (0, 1), got {threshold}")
-        if mask_table_cache_bytes < 0:
-            raise ValueError(
-                "mask_table_cache_bytes must be >= 0, got "
-                f"{mask_table_cache_bytes}"
-            )
+        if masks and model is not None:
+            raise ValueError("give explicit masks or a load model, not both")
         self._masks = masks
         self.threshold = threshold
-        self.mask_table_cache_bytes = mask_table_cache_bytes
-        self._table: (
-            tuple[
-                npt.NDArray[np.int64],
-                npt.NDArray[np.int64],
-                npt.NDArray[np.bool_],
-            ]
-            | None
-        ) = None
+        self._model = model
+        self._table: _MaskTable | None = None
 
     @classmethod
     def from_load_model(
         cls, model: CellLoadModel, threshold: float = BUSY_THRESHOLD
     ) -> "BusySchedule":
-        """Lazily-materialized schedule backed by a load model."""
-        schedule = cls({}, threshold)
-        schedule._model = model  # type: ignore[attr-defined]
-        return schedule
+        """Schedule backed by a load model, synthesized on first use."""
+        return cls({}, threshold, model=model)
 
     @classmethod
     def from_series(
@@ -84,57 +102,39 @@ class BusySchedule:
         )
 
     def busy_mask(self, cell_id: int) -> npt.NDArray[np.bool_] | None:
-        """Boolean per-bin busy mask for a cell, or ``None`` when unknown."""
-        mask = self._masks.get(cell_id)
-        if mask is None:
-            model: CellLoadModel | None = getattr(self, "_model", None)
-            if model is None or cell_id not in model.topology.cells:
-                return None
-            mask = model.series(cell_id) > self.threshold
-            self._masks[cell_id] = mask
-        return mask
+        """Boolean per-bin busy mask for a cell, or ``None`` when unknown.
 
-    def mask_table(
-        self,
-    ) -> tuple[
-        npt.NDArray[np.int64], npt.NDArray[np.int64], npt.NDArray[np.bool_]
-    ]:
+        For a model-backed schedule this builds :meth:`mask_table` on first
+        use and returns the cell's row of its grid, a view that must not be
+        written to.
+        """
+        if self._model is not None and self._table is None:
+            self.mask_table()
+        return self._masks.get(cell_id)
+
+    def mask_table(self) -> _MaskTable:
         """Every known cell's mask as one padded grid, built once.
 
         Returns ``(cell_ids, lens, grid)``: sorted cell ids, each mask's
         bin count, and a ``(n_cells, max_bins)`` boolean grid padded with
         ``False``.  The fused busy kernel gathers straight from this layout
-        instead of re-assembling a per-chunk table; the masks are a pure
-        function of the load model, so the grid is cached for the
-        schedule's lifetime (like the per-cell masks themselves) — but only
-        while it fits ``mask_table_cache_bytes``.  An over-budget grid is
-        returned without being stored, trading rebuild time for a bounded
-        resident set in long-running processes such as the analysis
-        service, which shares one schedule across every query for the same
-        (scenario, days) key.
+        instead of re-assembling a per-chunk table.  A model-backed grid is
+        filled :data:`MASK_BLOCK_CELLS` cells at a time from
+        :meth:`CellLoadModel.series_block` and is then the only store of
+        the masks: :meth:`busy_mask` looks up views of its rows.  The masks
+        are a pure function of the load model, so the grid lives as long as
+        the schedule — in the analysis service, as long as the process,
+        shared by every query for the same (scenario, days) key.
         """
         table = self._table
         if table is None:
-            model: CellLoadModel | None = getattr(self, "_model", None)
-            known = set(self._masks)
-            if model is not None:
-                known |= set(model.topology.cells)
-            cell_ids = np.fromiter(
-                sorted(known), dtype=np.int64, count=len(known)
-            )
-            masks = [self.busy_mask(int(c)) for c in cell_ids]
-            lens = np.asarray(
-                [0 if m is None else m.size for m in masks], dtype=np.int64
-            )
-            width = int(lens.max()) if len(masks) else 0
-            grid = np.zeros((len(masks), width), dtype=np.bool_)
-            for row, mask in enumerate(masks):
-                if mask is not None:
-                    grid[row, : mask.size] = mask
-            table = (cell_ids, lens, grid)
-            total_bytes = cell_ids.nbytes + lens.nbytes + grid.nbytes
-            if total_bytes <= self.mask_table_cache_bytes:
-                self._table = table
+            if self._model is None:
+                table = _pad(self._masks)
+            else:
+                table = _synthesize(self._model, self.threshold)
+                cell_ids, _, grid = table
+                self._masks = dict(zip(cell_ids.tolist(), grid))
+            self._table = table
         return table
 
     def is_busy(self, cell_id: int, global_bin: int) -> bool:

@@ -1871,12 +1871,13 @@ def fold_fused_partials(partials: Iterable[FusedPartial]) -> FusedPartial:
     """Fold shard partials *in the given order* into a fresh accumulator.
 
     :meth:`FusedPartial.absorb_partial` mutates its receiver, so callers
-    that keep per-shard partials cached — the analysis service re-folds its
-    whole cache after every incremental ingest — must not fold into a
-    cached object.  This helper deep-copies the first partial and absorbs
-    the rest into the copy, leaving every input untouched; the caller
-    supplies shard-index order, which is what makes the fold bit-identical
-    to a cold full run regardless of how the cache was populated.
+    that hold partials — the analysis service keeps one per shard plus the
+    fold of its current scan, and folds a tail append as
+    ``[held fold, *new partials]`` — must not fold into a held object.
+    This helper deep-copies the first partial and absorbs the rest into
+    the copy, leaving every input untouched; the caller supplies
+    shard-index order, which is what makes the fold bit-identical to a
+    cold full run regardless of how the held state was built.
     """
     merged: FusedPartial | None = None
     for partial in partials:

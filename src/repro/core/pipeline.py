@@ -88,9 +88,9 @@ class AnalysisPipeline:
         self.cells = cells
         self.preprocess_config = preprocess_config or PreprocessConfig()
         # One schedule for the pipeline's lifetime: busy masks are a pure
-        # function of the load model, and synthesizing the per-cell series
-        # dominates a run's wall time, so the lazy cache must survive
-        # across run() calls instead of being rebuilt for each one.
+        # function of the load model, and their grid is a run's largest
+        # fixed cost, so it must survive across run() calls instead of
+        # being rebuilt for each one.
         self.schedule = BusySchedule.from_load_model(load_model)
 
     def run(

@@ -14,16 +14,24 @@ depend on the deployment tier (urban cells run hotter) and a fraction of
 cells are "hot": persistently loaded cells of the kind Figure 11 clusters.
 Deterministic per-(cell, day) noise makes day-to-day variation reproducible
 without storing the full 90-day series.
+
+:meth:`CellLoadModel.day_series` is the definition: one fresh
+``np.random.default_rng`` per (cell, day).  :meth:`CellLoadModel.series_block`
+builds whole calendars for a block of cells with the same draws, seeding one
+reused generator from :func:`repro.algorithms.rng.pcg64_states` instead of
+constructing a generator per day, which is most of a day's cost.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
 
+from repro.algorithms.rng import check_entropy, pcg64_states
 from repro.algorithms.timebins import BINS_PER_DAY, BINS_PER_WEEK, StudyClock
 from repro.network.geometry import distance
 from repro.network.topology import NetworkTopology, Tier
@@ -117,6 +125,9 @@ class CellLoadModel:
         self.topology = topology
         self.clock = clock
         self.seed = seed
+        # Every (cell, day) noise entropy must lie in the bulk seeding's range.
+        check_entropy(seed)
+        check_entropy(self._entropy(max(topology.cells, default=0), clock.n_days - 1))
         self.noise_std = noise_std
         self.hot_district_radius_km = hot_district_radius_km
         self._profiles: dict[int, LoadProfile] = {}
@@ -185,10 +196,12 @@ class CellLoadModel:
         self._templates[cell_id] = template
         return template
 
+    def _entropy(self, cell_id: int, day: int) -> int:
+        """Seed of the cell's noise generator on one study day."""
+        return (self.seed * 1_000_003 + cell_id) * 131 + day
+
     def _day_noise(self, cell_id: int, day: int) -> npt.NDArray[np.float64]:
-        day_rng = np.random.default_rng(
-            (self.seed * 1_000_003 + cell_id) * 131 + day
-        )
+        day_rng = np.random.default_rng(self._entropy(cell_id, day))
         noise: npt.NDArray[np.float64] = day_rng.normal(
             0.0, self.noise_std, size=BINS_PER_DAY
         )
@@ -218,6 +231,38 @@ class CellLoadModel:
             [self.day_series(cell_id, d) for d in range(days)]
         )
         return series
+
+    def series_block(self, cell_ids: Sequence[int]) -> npt.NDArray[np.float64]:
+        """Series of several cells over the whole study, ``(len(cell_ids), n_days * 96)``.
+
+        Row ``i`` equals the concatenated :meth:`day_series` of
+        ``cell_ids[i]`` bit for bit: each day's noise comes from the PCG64
+        state ``default_rng`` would start from, set on one reused generator,
+        and the floor, ceiling, weekday shape and clip are the same float
+        operations applied to every calendar at once.
+        """
+        days = self.clock.n_days
+        weekend = (np.arange(days) + self.clock.start_weekday) % 7 >= 5
+        shapes = np.where(weekend[:, None], self._we_shape, self._wd_shape)
+        profiles = [self._profiles[cell_id] for cell_id in cell_ids]
+        floors = np.asarray([p.floor for p in profiles])[:, None, None]
+        ceilings = np.asarray([p.ceiling for p in profiles])[:, None, None]
+        series: npt.NDArray[np.float64] = floors + (ceilings - floors) * shapes
+        states = pcg64_states(
+            [self._entropy(cell_id, day) for cell_id in cell_ids for day in range(days)]
+        )
+        bitgen = np.random.PCG64(0)
+        day_rng = np.random.Generator(bitgen)
+        for row, (state, inc) in zip(series.reshape(-1, BINS_PER_DAY), states):
+            bitgen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            row += day_rng.normal(0.0, self.noise_std, size=BINS_PER_DAY)
+        np.clip(series, 0.01, 1.0, out=series)
+        return series.reshape(len(profiles), days * BINS_PER_DAY)
 
     def mean_weekly_utilization(self, cell_id: int) -> float:
         """Mean of the cell's noise-free weekly template.

@@ -8,22 +8,24 @@ shard.  Queries are answered from a finalized fused report that is only
 recomputed when the shard manifest changes, and even then by *folding*:
 a refresh sweeps only shards the service has never seen (dispatched
 through :func:`repro.core.mapreduce.map_shards_fused` worker processes)
-and re-folds the cached per-shard partials in shard-index order.  Because
-every partial is a pure function of its shard's bytes and the fold order
-is canonical, the refreshed report is bit-identical to a cold full run no
-matter how many ingests it took to get there — the parity suite in
-``tests/service/`` asserts exactly that.
+and folds partials in shard-index order.  The state also holds the
+folded partial of its current scan: when a refresh only appends shards
+after the last one, it absorbs just the new partials into that prefix;
+any removal, rewrite or out-of-order insert re-folds every cached
+partial.  Because every partial is a pure function of its shard's bytes
+and the fold order is canonical, the refreshed report is bit-identical to
+a cold full run no matter how many ingests it took to get there — the
+parity suite in ``tests/service/`` asserts exactly that.
 
 Scenario context (topology + load model + schedule) is shared process-wide
-per ``(scenario, days)`` key: synthesizing per-cell load series dominates
-cold-start time, and the masks are a pure function of the scenario, so two
+per ``(scenario, days)`` key: the busy-mask grid is the largest part of a
+cold start, and the masks are a pure function of the scenario, so two
 states over the same scenario must not pay for it twice.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import pickle
 import threading
 from collections.abc import Mapping
@@ -36,6 +38,7 @@ from repro.core.busy import BusySchedule
 from repro.core.fused import FusedPartial, FusedReport, finalize_fused, fold_fused_partials
 from repro.core.mapreduce import FusedMapSpec, map_shards_fused
 from repro.core.preprocess import PreprocessConfig
+from repro.cpus import available_cpus
 from repro.network.load import CellLoadModel
 from repro.network.topology import NetworkTopology, build_topology
 from repro.service.cache import CacheStats, ResultCache, fingerprint, result_key
@@ -60,9 +63,9 @@ class ServiceConfig:
 
     ``workers`` follows the CLI convention shared by ``analyze`` and
     ``twin``: results are identical at any count, ``1`` sweeps shards in
-    process, ``0`` uses all CPUs.  Only fields that change *results* enter
-    the config fingerprint — worker count, chunk size and cache budget
-    affect speed, never bytes.
+    process, ``0`` uses one per CPU this process may run on.  Only fields
+    that change *results* enter the config fingerprint — worker count,
+    chunk size and cache budget affect speed, never bytes.
     """
 
     trace: str
@@ -179,10 +182,12 @@ class ServiceState:
         self.config = config
         self.context = scenario_context(config.scenario, config.days)
         self.cache = ResultCache(config.cache_bytes)
-        self._workers = config.workers if config.workers > 0 else (os.cpu_count() or 1)
+        self._workers = config.workers if config.workers > 0 else available_cpus()
         self._config_fp = config.result_fingerprint()
         self._partials: dict[ShardKey, bytes | None] = {}
         self._scan: list[ShardEntry] = []
+        #: Fold of every partial in ``_scan`` (``None`` when all are empty).
+        self._folded: FusedPartial | None = None
         self._trace_fp = ""
         self._report: FusedReport | None = None
         self._n_records = 0
@@ -193,7 +198,7 @@ class ServiceState:
     # -- ingest ------------------------------------------------------------
 
     def refresh(self) -> IngestSummary:
-        """Rescan the trace, sweep only unseen shards, re-fold, re-finalize.
+        """Rescan the trace, sweep only unseen shards, fold, re-finalize.
 
         A no-op scan (nothing added or removed) returns immediately and
         keeps every cached response valid.  Otherwise the result cache is
@@ -246,19 +251,35 @@ class ServiceState:
         return [Path(entry.path) for entry in scan]
 
     def _fold(self, scan: list[ShardEntry]) -> None:
-        """Fold cached partials in shard-index order and finalize."""
-        unpickled: list[FusedPartial] = []
-        for entry in scan:
+        """Fold partials in shard-index order and finalize.
+
+        When ``scan`` extends the previous scan at its end, only the new
+        shards' partials are unpickled and absorbed into the held fold of
+        the previous scan; otherwise every cached partial is re-folded.
+        Either way the fold order is shard-index order, so the result is
+        the same.  ``fold_fused_partials`` copies its first input, so a
+        failure here leaves the held fold as it was.
+        """
+        old_keys = [entry.key for entry in self._scan]
+        appended = bool(old_keys) and [
+            entry.key for entry in scan[: len(old_keys)]
+        ] == old_keys
+        parts: list[FusedPartial] = []
+        if appended and self._folded is not None:
+            parts.append(self._folded)
+        for entry in scan[len(old_keys) :] if appended else scan:
             blob = self._partials[entry.key]
             if blob is not None:
-                unpickled.append(pickle.loads(blob))
-        if not unpickled:
+                parts.append(pickle.loads(blob))
+        if not parts:
+            self._folded = None
             self._report = None
             self._n_records = 0
             self._n_ghosts = 0
             return
-        merged = fold_fused_partials(unpickled)
+        merged = fold_fused_partials(parts)
         self._report = finalize_fused(merged, self.context.clock)
+        self._folded = merged
         self._n_records = merged.n_records
         self._n_ghosts = merged.n_ghosts
 

@@ -21,7 +21,6 @@ as the serial path does, so artifact RNG consumption is unchanged.
 from __future__ import annotations
 
 import multiprocessing
-import os
 from collections.abc import Callable
 from typing import Any
 
@@ -31,6 +30,7 @@ import numpy.typing as npt
 from repro.cdr.columnar import ColumnarCDRBatch
 from repro.cdr.errors import TraceGenerationError
 from repro.cdr.records import ConnectionRecord
+from repro.cpus import available_cpus
 from repro.network.load import CellLoadModel
 from repro.simulate.config import SimulationConfig
 from repro.simulate.generator import (
@@ -105,7 +105,7 @@ class ParallelTraceGenerator:
     config:
         Simulation config; defaults match :class:`TraceGenerator`.
     n_workers:
-        Worker process count.  ``None`` uses ``os.cpu_count()``; ``1`` runs
+        Worker process count.  ``None`` uses one per usable CPU; ``1`` runs
         the serial path inline (no pool, no pickling) and is exactly
         :class:`TraceGenerator`.
 
@@ -123,7 +123,7 @@ class ParallelTraceGenerator:
             raise TraceGenerationError(
                 f"n_workers must be >= 1, got {n_workers}"
             )
-        self.n_workers = n_workers or os.cpu_count() or 1
+        self.n_workers = n_workers or available_cpus()
 
     def generate(self) -> TraceDataset:
         """Run the full generation pipeline, sharded across workers."""

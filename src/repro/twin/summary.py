@@ -22,7 +22,6 @@ only to rounding error.  Within one path every number is deterministic:
 
 from __future__ import annotations
 
-import os
 from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -41,6 +40,7 @@ from repro.core.twinstats import (
     diurnal_shape,
     duration_quantile,
 )
+from repro.cpus import available_cpus
 from repro.network.cells import Cell
 from repro.network.load import CellLoadModel
 from repro.network.topology import build_topology
@@ -351,7 +351,7 @@ def summarize_source(
     path = Path(source)
     if not path.is_dir() and path.suffix != ".cdrz":
         return summarize_batch(read_columnar_auto(source), ctx)
-    n_workers = workers if workers > 0 else (os.cpu_count() or 1)
+    n_workers = workers if workers > 0 else available_cpus()
     report, _stats = analyze_shards_fused(
         source,
         ctx.clock,

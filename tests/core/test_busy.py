@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.algorithms.timebins import BIN_SECONDS
+from repro.algorithms.timebins import BIN_SECONDS, BINS_PER_DAY, StudyClock
 from repro.cdr.records import CDRBatch, ConnectionRecord
-from repro.core.busy import BusyExposure, BusySchedule, busy_exposure
+from repro.core.busy import BUSY_THRESHOLD, BusyExposure, BusySchedule, busy_exposure
+from repro.network.load import CellLoadModel
+from repro.network.topology import TopologyConfig, build_topology
 
 
 def rec(start, dur, car="car-a", cell=1):
@@ -47,6 +49,79 @@ class TestBusySchedule:
         sched = BusySchedule.from_load_model(load_model)
         cid = load_model.busy_cell_ids(0.7)[0]
         assert sched.busy_mask(cid).any()
+
+    def test_masks_and_model_are_exclusive(self, load_model):
+        with pytest.raises(ValueError, match="not both"):
+            BusySchedule({1: np.ones(2, dtype=bool)}, model=load_model)
+
+    def test_from_series_table_pads_ragged_masks(self):
+        sched = BusySchedule.from_series(
+            {7: np.asarray([0.9, 0.1, 0.95]), 2: np.asarray([0.85])}
+        )
+        cell_ids, lens, grid = sched.mask_table()
+        assert cell_ids.tolist() == [2, 7]
+        assert lens.tolist() == [1, 3]
+        assert grid.tolist() == [[True, False, False], [True, False, True]]
+        assert sched.busy_mask(7).tolist() == [True, False, True]
+
+
+@pytest.fixture(scope="module")
+def small_topology():
+    """114 cells: two synthesis blocks, hot district included."""
+    return build_topology(
+        TopologyConfig(
+            width_km=12.0, height_km=12.0, urban_radius_km=3.0, suburban_radius_km=5.0
+        )
+    )
+
+
+def oracle_masks(model, cell_ids, n_days):
+    """Busy masks from the one-generator-per-day definition."""
+    return np.stack(
+        [
+            np.concatenate([model.day_series(c, d) for d in range(n_days)])
+            > BUSY_THRESHOLD
+            for c in cell_ids
+        ]
+    )
+
+
+class TestModelMaskTable:
+    # Seeds 11, 2**20 and 2**40 give one-, two- and three-word noise
+    # entropies; weekdays 4-6 start the study next to or on a weekend.
+    @pytest.mark.parametrize("seed", [11, 2**20, 2**40])
+    @pytest.mark.parametrize("n_days", [1, 7, 45])
+    @pytest.mark.parametrize("start_weekday", [0, 4, 5, 6])
+    def test_grid_rows_equal_day_series_oracle(
+        self, small_topology, start_weekday, n_days, seed
+    ):
+        clock = StudyClock(start_weekday=start_weekday, n_days=n_days)
+        model = CellLoadModel(small_topology, clock, seed=seed)
+        cell_ids, lens, grid = BusySchedule.from_load_model(model).mask_table()
+        assert cell_ids.tolist() == sorted(small_topology.cells)
+        assert lens.tolist() == [n_days * BINS_PER_DAY] * len(cell_ids)
+        assert grid.dtype == np.bool_
+        assert np.array_equal(grid, oracle_masks(model, cell_ids.tolist(), n_days))
+
+    def test_busy_mask_is_the_grid_row(self, small_topology):
+        model = CellLoadModel(small_topology, StudyClock(n_days=3), seed=11)
+        sched = BusySchedule.from_load_model(model)
+        cell_ids, _, grid = sched.mask_table()
+        for row, cell_id in enumerate(cell_ids.tolist()):
+            mask = sched.busy_mask(cell_id)
+            assert np.shares_memory(mask, grid)
+            assert np.array_equal(mask, grid[row])
+        assert sched.busy_mask(int(cell_ids.max()) + 1) is None
+        assert sched.mask_table()[2] is grid
+
+    def test_busy_mask_first_builds_the_one_grid(self, small_topology):
+        model = CellLoadModel(small_topology, StudyClock(n_days=2), seed=11)
+        sched = BusySchedule.from_load_model(model)
+        cell_id = min(small_topology.cells)
+        mask = sched.busy_mask(cell_id)
+        _, _, grid = sched.mask_table()
+        assert np.shares_memory(mask, grid)
+        assert np.array_equal(mask, oracle_masks(model, [cell_id], 2)[0])
 
 
 class TestBusyExposure:

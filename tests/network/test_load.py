@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.algorithms.timebins import BIN_SECONDS, BINS_PER_DAY, BINS_PER_WEEK, DAY
+from repro.algorithms.timebins import BIN_SECONDS, BINS_PER_DAY, BINS_PER_WEEK, DAY, StudyClock
 from repro.network.load import (
     CellLoadModel,
     LoadProfile,
@@ -82,6 +82,24 @@ class TestCellLoadModel:
         cid = next(iter(topology.cells))
         assert load_model.series(cid).shape == (clock.n_days * BINS_PER_DAY,)
         assert load_model.series(cid, n_days=2).shape == (2 * BINS_PER_DAY,)
+
+    @pytest.mark.parametrize("start_weekday", [0, 4, 6])
+    def test_series_block_is_bit_identical_to_day_series(
+        self, topology, start_weekday
+    ):
+        clock = StudyClock(start_weekday=start_weekday, n_days=9)
+        model = CellLoadModel(topology, clock, seed=2**40)
+        cells = sorted(topology.cells)[::97]
+        expected = np.stack(
+            [np.concatenate([model.day_series(c, d) for d in range(9)]) for c in cells]
+        )
+        assert model.series_block(cells).tobytes() == expected.tobytes()
+        assert model.series(cells[1]).tobytes() == expected[1].tobytes()
+
+    @pytest.mark.parametrize("seed", [-1, 2**110])
+    def test_seed_outside_bulk_seeding_range_rejected(self, topology, clock, seed):
+        with pytest.raises(ValueError, match="2\\*\\*128"):
+            CellLoadModel(topology, clock, seed=seed)
 
     def test_hot_cells_exist_and_are_busier(self, load_model, topology):
         hot = [c for c in topology.cells if load_model.profile(c).hot]

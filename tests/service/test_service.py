@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.cdr.store import write_batch_cdrz
+from repro.core.fused import FusedPartial
 from repro.service import (
     ServiceClient,
     ServiceClientError,
@@ -173,6 +174,75 @@ class TestIncrementalIngest:
         reference = tmp_path / "reference"
         write_chunks(reference, chunks, range(N_SHARDS - 1))
         cold = ServiceState(service_config(reference))
+        assert all_query_bytes(state) == all_query_bytes(cold)
+
+
+class TestPrefixFold:
+    """A tail append folds only new partials; anything else re-folds."""
+
+    @staticmethod
+    def spy_absorbs(monkeypatch):
+        calls = []
+        real = FusedPartial.absorb_partial
+
+        def spy(self, partial):
+            calls.append(partial)
+            return real(self, partial)
+
+        monkeypatch.setattr(FusedPartial, "absorb_partial", spy)
+        return calls
+
+    def test_tail_ingest_absorbs_once_per_new_shard(
+        self, tmp_path, chunks, cold_bytes, monkeypatch
+    ):
+        trace = tmp_path / "trace"
+        write_chunks(trace, chunks, range(2))
+        state = ServiceState(service_config(trace))
+        state.refresh()
+        calls = self.spy_absorbs(monkeypatch)
+        write_chunks(trace, chunks, [2])
+        state.refresh()
+        assert len(calls) == 1
+        write_chunks(trace, chunks, [3, 4])
+        state.refresh()
+        assert len(calls) == 3
+        assert all_query_bytes(state) == cold_bytes
+
+    def test_middle_insert_refolds_every_partial(
+        self, tmp_path, chunks, cold_bytes, monkeypatch
+    ):
+        trace = tmp_path / "trace"
+        write_chunks(trace, chunks, [0, 1, 3, 4])
+        state = ServiceState(service_config(trace))
+        state.refresh()
+        calls = self.spy_absorbs(monkeypatch)
+        write_chunks(trace, chunks, [2])
+        state.refresh()
+        assert len(calls) == N_SHARDS - 1
+        assert all_query_bytes(state) == cold_bytes
+
+    @pytest.mark.parametrize("event", ["removal", "rewrite", "middle-insert"])
+    def test_append_after_disruption_matches_cold_run(
+        self, tmp_path, chunks, event
+    ):
+        trace = tmp_path / "trace"
+        first = [0, 1, 3] if event == "middle-insert" else [0, 1, 2, 3]
+        write_chunks(trace, chunks, first)
+        state = ServiceState(service_config(trace))
+        state.refresh()
+        if event == "removal":
+            (trace / "shard-00001.cdrz").unlink()
+        elif event == "rewrite":
+            half = chunks[2].rows(0, len(chunks[2]) // 2)
+            write_batch_cdrz(trace / "shard-00002.cdrz", half)
+        else:
+            write_chunks(trace, chunks, [2])
+        assert state.refresh().changed
+        write_chunks(trace, chunks, [4])
+        summary = state.refresh()
+        assert summary.n_added == 1
+        assert summary.n_removed == 0
+        cold = ServiceState(service_config(trace))
         assert all_query_bytes(state) == all_query_bytes(cold)
 
 
