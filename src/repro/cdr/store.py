@@ -152,17 +152,27 @@ def is_record_sorted(batch: ColumnarCDRBatch) -> bool:
     sortedness flag instead of trusting the caller.  Codes compare like
     their strings because the vocabularies are sorted.
     """
-    n = len(batch)
+    return keys_in_record_order(
+        (
+            batch.start,
+            batch.car_code,
+            batch.cell_id,
+            batch.carrier_code,
+            batch.tech_code,
+            batch.duration,
+        )
+    )
+
+
+def keys_in_record_order(keys: Sequence[npt.NDArray[Any]]) -> bool:
+    """:func:`is_record_sorted` over bare columns.
+
+    ``keys`` are the record sort keys, most significant first: start, car
+    code, cell id, carrier code, technology code, duration.
+    """
+    n = len(keys[0])
     if n <= 1:
         return True
-    keys: tuple[npt.NDArray[Any], ...] = (
-        batch.start,
-        batch.car_code,
-        batch.cell_id,
-        batch.carrier_code,
-        batch.tech_code,
-        batch.duration,
-    )
     still_tied = np.ones(n - 1, dtype=bool)
     for key in keys:
         head, tail = key[:-1], key[1:]

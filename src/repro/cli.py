@@ -65,6 +65,24 @@ _WORKERS_HELP = (
     "count (1 = in-process, 0 = one per CPU this process may use)"
 )
 
+
+def _workers(text: str) -> int:
+    """``--workers`` argument type for every command that takes one.
+
+    A count of at least 0; a negative count exits 2 with a usage line
+    instead of silently meaning "every CPU".
+    """
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(
+            f"must be 0 (one per CPU) or a positive count, got {value}"
+        )
+    return value
+
+
 #: Writable trace formats; ``auto`` resolves from the output path suffix.
 _FORMATS = ("auto", "csv", "jsonl", "cdrz")
 
@@ -79,7 +97,7 @@ def _add_generate(
     p.add_argument("--seed", type=int, default=None, help="override the root seed")
     p.add_argument(
         "--workers",
-        type=int,
+        type=_workers,
         default=1,
         help="worker processes for generation; output is identical at any "
         "count (1 = serial, 0 = one per CPU this process may use)",
@@ -152,7 +170,7 @@ def _add_analyze(
     )
     # With --workers != 1 the fused engine map-reduces a cdrz trace shard
     # by shard and prints a summary of the same statistics.
-    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
+    p.add_argument("--workers", type=_workers, default=1, help=_WORKERS_HELP)
 
 
 def _add_quality(
@@ -206,7 +224,7 @@ def _add_serve(
     )
     p.add_argument("--scenario", default="default", choices=sorted(SCENARIOS))
     p.add_argument("--days", type=int, default=28)
-    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
+    p.add_argument("--workers", type=_workers, default=1, help=_WORKERS_HELP)
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8357)
     p.add_argument(
@@ -275,7 +293,7 @@ def _add_twin(
         default=None,
         help="comma-separated knob subset to search (default: all tunable knobs)",
     )
-    p.add_argument("--workers", type=int, default=1, help=_WORKERS_HELP)
+    p.add_argument("--workers", type=_workers, default=1, help=_WORKERS_HELP)
     p.add_argument("--out", required=True, help="best-fit generator config JSON")
     p.add_argument(
         "--report", default=None, help="divergence report JSON (optional)"

@@ -49,7 +49,7 @@ from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Protocol
+from typing import Any, Protocol
 
 import numpy as np
 import numpy.typing as npt
@@ -58,6 +58,7 @@ from repro.algorithms.segments import ragged_ranges, segment_ids, segmented_cumm
 from repro.algorithms.stats import binned_order_statistic
 from repro.algorithms.timebins import BIN_SECONDS, DAY, StudyClock
 from repro.cdr.columnar import ColumnarCDRBatch
+from repro.cdr.store import keys_in_record_order
 from repro.core.busy import BusyExposure, BusySchedule, _shares
 from repro.core.carriers import CARRIER_ORDER, CarrierUsage
 from repro.core.connect_time import ConnectTimeResult, DurationStats
@@ -128,12 +129,14 @@ class ChunkIntermediates:
             self.cell_id = chunk.cell_id[keep]
             self.car_code = chunk.car_code[keep]
             self.carrier_code = chunk.carrier_code[keep]
+            self.tech_code = chunk.tech_code[keep]
         else:
             self.start = chunk.start
             self.duration = duration
             self.cell_id = chunk.cell_id
             self.car_code = chunk.car_code
             self.carrier_code = chunk.carrier_code
+            self.tech_code = chunk.tech_code
         self.car_ids = chunk.car_ids
         self.carriers = chunk.carriers
         self.n = len(self.start)
@@ -633,10 +636,14 @@ class CarriersKernel:
     """Table 3: per-carrier car reach and time share.
 
     Per-carrier and total duration sums run as carry-chained ``np.cumsum``
-    over each chunk's rows in batch order — exactly the sequence of adds the
+    over the rows in record order — exactly the sequence of adds the
     reference's ``+=`` loop performs, so a single-engine pass is
-    bit-identical at any chunk size.  Distinct (carrier, car) pairs replace
-    the reference's per-carrier sets with one packed ``np.unique``.
+    bit-identical at any chunk size.  Rows that share a start may arrive
+    out of record order (the stream is only time-sorted), and the next
+    chunk may add to the latest start's group, so that group waits in
+    ``_tail`` until a later start or :meth:`export_partial` closes it.
+    Distinct (carrier, car) pairs replace the reference's per-carrier sets
+    with one packed ``np.unique``.
     """
 
     def __init__(
@@ -654,22 +661,46 @@ class CarriersKernel:
         ]
         self._time = np.zeros(len(carrier_names))
         self._total_time = 0.0
+        #: Record sort keys (start, car, cell, carrier, technology,
+        #: duration) of the rows sharing the latest start, not yet summed.
+        self._tail: tuple[npt.NDArray[Any], ...] = ()
         self._pairs: list[npt.NDArray[np.int64]] = []
         self._seen = np.zeros(len(car_ids), dtype=np.bool_)
 
-    def consume(self, inter: ChunkIntermediates) -> None:
-        if inter.n == 0:
+    def _add_durations(self, keys: tuple[npt.NDArray[Any], ...]) -> None:
+        """Chain the rows' durations onto the sums, in record order."""
+        if not len(keys[0]):
             return
-        duration = inter.duration
+        carrier_code, duration = keys[3], keys[5]
+        if not keys_in_record_order(keys):
+            order = np.lexsort(keys[::-1])
+            carrier_code, duration = carrier_code[order], duration[order]
         self._total_time = float(
             np.cumsum(np.concatenate(([self._total_time], duration)))[-1]
         )
         for code in self._tracked:
-            rows = inter.carrier_code == code
+            rows = carrier_code == code
             if rows.any():
                 self._time[code] = np.cumsum(
                     np.concatenate(([self._time[code]], duration[rows]))
                 )[-1]
+
+    def consume(self, inter: ChunkIntermediates) -> None:
+        if inter.n == 0:
+            return
+        keys: tuple[npt.NDArray[Any], ...] = (
+            inter.start,
+            inter.car_code,
+            inter.cell_id,
+            inter.carrier_code,
+            inter.tech_code,
+            inter.duration,
+        )
+        if self._tail:
+            keys = tuple(np.concatenate(pair) for pair in zip(self._tail, keys))
+        closed = int(np.searchsorted(keys[0], keys[0][-1]))
+        self._add_durations(tuple(key[:closed] for key in keys))
+        self._tail = tuple(key[closed:] for key in keys)
         n_cars = np.int64(max(len(self._car_ids), 1))
         flags = np.zeros(
             len(self._carrier_names) * int(n_cars), dtype=np.bool_
@@ -684,6 +715,9 @@ class CarriersKernel:
             self._pairs = [np.unique(np.concatenate(self._pairs))]
 
     def export_partial(self) -> CarriersPartial:
+        if self._tail:
+            self._add_durations(self._tail)
+            self._tail = ()
         if len(self._pairs) != 1:
             self._pairs = [
                 np.unique(np.concatenate(self._pairs))

@@ -12,13 +12,16 @@ FOTA campaign.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx  # type: ignore[import-untyped]
 import numpy as np
 
 from repro.core.preprocess import PreprocessResult
 from repro.network.cells import Cell
 from repro.network.geometry import Point, distance
+
+if TYPE_CHECKING:
+    import networkx as nx  # type: ignore[import-untyped]
 
 
 @dataclass(frozen=True)
@@ -40,6 +43,8 @@ def build_handover_graph(
     ``handovers`` counts transitions inside network sessions, and
     ``length_km`` is the straight-line distance between the sites.
     """
+    import networkx as nx  # type: ignore[import-untyped]
+
     graph = nx.DiGraph()
     site_pos: dict[int, Point] = {}
     for car_id in pre.truncated.car_ids():

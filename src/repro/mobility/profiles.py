@@ -146,7 +146,10 @@ class DailyTripPlanner:
             # Rare cars appear on up to ~1/6 of study days (at most 15 over
             # the paper's 90 days), scaling down for shorter studies so the
             # Figure 6 histogram keeps its sub-10-day mass at any scale.
-            max_days = max(2, min(15, self.clock.n_days // 6))
+            # A one-day study caps the draw at its single day.
+            max_days = min(
+                max(2, min(15, self.clock.n_days // 6)), self.clock.n_days
+            )
             n_days = int(rng.integers(1, max_days + 1))
             rare_days = frozenset(
                 int(d) for d in rng.choice(self.clock.n_days, size=n_days, replace=False)

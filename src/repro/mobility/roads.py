@@ -10,12 +10,15 @@ car's 24x7 connection matrix predictable (Figure 5).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
-import networkx as nx  # type: ignore[import-untyped]
 import numpy as np
 import numpy.typing as npt
 
 from repro.network.geometry import Point, distance
+
+if TYPE_CHECKING:
+    import networkx as nx  # type: ignore[import-untyped]
 
 
 @dataclass(frozen=True)
@@ -105,6 +108,8 @@ class RoadNetwork:
 
 def build_road_network(config: RoadConfig | None = None) -> RoadNetwork:
     """Construct the grid-plus-highways road network."""
+    import networkx as nx  # type: ignore[import-untyped]
+
     cfg = config or RoadConfig()
     n_cols = int(cfg.width_km // cfg.grid_pitch_km) + 1
     n_rows = int(cfg.height_km // cfg.grid_pitch_km) + 1

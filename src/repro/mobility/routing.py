@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from itertools import count
 
-import networkx as nx  # type: ignore[import-untyped]
-
 from repro.mobility.roads import RoadNetwork
 
 
@@ -96,11 +94,12 @@ class Router:
         """
         adj, index_of, labels = self._adjacency()
         s = index_of.get(source)
-        if s is None:
-            raise nx.NodeNotFound(f"Source {source} is not in G")
         t = index_of.get(target)
-        if t is None:
-            raise nx.NodeNotFound(f"Target {target} is not in G")
+        if s is None or t is None:
+            import networkx as nx  # type: ignore[import-untyped]
+
+            role, node = ("Source", source) if s is None else ("Target", target)
+            raise nx.NodeNotFound(f"{role} {node} is not in G")
         if s == t:
             return [source]
         n = len(adj)
@@ -159,6 +158,8 @@ class Router:
                         if finaldist is None or finaldist > total:
                             finaldist = total
                             meetnode = w
+        import networkx as nx  # type: ignore[import-untyped]
+
         raise nx.NetworkXNoPath(f"No path between {source} and {target}.")
 
     def route(self, origin: int, destination: int) -> Route:

@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from repro.network.cells import Cell
 from repro.network.geometry import Point, bearing_deg, distance
 from repro.network.topology import NetworkTopology
@@ -115,14 +113,9 @@ class SignalMap:
         considered), matching how real measurement reports only contain a
         handful of neighbours.
         """
-        if self.topology._tree is None:
-            raise RuntimeError("topology has no spatial index (no sites?)")
-        k = min(n_sites, len(self.topology.sites))
-        _, idx = self.topology._tree.query([location.x, location.y], k=k)
-        idx = np.atleast_1d(idx)
         ranked: list[tuple[Cell, float]] = []
-        for i in idx:
-            for cell in self.topology.sites[int(i)].cells:
+        for site in self.topology.nearest_sites(location, n_sites):
+            for cell in site.cells:
                 if capabilities is not None and cell.carrier.name not in capabilities:
                     continue
                 ranked.append((cell, self.rsrp_dbm(cell, location)))

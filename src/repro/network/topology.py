@@ -13,13 +13,16 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 import numpy.typing as npt
-from scipy.spatial import cKDTree  # type: ignore[import-untyped]
 
 from repro.network.cells import CARRIERS, BaseStation, Cell, Sector
 from repro.network.geometry import Point, bearing_deg, distance, hex_grid
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree  # type: ignore[import-untyped]
 
 
 class Tier(enum.Enum):
@@ -81,7 +84,13 @@ class TopologyConfig:
 
 @dataclass
 class NetworkTopology:
-    """A built radio network: sites, sectors, cells and spatial lookup."""
+    """A built radio network: sites, sectors, cells and spatial lookup.
+
+    The site KD-tree is built by the first spatial query
+    (:meth:`nearest_site`, :meth:`nearest_sites`,
+    :meth:`serving_sector_keys`), which is also where ``scipy.spatial`` is
+    imported: analyses that only look cells up by id never load scipy.
+    """
 
     config: TopologyConfig
     sites: list[BaseStation]
@@ -92,10 +101,10 @@ class NetworkTopology:
     _site_rows: list | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
+        if not self.sites:
+            raise ValueError("network topology needs at least one site")
         if not self.cells:
             self.cells = {c.cell_id: c for site in self.sites for c in site.cells}
-        coords = np.asarray([(s.location.x, s.location.y) for s in self.sites])
-        self._tree = cKDTree(coords)
         self._site_rows = [
             (
                 s.location.x,
@@ -125,12 +134,29 @@ class NetworkTopology:
         """Cell by id; raises ``KeyError`` for unknown ids."""
         return self.cells[cell_id]
 
+    def _index(self) -> cKDTree:
+        """The site KD-tree, built (and scipy imported) on first use."""
+        if self._tree is None:
+            from scipy.spatial import cKDTree  # type: ignore[import-untyped]
+
+            coords = np.asarray([(s.location.x, s.location.y) for s in self.sites])
+            self._tree = cKDTree(coords)
+        return self._tree
+
     def nearest_site(self, location: Point) -> BaseStation:
         """The geographically closest base station to ``location``."""
-        if self._tree is None:
-            raise RuntimeError("topology has no spatial index (no sites?)")
-        _, idx = self._tree.query([location.x, location.y])
+        _, idx = self._index().query([location.x, location.y])
         return self.sites[int(idx)]
+
+    def nearest_sites(self, location: Point, k: int) -> list[BaseStation]:
+        """The ``k`` closest base stations to ``location``, nearest first.
+
+        ``k`` is capped at the number of sites.
+        """
+        _, idx = self._index().query(
+            [location.x, location.y], k=min(k, len(self.sites))
+        )
+        return [self.sites[int(i)] for i in np.atleast_1d(idx)]
 
     def serving_sector(self, location: Point) -> Sector:
         """Sector of the nearest site whose boresight best covers ``location``."""
@@ -145,7 +171,7 @@ class NetworkTopology:
         Equivalent to :meth:`serving_sector` per point, but with a single
         batched nearest-site query — the fast path for sampling road edges.
         """
-        _, idxs = self._tree.query(np.column_stack((xs, ys)))
+        _, idxs = self._index().query(np.column_stack((xs, ys)))
         rows = self._site_rows
         atan2 = math.atan2
         degrees = math.degrees

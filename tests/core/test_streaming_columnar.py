@@ -123,6 +123,20 @@ class TestAdversarialParity:
         assert counter.count == 0
         assert_results_identical(reference, result)
 
+    @pytest.mark.parametrize("chunk_rows", [1, 3, 8, 1000])
+    def test_start_ties_sum_in_record_order(self, clock, chunk_rows):
+        """Rows sharing a start may arrive in any order (the stream is only
+        time-sorted); carrier time still adds up in record order, the
+        reference's, whatever the chunk boundaries."""
+        # Summed in this order the total is 1 ulp above the record order's.
+        tied = [0.0, 0.0, 0.0, 0.0, 424.2577260735585, 0.22, 599.9, 6.441302042656572e-4]
+        records = [rec(0.0, "car-0", 0, "C1", "2G", d) for d in tied]
+        records += [rec(10.0, "car-1", 1, "C2", "4G", d) for d in tied]
+        records.append(rec(20.0, "car-0", 0, "C1", "2G", 7.25))
+        expected = carrier_usage(preprocess(CDRBatch(records)).full)
+        col = ColumnarCDRBatch.from_records(records)
+        assert run_chunks(clock, chunked(col, chunk_rows)).carriers == expected
+
     def test_ghost_only_stream_finalizes_empty(self, clock):
         # A ghost-only shard is legal at scale: it finalizes to a
         # well-defined zeroed result instead of raising.

@@ -66,6 +66,15 @@ class TestWorkflows:
         assert "anon-" in body
         assert "car-0" not in body
 
+    def test_generate_one_day_study(self, tmp_path, capsys):
+        path = tmp_path / "one-day.csv"
+        code = main(
+            ["generate", "--cars", "10", "--days", "1", "--out", str(path)]
+        )
+        assert code == 0
+        assert "(10 cars, 1 days," in capsys.readouterr().out
+        assert len(path.read_text().splitlines()) > 1
+
     def test_analyze_prints_report(self, trace_path, capsys):
         code = main(
             [

@@ -37,6 +37,13 @@ class TestItinerary:
         assert 1 <= len(it.rare_days) <= 15
         assert all(0 <= d < 28 for d in it.rare_days)
 
+    def test_one_day_study_rare_car_gets_its_single_day(self, roads, rng):
+        """A 1-day study has one day to draw: the count is capped at it."""
+        one_day = DailyTripPlanner(roads, StudyClock(start_weekday=0, n_days=1))
+        for _ in range(20):
+            it = one_day.make_itinerary(CarProfile.RARE, rng)
+            assert it.rare_days == frozenset({0})
+
     def test_non_rare_have_no_rare_days(self, planner, rng):
         it = planner.make_itinerary(CarProfile.COMMUTER, rng)
         assert it.rare_days == frozenset()

@@ -10,6 +10,7 @@ from repro.network.signal import (
     antenna_gain_db,
     hysteresis_handover,
 )
+from repro.network.topology import NetworkTopology
 
 
 class TestPathLoss:
@@ -87,6 +88,14 @@ class TestSignalMap:
         ranked = signal.candidates(topology.config.center)
         rsrps = [r for _, r in ranked]
         assert rsrps == sorted(rsrps, reverse=True)
+
+    def test_candidates_on_a_single_site_topology(self, topology):
+        site = topology.sites[0]
+        single = SignalMap(NetworkTopology(config=topology.config, sites=[site]))
+        ranked = single.candidates(topology.config.center, n_sites=5)
+        assert sorted(c.cell_id for c, _ in ranked) == sorted(
+            c.cell_id for c in site.cells
+        )
 
     def test_low_band_reaches_further(self, signal, topology):
         # At long range from a site, C2 (700 MHz) beats C3 (1900 MHz) of the

@@ -2,8 +2,9 @@
 
 import pytest
 
-from repro.network.geometry import Point
+from repro.network.geometry import Point, distance
 from repro.network.topology import (
+    NetworkTopology,
     Tier,
     TopologyConfig,
     build_topology,
@@ -71,6 +72,25 @@ class TestLookups:
         site = topology.nearest_site(probe)
         best = min(distance(s.location, probe) for s in topology.sites)
         assert distance(site.location, probe) == pytest.approx(best)
+
+    def test_nearest_sites_rank_by_distance(self, topology):
+        probe = Point(10.0, 10.0)
+        ranked = sorted(topology.sites, key=lambda s: distance(s.location, probe))
+        got = topology.nearest_sites(probe, 5)
+        assert [distance(s.location, probe) for s in got] == pytest.approx(
+            [distance(s.location, probe) for s in ranked[:5]]
+        )
+        assert got[0] is topology.nearest_site(probe)
+
+    def test_nearest_sites_caps_k_at_site_count(self, topology):
+        few = NetworkTopology(config=topology.config, sites=topology.sites[:3])
+        assert len(few.nearest_sites(Point(0.0, 0.0), 10)) == 3
+        single = NetworkTopology(config=topology.config, sites=topology.sites[:1])
+        assert single.nearest_sites(Point(0.0, 0.0), 5) == [topology.sites[0]]
+
+    def test_no_sites_is_a_clear_error(self):
+        with pytest.raises(ValueError, match="at least one site"):
+            NetworkTopology(config=TopologyConfig(), sites=[])
 
     def test_sector_accessor(self, topology):
         site = topology.sites[0]

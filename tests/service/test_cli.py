@@ -3,6 +3,8 @@ and the shared ``--workers`` contract."""
 
 import argparse
 
+import pytest
+
 from repro.cdr.columnar import ColumnarCDRBatch
 from repro.cdr.records import ConnectionRecord
 from repro.cdr.store import write_batch_cdrz, write_sharded_cdrz
@@ -32,6 +34,26 @@ class TestWorkersAlignment:
         }
         assert len(set(texts.values())) == 1, texts
         assert "0 = one per CPU" in texts["analyze"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--out", "unused.csv", "--workers", "-2"],
+            ["analyze", "--trace", "unused", "--workers", "-3"],
+            ["serve", "--trace", "unused", "--workers", "-1"],
+            ["twin", "unused", "--out", "unused.json", "--workers", "-1"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_negative_workers_exit_2_with_usage(self, argv, capsys):
+        """A negative count is a usage error, never "every CPU"."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: repro {argv[0]} ")
+        assert "argument --workers: must be 0 (one per CPU)" in err
+        assert "Traceback" not in err
 
 
 def make_batch(n=60):
