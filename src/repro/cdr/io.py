@@ -357,9 +357,11 @@ def read_columnar_auto(path: str | Path) -> ColumnarCDRBatch:
 def load_trace(path: str | Path) -> CDRBatch:
     """Load any supported trace into a record-level :class:`CDRBatch`.
 
-    The CLI entry point for analysis commands: ``.cdrz`` files (or shard
-    directories) load through the binary store — single files honoring
-    their sortedness flag — and text formats through the columnar block
+    The entry point of the CLI commands that consume records (``quality``,
+    ``fota``, ``journeys``; ``analyze`` reads columns with
+    :func:`read_columnar_auto`): ``.cdrz`` files (or shard directories)
+    load through the binary store — single files honoring their
+    sortedness flag — and text formats through the columnar block
     parsers; either way ingest is vectorized and the batch arrives with
     its columnar view attached for the array engine.
     """

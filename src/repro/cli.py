@@ -603,7 +603,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         clock = StudyClock(n_days=args.days)
         topology = build_topology(config.topology)
         load_model = CellLoadModel(topology, clock, seed=config.load_seed)
-        batch = load_trace(args.trace)
+        # Columns only: the pipeline puts them in record order if they are
+        # not already, and builds no ConnectionRecord objects.
+        batch = read_columnar_auto(args.trace)
         pipeline = AnalysisPipeline(clock, load_model, topology.cells)
         report = pipeline.run(batch, with_clustering=not args.no_clustering)
     except NoUsableRecordsError as exc:

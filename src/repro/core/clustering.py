@@ -17,8 +17,9 @@ import numpy.typing as npt
 
 from repro.algorithms.kmeans import KMeans, KMeansResult, silhouette_score
 from repro.algorithms.timebins import StudyClock
+from repro.cdr.columnar import ColumnarCDRBatch
 from repro.cdr.records import CDRBatch
-from repro.core.concurrency import weekly_concurrency
+from repro.core.concurrency import weekly_concurrency, weekly_concurrency_fused
 from repro.network.load import CellLoadModel
 
 #: The paper's selection threshold: mean weekly U_PRB of at least 70%.
@@ -99,7 +100,7 @@ def select_busy_cells(
 
 
 def cluster_busy_cells(
-    batch: CDRBatch,
+    batch: CDRBatch | ColumnarCDRBatch,
     model: CellLoadModel,
     clock: StudyClock,
     k: int = 2,
@@ -111,7 +112,10 @@ def cluster_busy_cells(
     Selects busy cells, builds their mean-weekly concurrent-car vectors from
     aggregated sessions, and k-means-clusters the vectors.  Cells with no
     recorded car connections contribute all-zero vectors, exactly as they
-    would in the paper's data.
+    would in the paper's data.  A :class:`ColumnarCDRBatch` gets its vectors
+    from :func:`weekly_concurrency_fused`; a :class:`CDRBatch` runs the
+    record-based :func:`weekly_concurrency` per cell, the oracle the
+    columnar vectors are tested against.
     """
     cell_ids = select_busy_cells(model, mean_threshold)
     if len(cell_ids) < k:
@@ -119,10 +123,13 @@ def cluster_busy_cells(
             f"only {len(cell_ids)} busy cells at threshold {mean_threshold}; "
             f"cannot form {k} clusters"
         )
-    by_cell = batch.by_cell()
-    vectors = np.stack(
-        [weekly_concurrency(by_cell.get(cid, []), clock) for cid in cell_ids]
-    )
+    if isinstance(batch, ColumnarCDRBatch):
+        vectors = weekly_concurrency_fused(batch, cell_ids, clock)
+    else:
+        by_cell = batch.by_cell()
+        vectors = np.stack(
+            [weekly_concurrency(by_cell.get(cid, []), clock) for cid in cell_ids]
+        )
     result = KMeans(k, seed=seed).fit(vectors)
     levels: list[float] = [
         float(vectors[result.labels == label].mean())

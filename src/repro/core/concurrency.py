@@ -11,13 +11,16 @@ curve.
 from __future__ import annotations
 
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
 
 from repro.algorithms.intervals import Interval, concatenate_gaps
+from repro.algorithms.segments import ragged_ranges, segment_ids, segmented_cummax
 from repro.algorithms.timebins import BIN_SECONDS, BINS_PER_WEEK, DAY, WEEK, StudyClock
+from repro.cdr.columnar import ColumnarCDRBatch
 from repro.cdr.records import CDRBatch, ConnectionRecord
 
 
@@ -145,6 +148,81 @@ def weekly_concurrency(
             continue  # ignore the trailing partial week
         folded[(b + offset_bins) % bins_per_week] += count
     return folded / n_weeks
+
+
+def weekly_concurrency_fused(
+    col: ColumnarCDRBatch,
+    cell_ids: Sequence[int],
+    clock: StudyClock,
+    session_gap_s: float = 30.0,
+) -> npt.NDArray[np.float64]:
+    """:func:`weekly_concurrency` of many cells at once, from the columns.
+
+    Returns a ``(len(cell_ids), 672)`` array whose row ``i`` is bit for bit
+    ``weekly_concurrency(<cell_ids[i]'s records>, clock, session_gap_s)``;
+    rows of cells not listed are ignored and a listed cell without rows
+    gets zeros.  One lexsort orders the listed cells' rows by (cell, car,
+    start, end), the order :func:`concatenate_gaps` visits a car's
+    intervals in; a segmented running maximum of the ends then splits each
+    (cell, car) run into aggregate sessions with the same float tests.
+    """
+    n_weeks = clock.duration // WEEK
+    if n_weeks == 0:
+        raise ValueError("study shorter than one week; cannot fold weekly")
+    cells, row_of_cell = np.unique(
+        np.asarray(cell_ids, dtype=np.int64), return_inverse=True
+    )
+    pos = np.searchsorted(cells, col.cell_id)
+    listed = pos < cells.size
+    listed[listed] = cells[pos[listed]] == col.cell_id[listed]
+    if not listed.any():
+        return np.zeros((len(row_of_cell), BINS_PER_WEEK))
+    cell = pos[listed]
+    car = col.car_code[listed]
+    start = col.start[listed]
+    end = start + col.duration[listed]
+    order = np.lexsort((end, start, car, cell))
+    cell, car, start, end = cell[order], car[order], start[order], end[order]
+
+    # Sessions: a row opens one when it starts a (cell, car) run or begins
+    # more than the gap after every earlier end of its run.  Sessions of a
+    # run are disjoint, so the run's running maximum is the open session's
+    # end, exactly the ``sessions[-1].end`` that concatenate_gaps tests.
+    new_run = np.ones(start.size, dtype=np.bool_)
+    new_run[1:] = (cell[1:] != cell[:-1]) | (car[1:] != car[:-1])
+    reach = segmented_cummax(end, new_run)
+    opens = new_run.copy()
+    opens[1:] |= start[1:] - reach[:-1] > session_gap_s
+    heads = np.flatnonzero(opens)
+    s_start = start[heads]
+    s_end = reach[np.append(heads[1:], start.size) - 1]
+
+    # Bins each session straddles (Interval.bins_straddled): an end on a
+    # bin boundary excludes that bin; a zero-length session keeps its start
+    # bin.  A run's later session never starts in a bin before its earlier
+    # session's last, so a run's bins come out non-decreasing and the
+    # (cell, car, bin) duplicates are adjacent.
+    first = np.floor_divide(s_start, BIN_SECONDS).astype(np.int64)
+    last = np.floor_divide(s_end, BIN_SECONDS).astype(np.int64)
+    last[np.mod(s_end, BIN_SECONDS) == 0] -= 1
+    last = np.maximum(last, first)
+    owner, offset = ragged_ranges(last - first + 1)
+    bins = first[owner] + offset
+    run = segment_ids(new_run)[heads][owner]
+    fresh = np.ones(bins.size, dtype=np.bool_)
+    fresh[1:] = (run[1:] != run[:-1]) | (bins[1:] != bins[:-1])
+    bins_per_week = int(WEEK // BIN_SECONDS)
+    in_weeks = fresh & (bins < n_weeks * bins_per_week)
+    week_bin = np.mod(
+        bins[in_weeks] + clock.start_weekday * int(DAY // BIN_SECONDS),
+        bins_per_week,
+    )
+    counts = np.bincount(
+        cell[heads][owner][in_weeks] * bins_per_week + week_bin,
+        minlength=cells.size * bins_per_week,
+    ).reshape(cells.size, bins_per_week)
+    folded: npt.NDArray[np.float64] = counts.astype(np.float64) / n_weeks
+    return folded[row_of_cell]
 
 
 def fold_to_day(weekly: npt.ArrayLike) -> npt.NDArray[np.float64]:

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.algorithms.timebins import StudyClock
+from repro.cdr.columnar import ColumnarCDRBatch
 from repro.cdr.records import CDRBatch
 from repro.core.busy import BusyExposure, BusySchedule, busy_exposure
 from repro.core.carriers import CarrierUsage, carrier_usage
@@ -95,7 +96,7 @@ class AnalysisPipeline:
 
     def run(
         self,
-        batch: CDRBatch,
+        batch: CDRBatch | ColumnarCDRBatch,
         with_clustering: bool = True,
         cluster_k: int = 2,
         exclude_loss_days: bool = False,
@@ -103,14 +104,21 @@ class AnalysisPipeline:
     ) -> AnalysisReport:
         """Run every analysis and return the filled report.
 
+        ``batch`` may be a :class:`CDRBatch` or a :class:`ColumnarCDRBatch`
+        (sorted into record order first if its rows are not, see
+        :func:`repro.core.preprocess.preprocess_lazy`).
+
         ``engine`` selects the implementation of the Section 4 analyses:
-        ``"fused"`` (default) makes one pass over the batch computing shared
-        intermediates for every analysis at once
-        (:class:`repro.core.fused.FusedEngine`) with lazy preprocessing;
-        ``"reference"`` runs the original record-based loops, the oracle
-        the fused engine is tested against.  Both produce identical reports
-        (the parity suites assert bit-equality), so the switch exists for
-        verification and benchmarking, not correctness.
+        ``"fused"`` (default) makes one pass over the columns computing
+        shared intermediates for every analysis at once
+        (:class:`repro.core.fused.FusedEngine`) with lazy preprocessing, and
+        builds Figure 11's vectors from the columns too, so it constructs no
+        :class:`~repro.cdr.records.ConnectionRecord` unless loss-day
+        detection asks for records; ``"reference"`` runs the original
+        record-based loops, the oracle the fused engine is tested against.
+        Both produce identical reports (the parity suites assert
+        bit-equality), so the switch exists for verification and
+        benchmarking, not correctness.
 
         ``exclude_loss_days`` runs the data-quality loss-day detector and
         removes flagged days from the Table 1 weekday statistics (the paper
@@ -124,14 +132,11 @@ class AnalysisPipeline:
                 f"engine must be 'fused' or 'reference', got {engine!r}"
             )
         notes: list[str] = []
-        # The fused path defers record materialization: its engine runs on
-        # the columnar views alone, so building ConnectionRecord objects
-        # would be pure overhead unless clustering or loss-day detection
-        # asks for them later.
         if engine == "fused":
             pre = preprocess_lazy(batch, self.preprocess_config)
         else:
-            pre = preprocess(batch, self.preprocess_config)
+            records = batch if isinstance(batch, CDRBatch) else batch.to_batch()
+            pre = preprocess(records, self.preprocess_config)
         if pre.n_kept == 0:
             raise NoUsableRecordsError(pre.n_dropped_ghosts)
         notes.append(f"dropped {pre.n_dropped_ghosts} exactly-1-hour ghost records")
@@ -182,7 +187,10 @@ class AnalysisPipeline:
         if with_clustering:
             try:
                 clusters = cluster_busy_cells(
-                    pre.truncated, self.load_model, self.clock, k=cluster_k
+                    pre.columnar_truncated() if engine == "fused" else pre.truncated,
+                    self.load_model,
+                    self.clock,
+                    k=cluster_k,
                 )
             except ValueError as exc:
                 notes.append(f"clustering skipped: {exc}")

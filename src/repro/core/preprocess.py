@@ -20,12 +20,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.typing as npt
 
 from repro.algorithms.intervals import Interval, concatenate_gaps
 from repro.cdr.columnar import ColumnarCDRBatch
 from repro.cdr.errors import ReproError
 from repro.cdr.records import CDRBatch, ConnectionRecord
+from repro.cdr.store import is_record_sorted
 
 #: Duration that marks a record as an erroneous periodic-reporting ghost.
 GHOST_DURATION_S = 3600.0
@@ -71,75 +71,54 @@ class PreprocessResult:
     as reported; ``truncated`` holds the same records with durations capped
     at ``config.truncate_s``; ``n_dropped_ghosts`` counts the removed rows.
 
-    Both record views can be *lazy*: when built by :func:`preprocess_lazy`
-    the columnar views (:meth:`columnar_full` / :meth:`columnar_truncated`)
-    are available immediately while the :class:`~repro.cdr.records.CDRBatch`
-    record lists materialize only on first access — the fused analysis
-    engine never touches them, which is where roughly half of the eager
-    pipeline's wall time went.
+    The columnar views (:meth:`columnar_full` / :meth:`columnar_truncated`)
+    are always available.  When built by :func:`preprocess_lazy` the
+    :class:`~repro.cdr.records.CDRBatch` record lists are built from the
+    kept columns only when a caller first asks for them: the fused engine
+    and Figure 11's vectors run on the columns alone, so a fused pipeline
+    run builds no record objects.
     """
 
     def __init__(
         self,
         config: PreprocessConfig,
         n_dropped_ghosts: int,
+        kept_col: ColumnarCDRBatch,
         *,
         full: CDRBatch | None = None,
         truncated: CDRBatch | None = None,
-        kept_col: ColumnarCDRBatch | None = None,
-        source_records: list[ConnectionRecord] | None = None,
-        keep_idx: npt.NDArray[np.intp] | None = None,
     ) -> None:
-        if full is None and (kept_col is None or source_records is None):
-            raise ValueError(
-                "lazy PreprocessResult needs kept_col and source_records"
-            )
         self.config = config
         self.n_dropped_ghosts = n_dropped_ghosts
         self._full = full
         self._truncated = truncated
         self._kept_col = kept_col
         self._trunc_col: ColumnarCDRBatch | None = None
-        self._source_records = source_records
-        self._keep_idx = keep_idx
         self._sessions: dict[str, list[Interval]] = {}
         self._network_sessions: dict[str, list[list[ConnectionRecord]]] = {}
 
     @property
     def n_kept(self) -> int:
         """Number of records surviving the ghost drop (no materialization)."""
-        if self._kept_col is not None:
-            return len(self._kept_col)
-        return len(self.full)
+        return len(self._kept_col)
 
     def columnar_full(self) -> ColumnarCDRBatch:
         """Columnar view of ``full`` without materializing record objects."""
-        if self._kept_col is None:
-            self._kept_col = self.full.columnar()
         return self._kept_col
 
     def columnar_truncated(self) -> ColumnarCDRBatch:
         """Columnar view of ``truncated``; no record objects are built."""
         if self._trunc_col is None:
-            self._trunc_col = self.columnar_full().truncated(
-                self.config.truncate_s
-            )
+            self._trunc_col = self._kept_col.truncated(self.config.truncate_s)
         return self._trunc_col
 
     @property
     def full(self) -> CDRBatch:
         """Ghost-free records, durations as reported (built on demand)."""
         if self._full is None:
-            records = self._source_records
-            if records is None:
-                raise ValueError(
-                    "PreprocessResult holds neither records nor a source"
-                )
-            if self._keep_idx is None:
-                kept = records
-            else:
-                kept = [records[i] for i in self._keep_idx.tolist()]
-            batch = CDRBatch(kept, assume_sorted=True)
+            # The kept columns are in record order (preprocess_lazy sorts
+            # them if they were not), so the batch skips its sort.
+            batch = CDRBatch(self._kept_col.to_records(), assume_sorted=True)
             batch._columnar = self._kept_col
             self._full = batch
         return self._full
@@ -150,7 +129,7 @@ class PreprocessResult:
         if self._truncated is None:
             kept = self.full.records
             cap = self.config.truncate_s
-            over_idx = np.flatnonzero(self.columnar_full().duration > cap)
+            over_idx = np.flatnonzero(self._kept_col.duration > cap)
             records = list(kept)
             for i in over_idx.tolist():
                 records[i] = kept[i].truncated(cap)
@@ -232,44 +211,38 @@ def preprocess(
     trunc_col = kept_col.truncated(cfg.truncate_s)
     truncated_batch._columnar = trunc_col
     result = PreprocessResult(
-        cfg,
-        n_ghosts,
-        full=full,
-        truncated=truncated_batch,
-        kept_col=kept_col,
+        cfg, n_ghosts, kept_col, full=full, truncated=truncated_batch
     )
     result._trunc_col = trunc_col
     return result
 
 
 def preprocess_lazy(
-    batch: CDRBatch, config: PreprocessConfig | None = None
+    batch: CDRBatch | ColumnarCDRBatch, config: PreprocessConfig | None = None
 ) -> PreprocessResult:
-    """Section 3 cleaning with deferred record materialization.
+    """Section 3 cleaning on the columns, deferring record materialization.
 
     Same rules and results as :func:`preprocess`, but only the columnar
     views are built up front; the ``full`` / ``truncated`` record lists are
-    constructed on first attribute access.  The fused engine
-    (:mod:`repro.core.fused`) consumes the columnar views exclusively, so a
-    fused pipeline run never pays the per-record ``truncated()`` copies.
+    built from the kept columns on first attribute access.  A
+    :class:`CDRBatch` contributes its :meth:`~CDRBatch.columnar` view; a
+    :class:`ColumnarCDRBatch` is used as it is when its rows are already in
+    record order (every trace this repository writes) and sorted into it
+    otherwise, so either input yields the rows a :class:`CDRBatch` would
+    hold.  The fused engine (:mod:`repro.core.fused`) consumes the columnar
+    views exclusively, so a fused pipeline run builds no record objects.
     """
     cfg = config or PreprocessConfig()
-    col = batch.columnar()
+    if isinstance(batch, CDRBatch):
+        col = batch.columnar()
+    elif is_record_sorted(batch):
+        col = batch
+    else:
+        col = batch.sorted()
     ghost_mask = np.abs(col.duration - GHOST_DURATION_S) <= GHOST_TOLERANCE_S
     n_ghosts = int(np.count_nonzero(ghost_mask))
-    if n_ghosts:
-        keep_idx = np.flatnonzero(~ghost_mask)
-        kept_col = col.take(keep_idx)
-    else:
-        kept_col = col
-        keep_idx = None
-    return PreprocessResult(
-        cfg,
-        n_ghosts,
-        kept_col=kept_col,
-        source_records=batch.records,
-        keep_idx=keep_idx,
-    )
+    kept_col = col.take(np.flatnonzero(~ghost_mask)) if n_ghosts else col
+    return PreprocessResult(cfg, n_ghosts, kept_col)
 
 
 def sessions_for(

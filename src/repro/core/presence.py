@@ -34,6 +34,15 @@ class DailyPresence:
     n_cells_total: int
 
     @property
+    def has_trends(self) -> bool:
+        """Whether the study has the two days a trend line needs.
+
+        :attr:`car_trend` and :attr:`cell_trend` raise ``ValueError`` on a
+        one-day study; reports print the trends as unavailable instead.
+        """
+        return self.car_fraction.size >= 2
+
+    @property
     def car_trend(self) -> TrendLine:
         """OLS trend of the car series over day index (Figure 2 annotation)."""
         return linear_trend(np.arange(self.car_fraction.size), self.car_fraction)

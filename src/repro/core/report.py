@@ -9,7 +9,7 @@ from __future__ import annotations
 from repro.core.carriers import CARRIER_ORDER, CarrierUsage
 from repro.core.handover import HandoverStats, HandoverType
 from repro.core.pipeline import AnalysisReport
-from repro.core.presence import WeekdayRow
+from repro.core.presence import DailyPresence, WeekdayRow
 from repro.core.segmentation import CarSegmentation
 
 
@@ -65,15 +65,24 @@ def format_handover_stats(stats: HandoverStats) -> str:
     return "\n".join(lines)
 
 
+def format_car_trend(presence: DailyPresence) -> str:
+    """Figure 2's car trend line, or ``n/a`` when the study is one day long."""
+    if not presence.has_trends:
+        return "car trend: n/a (needs at least two study days)"
+    trend = presence.car_trend
+    return (
+        f"car trend: y = {trend.slope:.5f}x + {trend.intercept:.4f} "
+        f"(R^2 = {trend.r_squared:.4f})"
+    )
+
+
 def format_report(report: AnalysisReport) -> str:
     """Full multi-section text report of an analysis run."""
     sections = [
         "== Daily presence (Fig 2) ==",
         f"cars: {report.presence.n_cars_total}, cells ever used: "
         f"{report.presence.n_cells_total}",
-        f"car trend: y = {report.presence.car_trend.slope:.5f}x + "
-        f"{report.presence.car_trend.intercept:.4f} "
-        f"(R^2 = {report.presence.car_trend.r_squared:.4f})",
+        format_car_trend(report.presence),
         "",
         "== Table 1 ==",
         format_weekday_table(report.weekday_rows),
@@ -115,7 +124,7 @@ def format_report_markdown(report: AnalysisReport) -> str:
         "",
         f"- cars: **{report.presence.n_cars_total}**, cells ever used: "
         f"**{report.presence.n_cells_total}**",
-        f"- records kept: **{len(report.pre.full):,}** "
+        f"- records kept: **{report.pre.n_kept:,}** "
         f"({report.pre.n_dropped_ghosts} ghost rows dropped)",
         f"- mean connected share: **{report.connect_time.mean_full:.1%}** full / "
         f"**{report.connect_time.mean_truncated:.1%}** truncated",

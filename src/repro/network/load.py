@@ -96,6 +96,8 @@ _TIER_HOT_PROB = {Tier.URBAN: 0.06, Tier.SUBURBAN: 0.05, Tier.RURAL: 0.01}
 #: congested downtown district that gives some cars a busy-cell-dominated
 #: life (Figure 7's tail).
 HOT_DISTRICT_RADIUS_KM = 3.0
+#: Cells per block of weekly templates in :meth:`CellLoadModel.busy_cell_ids`.
+_TEMPLATE_BLOCK = 128
 
 
 class CellLoadModel:
@@ -177,7 +179,8 @@ class CellLoadModel:
 
         The template always starts on Monday regardless of the study's start
         weekday; callers indexing by study time should use
-        :meth:`utilization` or :meth:`series`, which apply the calendar.
+        :meth:`utilization`, :meth:`day_series` or :meth:`series_block`,
+        which apply the calendar.
         """
         cached = self._templates.get(cell_id)
         if cached is not None:
@@ -222,16 +225,6 @@ class CellLoadModel:
         day = self.clock.day_index(t)
         return float(self.day_series(cell_id, day)[self.clock.bin15_of_day(t)])
 
-    def series(
-        self, cell_id: int, n_days: int | None = None
-    ) -> npt.NDArray[np.float64]:
-        """Full utilization series for a cell, ``n_days * 96`` bins."""
-        days = self.clock.n_days if n_days is None else n_days
-        series: npt.NDArray[np.float64] = np.concatenate(
-            [self.day_series(cell_id, d) for d in range(days)]
-        )
-        return series
-
     def series_block(self, cell_ids: Sequence[int]) -> npt.NDArray[np.float64]:
         """Series of several cells over the whole study, ``(len(cell_ids), n_days * 96)``.
 
@@ -272,19 +265,31 @@ class CellLoadModel:
         """
         return float(self.weekly_template(cell_id).mean())
 
-    def busy_bins(
-        self, cell_id: int, threshold: float = 0.80
-    ) -> npt.NDArray[np.bool_]:
-        """Boolean mask over the full study of bins where U_PRB > threshold."""
-        mask: npt.NDArray[np.bool_] = self.series(cell_id) > threshold
-        return mask
-
     def busy_cell_ids(self, mean_threshold: float = 0.70) -> list[int]:
-        """Cells whose mean weekly utilization is at least ``mean_threshold``."""
+        """Cells whose mean weekly utilization is at least ``mean_threshold``.
+
+        Every cell's :meth:`mean_weekly_utilization`, bit for bit, from
+        blocks of weekly templates (the same float operations per bin, the
+        same row-wise mean), without filling the per-cell template cache.
+        A block holds :data:`_TEMPLATE_BLOCK` cells: one matrix for a whole
+        topology would add its temporaries (~17 MB for 1,563 cells) to the
+        peak memory of every ``analyze``.
+        """
+        cell_ids = sorted(self.topology.cells)
+        profiles = [self._profiles[cell_id] for cell_id in cell_ids]
+        floors = np.asarray([p.floor for p in profiles])[:, None]
+        ceilings = np.asarray([p.ceiling for p in profiles])[:, None]
+        week_shape = np.concatenate([self._wd_shape] * 5 + [self._we_shape] * 2)
+        means = np.empty(len(cell_ids))
+        for lo in range(0, len(cell_ids), _TEMPLATE_BLOCK):
+            floor = floors[lo : lo + _TEMPLATE_BLOCK]
+            ceiling = ceilings[lo : lo + _TEMPLATE_BLOCK]
+            templates = floor + (ceiling - floor) * week_shape
+            means[lo : lo + _TEMPLATE_BLOCK] = templates.mean(axis=1)
         return [
-            cid
-            for cid in sorted(self.topology.cells)
-            if self.mean_weekly_utilization(cid) >= mean_threshold
+            cell_id
+            for cell_id, mean in zip(cell_ids, means.tolist())
+            if mean >= mean_threshold
         ]
 
 

@@ -24,6 +24,7 @@ from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
+from repro.algorithms.stats import TrendLine
 from repro.cdr.store import DEFAULT_CHUNK_ROWS
 from repro.core.fused import ChunkIntermediates
 from repro.core.handover import HandoverType
@@ -63,8 +64,12 @@ def _float_param(
     return value
 
 
-def _trend(slope: float, intercept: float, r_squared: float) -> dict[str, object]:
-    return {"intercept": intercept, "r_squared": r_squared, "slope": slope}
+def _trend(trend: TrendLine) -> dict[str, object]:
+    return {
+        "intercept": trend.intercept,
+        "r_squared": trend.r_squared,
+        "slope": trend.slope,
+    }
 
 
 def build_summary(state: ServiceState, params: Mapping[str, str]) -> dict[str, object]:
@@ -83,15 +88,13 @@ def build_summary(state: ServiceState, params: Mapping[str, str]) -> dict[str, o
 def build_presence(state: ServiceState, params: Mapping[str, str]) -> dict[str, object]:
     """Figure 2: daily car/cell presence series with OLS trends."""
     presence = state.report().presence
-    car_trend = presence.car_trend
-    cell_trend = presence.cell_trend
+    # A one-day study has no trend line; both are reported as null.
+    trends = presence.has_trends
     return {
         "car_fraction": presence.car_fraction.tolist(),
-        "car_trend": _trend(car_trend.slope, car_trend.intercept, car_trend.r_squared),
+        "car_trend": _trend(presence.car_trend) if trends else None,
         "cell_fraction": presence.cell_fraction.tolist(),
-        "cell_trend": _trend(
-            cell_trend.slope, cell_trend.intercept, cell_trend.r_squared
-        ),
+        "cell_trend": _trend(presence.cell_trend) if trends else None,
         "n_cars_total": int(presence.n_cars_total),
         "n_cells_total": int(presence.n_cells_total),
     }

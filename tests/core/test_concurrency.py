@@ -1,9 +1,12 @@
-"""Unit tests for per-cell concurrency (Figures 8 and 10)."""
+"""Unit tests for per-cell concurrency (Figures 8, 10 and 11)."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms.timebins import BIN_SECONDS, BINS_PER_WEEK, DAY, StudyClock
+from repro.cdr.columnar import ColumnarCDRBatch
 from repro.cdr.records import CDRBatch, ConnectionRecord
 from repro.core.concurrency import (
     car_sessions_in_cell,
@@ -11,6 +14,7 @@ from repro.core.concurrency import (
     concurrency_counts,
     fold_to_day,
     weekly_concurrency,
+    weekly_concurrency_fused,
 )
 
 
@@ -140,3 +144,147 @@ class TestFoldToDay:
     def test_rejects_wrong_size(self):
         with pytest.raises(ValueError):
             fold_to_day(np.zeros(100))
+
+
+def assert_fused_matches(records, cell_ids, clock, col=None):
+    """``weekly_concurrency_fused`` against the per-cell record loop, bit for
+    bit; returns the fused vectors.  ``col`` overrides the columns handed to
+    the fused twin (the same rows in another order)."""
+    by_cell = CDRBatch(records).by_cell()
+    ref = np.stack(
+        [weekly_concurrency(by_cell.get(c, []), clock) for c in cell_ids]
+    )
+    if col is None:
+        col = ColumnarCDRBatch.from_records(records)
+    fused = weekly_concurrency_fused(col, cell_ids, clock)
+    assert fused.shape == (len(cell_ids), BINS_PER_WEEK)
+    assert fused.tobytes() == ref.tobytes()
+    return fused
+
+
+TWO_WEEKS = StudyClock(start_weekday=0, n_days=14)
+
+
+class TestWeeklyConcurrencyFused:
+    def test_zero_length_record_on_bin_start(self):
+        weekly = assert_fused_matches([rec(2 * BIN_SECONDS, dur=0.0)], [1], TWO_WEEKS)
+        assert np.flatnonzero(weekly[0]).tolist() == [2]
+
+    def test_zero_length_record_at_previous_end_adds_no_bin(self):
+        # [0, 900) then a zero-length record at 900: one session [0, 900),
+        # which does not touch bin 1 even though the record alone would.
+        records = [rec(0.0, dur=BIN_SECONDS), rec(BIN_SECONDS, dur=0.0)]
+        weekly = assert_fused_matches(records, [1], TWO_WEEKS)
+        assert np.flatnonzero(weekly[0]).tolist() == [0]
+
+    def test_session_ending_on_bin_boundary(self):
+        records = [rec(BIN_SECONDS - 100.0, dur=40.0), rec(BIN_SECONDS - 50.0, dur=50.0)]
+        weekly = assert_fused_matches(records, [1], TWO_WEEKS)
+        assert np.flatnonzero(weekly[0]).tolist() == [0]
+
+    @pytest.mark.parametrize(
+        "first_dur, bins", [(BIN_SECONDS - 30.0, [0]), (BIN_SECONDS - 30.5, [0, 1])]
+    )
+    def test_gap_of_exactly_30_s_joins(self, first_dur, bins):
+        # The zero-length record on the bin-1 boundary joins the session
+        # (and adds no bin) at a 30 s gap, and stands alone at 30.5 s.
+        records = [rec(0.0, dur=first_dur), rec(BIN_SECONDS, dur=0.0)]
+        weekly = assert_fused_matches(records, [1], TWO_WEEKS)
+        assert np.flatnonzero(weekly[0]).tolist() == bins
+
+    def test_overlapping_records_of_one_car(self):
+        records = [
+            rec(100.0, dur=600.0),
+            rec(100.0, dur=50.0),
+            rec(200.0, dur=2000.0),
+            rec(300.0, dur=10.0),
+            rec(2 * DAY, dur=0.0),
+            rec(2 * DAY, dur=5.0),
+        ]
+        weekly = assert_fused_matches(records, [1], TWO_WEEKS)
+        assert weekly[0].sum() == 4 / 2
+
+    def test_cars_interleaved_on_one_cell(self):
+        records = [
+            rec(float(t), dur=25.0, car=f"car-{t % 3}", cell=1 + t % 2)
+            for t in range(0, 4000, 20)
+        ]
+        assert_fused_matches(records, [1, 2], TWO_WEEKS)
+
+    def test_rows_in_trailing_partial_week_ignored(self):
+        clock = StudyClock(start_weekday=0, n_days=10)
+        records = [
+            rec(9 * DAY),
+            # Straddles the end of the only whole week.
+            rec(7 * DAY - 100.0, car="car-b", dur=600.0),
+        ]
+        weekly = assert_fused_matches(records, [1], clock)
+        assert np.flatnonzero(weekly[0]).tolist() == [BINS_PER_WEEK - 1]
+
+    @pytest.mark.parametrize("start_weekday", [3, 6])
+    def test_start_weekday_folding(self, start_weekday):
+        clock = StudyClock(start_weekday=start_weekday, n_days=15)
+        records = [rec(0.0), rec(5 * DAY + 7.0, car="car-b", dur=3000.0)]
+        assert_fused_matches(records, [1], clock)
+
+    def test_listed_cells_without_rows_are_zero(self):
+        records = [rec(0.0), rec(50.0, cell=2), rec(70.0, cell=3)]
+        weekly = assert_fused_matches(records, [4, 2, 9], TWO_WEEKS)
+        assert not weekly[0].any() and not weekly[2].any()
+
+    def test_cell_order_and_repeats_follow_the_list(self):
+        records = [rec(0.0), rec(5000.0, cell=2)]
+        weekly = assert_fused_matches(records, [2, 1, 2], TWO_WEEKS)
+        assert weekly[0].tobytes() == weekly[2].tobytes()
+
+    def test_no_rows(self):
+        assert not assert_fused_matches([], [1, 2], TWO_WEEKS).any()
+
+    def test_six_day_study_raises(self):
+        with pytest.raises(ValueError, match="shorter than one week"):
+            weekly_concurrency_fused(
+                ColumnarCDRBatch.from_records([rec(0.0)]), [1], StudyClock(n_days=6)
+            )
+
+
+#: Starts on and around bin boundaries (where the edge cases live) plus
+#: arbitrary instants, a few before the study starts.
+_start_st = st.one_of(
+    st.integers(min_value=-2, max_value=16 * 96).map(lambda b: b * float(BIN_SECONDS)),
+    st.tuples(
+        st.integers(min_value=0, max_value=16 * 96),
+        st.sampled_from([-30.5, -30.0, -1.0, 1.0, 30.0]),
+    ).map(lambda p: p[0] * float(BIN_SECONDS) + p[1]),
+    st.floats(min_value=-2000.0, max_value=16 * DAY, allow_nan=False),
+)
+_dur_st = st.one_of(
+    st.sampled_from([0.0, 30.0, 600.0, 870.0, float(BIN_SECONDS)]),
+    st.floats(min_value=0.0, max_value=3 * DAY, allow_nan=False),
+)
+_record_st = st.builds(
+    rec,
+    start=_start_st,
+    dur=_dur_st,
+    car=st.sampled_from(["car-a", "car-b", "car-c"]),
+    cell=st.integers(min_value=1, max_value=4),
+)
+
+
+@given(
+    records=st.lists(_record_st, max_size=40),
+    cell_ids=st.lists(st.integers(min_value=1, max_value=5), min_size=1, max_size=5),
+    start_weekday=st.integers(min_value=0, max_value=6),
+    n_days=st.integers(min_value=7, max_value=16),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=150, deadline=None)
+def test_fused_matches_record_loop_on_random_rows(
+    records, cell_ids, start_weekday, n_days, seed
+):
+    # Rows arrive in any order: the fused twin sorts them itself.
+    col = ColumnarCDRBatch.from_records(records)
+    shuffled = col.take(np.random.default_rng(seed).permutation(len(col)))
+    assert_fused_matches(
+        records, cell_ids, StudyClock(start_weekday=start_weekday, n_days=n_days),
+        col=shuffled,
+    )

@@ -1,14 +1,17 @@
 """Unit tests for Section 3 preprocessing."""
 
+import numpy as np
 import pytest
 
 from repro.algorithms.intervals import Interval
-from repro.cdr.records import CDRBatch, ConnectionRecord
+from repro.cdr.columnar import ColumnarCDRBatch
+from repro.cdr.records import CDRBatch, ConnectionRecord, count_record_constructions
 from repro.core.preprocess import (
     PreprocessConfig,
     group_records_by_gap,
     is_ghost_record,
     preprocess,
+    preprocess_lazy,
     sessions_for,
 )
 
@@ -141,3 +144,33 @@ class TestSessionCachingAndSortFlag:
         assert group_records_by_gap(
             records, max_gap_s=600.0, assume_sorted=True
         ) == group_records_by_gap(records, max_gap_s=600.0)
+
+
+class TestLazyColumnar:
+    RECORDS = [
+        rec(0, 60.0),
+        rec(0, 60.0, car="car-b"),
+        rec(100, 3600.0),
+        rec(100, 900.0, cell=2),
+        rec(50, 10.0, car="car-b", carrier="C1"),
+    ]
+
+    def test_columnar_input_matches_record_batch(self):
+        eager = preprocess(CDRBatch(self.RECORDS))
+        # Out of record order on purpose: the lazy path sorts the columns.
+        col = ColumnarCDRBatch.from_records(self.RECORDS[::-1])
+        with count_record_constructions() as counter:
+            lazy = preprocess_lazy(col)
+            assert lazy.n_kept == eager.n_kept == 4
+            assert lazy.n_dropped_ghosts == eager.n_dropped_ghosts == 1
+            assert lazy.columnar_full() == eager.columnar_full()
+            assert lazy.columnar_truncated() == eager.columnar_truncated()
+        assert counter.count == 0
+        assert list(lazy.full) == list(eager.full)
+        assert list(lazy.truncated) == list(eager.truncated)
+
+    def test_record_sorted_columns_are_used_as_they_are(self):
+        col = CDRBatch([r for r in self.RECORDS if r.duration != 3600.0]).columnar()
+        lazy = preprocess_lazy(col)
+        assert lazy.columnar_full() is col
+        assert np.array_equal(lazy.columnar_truncated().duration, [60.0, 60.0, 10.0, 600.0])

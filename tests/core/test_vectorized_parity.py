@@ -8,12 +8,13 @@ These tests hold that promise end to end — lazy preprocessing, ghost
 cleaning, busy masks, handover classification and segmentation together —
 on hand-built adversarial batches (overlapping records, bin/day boundary
 straddling, unknown cells, empty carriers, single-record cars) and on
-random hypothesis batches.  The per-analysis kernels are checked one by
-one in ``test_fused_parity``.
+random hypothesis batches, with Figure 11's clustering off and on.  The
+per-analysis kernels are checked one by one in ``test_fused_parity``.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -40,23 +41,43 @@ def week_load_model(topology):
     return CellLoadModel(topology, CLOCK, seed=5)
 
 
-def assert_engines_agree(batch, schedule, load_model):
+class BusyCells:
+    """Load-model stand-in for Figure 11: its busy cells are the batches'
+    own (plus cell 9, which no batch uses), where the synthetic topology's
+    busy cells would hold no rows."""
+
+    def busy_cell_ids(self, mean_threshold):
+        return [1, 2, 3, 4, 5, 6, 9]
+
+
+def assert_engines_agree(batch, schedule, load_model, with_clustering=False):
     """Run the whole pipeline through both engines; require equal reports.
 
     A batch with no usable records must be refused by both engines alike.
+    With clustering, Figure 11 runs over :class:`BusyCells`, and the
+    vectors, labels and cluster ordering must agree too.
     """
     pipeline = AnalysisPipeline(CLOCK, load_model=load_model, cells=CELLS)
     # Deterministic masks keep cells outside ``schedule`` unknown, which a
     # load model over the synthetic topology would not.
     pipeline.schedule = schedule
+    if with_clustering:
+        pipeline.load_model = BusyCells()
     if preprocess(batch).n_kept == 0:
         for engine in ("reference", "fused"):
             with pytest.raises(NoUsableRecordsError):
-                pipeline.run(batch, with_clustering=False, engine=engine)
+                pipeline.run(batch, with_clustering=with_clustering, engine=engine)
         return None
-    ref = pipeline.run(batch, with_clustering=False, engine="reference")
-    fused = pipeline.run(batch, with_clustering=False, engine="fused")
+    ref = pipeline.run(batch, with_clustering=with_clustering, engine="reference")
+    fused = pipeline.run(batch, with_clustering=with_clustering, engine="fused")
     assert_reports_equal(fused, ref)
+    if with_clustering:
+        assert fused.clusters is not None
+        assert ref.clusters is not None
+        assert fused.clusters.cell_ids == ref.clusters.cell_ids
+        assert fused.clusters.vectors.tobytes() == ref.clusters.vectors.tobytes()
+        assert fused.clusters.ordering == ref.clusters.ordering
+        assert np.array_equal(fused.clusters.result.labels, ref.clusters.result.labels)
     return fused
 
 
@@ -141,3 +162,47 @@ def test_engines_agree_on_random_batches(week_load_model, batch):
     # Cells 5 and 6 are deliberately absent from both the busy schedule and
     # the directory, so random batches also exercise the unknown-cell paths.
     assert_engines_agree(batch, schedule_for([1, 2, 3, 4]), week_load_model)
+
+
+class TestClusteringOn:
+    """Figure 11 through both engines: record loops against the columns."""
+
+    def test_session_and_bin_edges(self, week_load_model):
+        batch = CDRBatch([
+            # Zero-length record at the previous record's end: no extra bin.
+            rec(0.0, dur=BIN_SECONDS),
+            rec(BIN_SECONDS, dur=0.0),
+            # A gap of exactly 30 s before a zero-length boundary record.
+            rec(3 * BIN_SECONDS, car="car-b", dur=BIN_SECONDS - 30.0),
+            rec(4 * BIN_SECONDS, car="car-b", dur=0.0),
+            # Overlapping records of one car, interleaved with another car.
+            rec(DAY, cell=2, dur=700.0),
+            rec(DAY + 10.0, car="car-b", cell=2, dur=50.0),
+            rec(DAY + 20.0, cell=2, dur=1300.0),
+            rec(DAY + 30.0, car="car-b", cell=2, dur=0.0),
+            # Over the 600 s cap, and past the last whole week.
+            rec(2 * DAY, cell=3, carrier="C3", dur=5000.0),
+            rec(7 * DAY + 100.0, car="car-c", cell=4, carrier="C1"),
+        ])
+        assert_engines_agree(
+            batch, schedule_for([1, 2, 3, 4]), week_load_model, with_clustering=True
+        )
+
+    def test_ghosts_and_unknown_cells(self, week_load_model):
+        batch = CDRBatch([
+            rec(100.0, dur=3600.0),
+            rec(200.0, cell=77, dur=950.0),
+            rec(300.0, car="car-b", cell=5, dur=20.0),
+            rec(5000.0, car="car-c", cell=6, dur=0.0),
+        ])
+        assert_engines_agree(
+            batch, schedule_for([1, 2]), week_load_model, with_clustering=True
+        )
+
+
+@given(batch_st)
+@settings(max_examples=40, deadline=None)
+def test_engines_agree_with_clustering_on_random_batches(week_load_model, batch):
+    assert_engines_agree(
+        batch, schedule_for([1, 2, 3, 4]), week_load_model, with_clustering=True
+    )

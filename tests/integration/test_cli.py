@@ -75,6 +75,16 @@ class TestWorkflows:
         assert "(10 cars, 1 days," in capsys.readouterr().out
         assert len(path.read_text().splitlines()) > 1
 
+    def test_analyze_one_day_study(self, tmp_path, capsys):
+        path = tmp_path / "one-day.cdrz"
+        assert main(["generate", "--cars", "10", "--days", "1", "--out", str(path)]) == 0
+        capsys.readouterr()
+        code = main(["analyze", "--trace", str(path), "--days", "1"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "car trend: n/a (needs at least two study days)" in out
+        assert "clustering skipped: study shorter than one week" in out
+
     def test_analyze_prints_report(self, trace_path, capsys):
         code = main(
             [
@@ -303,3 +313,39 @@ class TestWorkflows:
         assert code == 0
         assert "## Connected-car analysis report" in out
         assert "| Monday |" in out
+
+
+class TestAnalyzeBuildsNoRecords:
+    """Serial ``analyze`` runs on columns end to end: loading, every Section 4
+    analysis, Figure 11's clustering and both report formats build no
+    ``ConnectionRecord``, whatever the trace format."""
+
+    @pytest.fixture(scope="class")
+    def traces(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("columnar")
+        csv = root / "trace.csv"
+        args = ["--scenario", "smoke", "--cars", "25", "--days", "7"]
+        assert main(["generate", *args, "--out", str(csv)]) == 0
+        assert main(["convert", str(csv), str(root / "trace.cdrz")]) == 0
+        assert main(
+            ["convert", str(csv), str(root / "shards"), "--shard-rows", "400"]
+        ) == 0
+        return {
+            "csv": csv,
+            "cdrz": root / "trace.cdrz",
+            "shards": root / "shards",
+        }
+
+    @pytest.mark.parametrize("markdown", [False, True], ids=["text", "markdown"])
+    @pytest.mark.parametrize("fmt", ["shards", "cdrz", "csv"])
+    def test_zero_record_constructions(self, traces, capsys, fmt, markdown):
+        from repro.cdr.records import count_record_constructions
+
+        argv = ["analyze", "--trace", str(traces[fmt]), "--scenario", "smoke",
+                "--days", "7"]
+        with count_record_constructions() as counter:
+            code = main(argv + (["--markdown"] if markdown else []))
+        out = capsys.readouterr().out
+        assert code == 0
+        assert counter.count == 0
+        assert "clusters over" in out

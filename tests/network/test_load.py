@@ -78,11 +78,6 @@ class TestCellLoadModel:
             load_model.day_series(cid, 2)[5]
         )
 
-    def test_series_length(self, load_model, topology, clock):
-        cid = next(iter(topology.cells))
-        assert load_model.series(cid).shape == (clock.n_days * BINS_PER_DAY,)
-        assert load_model.series(cid, n_days=2).shape == (2 * BINS_PER_DAY,)
-
     @pytest.mark.parametrize("start_weekday", [0, 4, 6])
     def test_series_block_is_bit_identical_to_day_series(
         self, topology, start_weekday
@@ -94,7 +89,6 @@ class TestCellLoadModel:
             [np.concatenate([model.day_series(c, d) for d in range(9)]) for c in cells]
         )
         assert model.series_block(cells).tobytes() == expected.tobytes()
-        assert model.series(cells[1]).tobytes() == expected[1].tobytes()
 
     @pytest.mark.parametrize("seed", [-1, 2**110])
     def test_seed_outside_bulk_seeding_range_rejected(self, topology, clock, seed):
@@ -120,12 +114,20 @@ class TestCellLoadModel:
         for cid in busy:
             assert load_model.mean_weekly_utilization(cid) >= 0.70
 
-    def test_busy_bins_mask(self, load_model, topology, clock):
-        cid = load_model.busy_cell_ids(0.70)[0]
-        mask = load_model.busy_bins(cid, threshold=0.80)
-        assert mask.dtype == bool
-        assert mask.shape == (clock.n_days * BINS_PER_DAY,)
-        assert mask.any()
+    def test_busy_cell_ids_match_per_cell_means(self, topology):
+        # A fresh model, so the per-cell means below fill the template
+        # cache only after busy_cell_ids has run without it.
+        model = CellLoadModel(topology, StudyClock(n_days=14), seed=5)
+        cells = sorted(topology.cells)
+        assert model.busy_cell_ids(0.0) == cells
+        assert not model._templates
+        means = {cid: model.mean_weekly_utilization(cid) for cid in cells}
+        edge = means[cells[len(cells) // 2]]
+        for threshold in (0.5, 0.7, edge, float(np.nextafter(edge, 1.0)), 1.01):
+            expected = [cid for cid in cells if means[cid] >= threshold]
+            assert model.busy_cell_ids(threshold) == expected
+        # The threshold equal to one cell's mean keeps that cell.
+        assert cells[len(cells) // 2] in model.busy_cell_ids(edge)
 
     def test_weekend_profile_differs(self, load_model, topology):
         cid = next(iter(topology.cells))

@@ -25,6 +25,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from repro.algorithms.timebins import DAY
 from repro.cdr.store import write_batch_cdrz
 from repro.core.fused import FusedPartial
 from repro.service import (
@@ -430,6 +431,21 @@ class TestHttpEndpoints:
             results = list(pool.map(fetch, range(16)))
         for other in results[1:]:
             assert other == results[0]
+
+
+class TestOneDayStudy:
+    def test_presence_reports_trends_as_null(self, tmp_path, columnar):
+        # A one-day study has one point per series: no trend line to fit.
+        first_day = columnar.rows(0, int(np.searchsorted(columnar.start, DAY)))
+        write_chunks(tmp_path / "one-day", [first_day], [0])
+        state = ServiceState(service_config(tmp_path / "one-day", days=1))
+        with ServiceThread(state) as server:
+            with ServiceClient("127.0.0.1", server.port) as client:
+                presence = client.query("presence")
+        assert presence["car_trend"] is None
+        assert presence["cell_trend"] is None
+        assert len(presence["car_fraction"]) == 1
+        assert presence["n_cars_total"] == len(set(first_day.car_code.tolist()))
 
 
 class TestHttpIngest:
