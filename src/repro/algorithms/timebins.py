@@ -18,6 +18,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+import numpy.typing as npt
+
 MINUTE = 60
 HOUR = 3600
 DAY = 86_400
@@ -39,6 +42,22 @@ WEEKDAY_NAMES = (
     "Saturday",
     "Sunday",
 )
+
+
+def straddled_bin_span(
+    start: npt.NDArray[np.float64], end: npt.NDArray[np.float64]
+) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]:
+    """First and last 15-minute bin each ``[start, end)`` interval straddles.
+
+    The vectorized ``Interval.bins_straddled(BIN_SECONDS)``: an end exactly
+    on a bin boundary excludes that bin, and a zero-length interval still
+    touches the single bin holding its start.
+    """
+    first = np.floor_divide(start, BIN_SECONDS).astype(np.int64)
+    last = np.floor_divide(end, BIN_SECONDS).astype(np.int64)
+    last[np.mod(end, BIN_SECONDS) == 0] -= 1
+    last = np.maximum(last, first)
+    return first, last
 
 
 @dataclass(frozen=True)

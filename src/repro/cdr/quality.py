@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import numpy.typing as npt
 
-from repro.algorithms.timebins import StudyClock
+from repro.algorithms.timebins import DAY, StudyClock
+from repro.cdr.columnar import ColumnarCDRBatch
 from repro.cdr.records import CDRBatch
 
 
@@ -143,7 +144,7 @@ def long_tail_fraction(batch: CDRBatch, cutoff_s: float = 600.0) -> float:
 
 
 def detect_loss_days(
-    batch: CDRBatch,
+    batch: CDRBatch | ColumnarCDRBatch,
     clock: StudyClock,
     deficit_threshold: float = 0.25,
 ) -> tuple[list[LossDayFinding], npt.NDArray[np.int64]]:
@@ -151,13 +152,13 @@ def detect_loss_days(
 
     Comparing against same-weekday peers keeps ordinary weekend dips from
     triggering; only days missing ``deficit_threshold`` or more of their
-    expected volume are reported.
+    expected volume are reported.  Only start times are read, so a
+    :class:`ColumnarCDRBatch` is counted without building records.
     """
-    per_day = np.zeros(clock.n_days, dtype=np.int64)
-    for rec in batch:
-        day = clock.day_index(rec.start)
-        if 0 <= day < clock.n_days:
-            per_day[day] += 1
+    col = batch if isinstance(batch, ColumnarCDRBatch) else batch.columnar()
+    day = np.floor_divide(col.start, DAY).astype(np.int64)
+    in_study = (day >= 0) & (day < clock.n_days)
+    per_day = np.bincount(day[in_study], minlength=clock.n_days).astype(np.int64)
     findings: list[LossDayFinding] = []
     for weekday in range(7):
         days = clock.days_of_weekday(weekday)

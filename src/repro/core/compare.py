@@ -41,7 +41,7 @@ class MetricDelta:
 
 def extract_metrics(report: AnalysisReport) -> dict[str, tuple[float, str]]:
     """The comparable headline metrics of one report, name -> (value, fmt)."""
-    durations = np.asarray([r.duration for r in report.pre.truncated])
+    durations = report.pre.columnar_truncated().duration
     rows = {r.weekday: r for r in report.weekday_rows}
     metrics: dict[str, tuple[float, str]] = {
         "cars observed": (float(report.presence.n_cars_total), ",.0f"),

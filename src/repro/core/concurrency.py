@@ -19,13 +19,24 @@ import numpy.typing as npt
 
 from repro.algorithms.intervals import Interval, concatenate_gaps
 from repro.algorithms.segments import ragged_ranges, segment_ids, segmented_cummax
-from repro.algorithms.timebins import BIN_SECONDS, BINS_PER_WEEK, DAY, WEEK, StudyClock
+from repro.algorithms.timebins import (
+    BIN_SECONDS,
+    BINS_PER_WEEK,
+    DAY,
+    WEEK,
+    StudyClock,
+    straddled_bin_span,
+)
 from repro.cdr.columnar import ColumnarCDRBatch
 from repro.cdr.records import CDRBatch, ConnectionRecord
 
+#: The paper's aggregate-session gap: connections of one car up to this many
+#: seconds apart count as one session.
+SESSION_GAP_S = 30.0
+
 
 def car_sessions_in_cell(
-    records: list[ConnectionRecord], session_gap_s: float = 30.0
+    records: list[ConnectionRecord], session_gap_s: float = SESSION_GAP_S
 ) -> dict[str, list[Interval]]:
     """Per-car aggregated sessions within one cell's record list.
 
@@ -41,7 +52,7 @@ def car_sessions_in_cell(
 
 
 def concurrency_counts(
-    records: list[ConnectionRecord], session_gap_s: float = 30.0
+    records: list[ConnectionRecord], session_gap_s: float = SESSION_GAP_S
 ) -> Counter[int]:
     """Concurrent cars per absolute 15-minute bin for one cell's records."""
     counts: Counter[int] = Counter()
@@ -108,7 +119,7 @@ def cell_timeline(
     concurrency = np.zeros(n_bins, dtype=np.int64)
     for intervals in car_intervals.values():
         seen: set[int] = set()
-        for iv in concatenate_gaps(intervals, 30.0):
+        for iv in concatenate_gaps(intervals, SESSION_GAP_S):
             seen.update(iv.bins_straddled(BIN_SECONDS))
         first_bin = int(window_start // BIN_SECONDS)
         for b in seen:
@@ -127,7 +138,7 @@ def cell_timeline(
 def weekly_concurrency(
     records: list[ConnectionRecord],
     clock: StudyClock,
-    session_gap_s: float = 30.0,
+    session_gap_s: float = SESSION_GAP_S,
 ) -> npt.NDArray[np.float64]:
     """Mean concurrent cars per 15-minute bin of the week, 672 entries.
 
@@ -154,17 +165,17 @@ def weekly_concurrency_fused(
     col: ColumnarCDRBatch,
     cell_ids: Sequence[int],
     clock: StudyClock,
-    session_gap_s: float = 30.0,
 ) -> npt.NDArray[np.float64]:
     """:func:`weekly_concurrency` of many cells at once, from the columns.
 
     Returns a ``(len(cell_ids), 672)`` array whose row ``i`` is bit for bit
-    ``weekly_concurrency(<cell_ids[i]'s records>, clock, session_gap_s)``;
-    rows of cells not listed are ignored and a listed cell without rows
-    gets zeros.  One lexsort orders the listed cells' rows by (cell, car,
-    start, end), the order :func:`concatenate_gaps` visits a car's
-    intervals in; a segmented running maximum of the ends then splits each
-    (cell, car) run into aggregate sessions with the same float tests.
+    ``weekly_concurrency(<cell_ids[i]'s records>, clock)``, sessions joined
+    over :data:`SESSION_GAP_S`; rows of cells not listed are ignored and a
+    listed cell without rows gets zeros.  One lexsort orders the listed
+    cells' rows by (cell, car, start, end), the order
+    :func:`concatenate_gaps` visits a car's intervals in; a segmented
+    running maximum of the ends then splits each (cell, car) run into
+    aggregate sessions with the same float tests.
     """
     n_weeks = clock.duration // WEEK
     if n_weeks == 0:
@@ -192,20 +203,15 @@ def weekly_concurrency_fused(
     new_run[1:] = (cell[1:] != cell[:-1]) | (car[1:] != car[:-1])
     reach = segmented_cummax(end, new_run)
     opens = new_run.copy()
-    opens[1:] |= start[1:] - reach[:-1] > session_gap_s
+    opens[1:] |= start[1:] - reach[:-1] > SESSION_GAP_S
     heads = np.flatnonzero(opens)
     s_start = start[heads]
     s_end = reach[np.append(heads[1:], start.size) - 1]
 
-    # Bins each session straddles (Interval.bins_straddled): an end on a
-    # bin boundary excludes that bin; a zero-length session keeps its start
-    # bin.  A run's later session never starts in a bin before its earlier
-    # session's last, so a run's bins come out non-decreasing and the
-    # (cell, car, bin) duplicates are adjacent.
-    first = np.floor_divide(s_start, BIN_SECONDS).astype(np.int64)
-    last = np.floor_divide(s_end, BIN_SECONDS).astype(np.int64)
-    last[np.mod(s_end, BIN_SECONDS) == 0] -= 1
-    last = np.maximum(last, first)
+    # Bins each session straddles.  A run's later session never starts in a
+    # bin before its earlier session's last, so a run's bins come out
+    # non-decreasing and the (cell, car, bin) duplicates are adjacent.
+    first, last = straddled_bin_span(s_start, s_end)
     owner, offset = ragged_ranges(last - first + 1)
     bins = first[owner] + offset
     run = segment_ids(new_run)[heads][owner]

@@ -56,7 +56,7 @@ import numpy.typing as npt
 
 from repro.algorithms.segments import ragged_ranges, segment_ids, segmented_cummax
 from repro.algorithms.stats import binned_order_statistic
-from repro.algorithms.timebins import BIN_SECONDS, DAY, StudyClock
+from repro.algorithms.timebins import BIN_SECONDS, DAY, StudyClock, straddled_bin_span
 from repro.cdr.columnar import ColumnarCDRBatch
 from repro.cdr.store import keys_in_record_order
 from repro.core.busy import BusyExposure, BusySchedule, _shares
@@ -337,17 +337,10 @@ class ChunkIntermediates:
     ) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]:
         """First and last 15-minute bin each *truncated* record straddles.
 
-        Half-open interval semantics: an end exactly on a bin boundary
-        excludes that bin, and zero-duration records still touch the single
-        bin holding their start — matching ``Interval.bins_straddled``.
+        Same rule as ``Interval.bins_straddled``; see
+        :func:`~repro.algorithms.timebins.straddled_bin_span`.
         """
-        start = self.start
-        end = start + self.trunc_duration
-        first = np.floor_divide(start, BIN_SECONDS).astype(np.int64)
-        last = np.floor_divide(end, BIN_SECONDS).astype(np.int64)
-        last[np.mod(end, BIN_SECONDS) == 0] -= 1
-        last = np.maximum(last, first)
-        return first, last
+        return straddled_bin_span(self.start, self.start + self.trunc_duration)
 
 
 class FusedAnalysis(Protocol):

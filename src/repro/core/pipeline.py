@@ -112,9 +112,10 @@ class AnalysisPipeline:
         ``"fused"`` (default) makes one pass over the columns computing
         shared intermediates for every analysis at once
         (:class:`repro.core.fused.FusedEngine`) with lazy preprocessing, and
-        builds Figure 11's vectors from the columns too, so it constructs no
-        :class:`~repro.cdr.records.ConnectionRecord` unless loss-day
-        detection asks for records; ``"reference"`` runs the original
+        builds Figure 11's vectors and the loss-day counts from the columns
+        too, so it constructs no :class:`~repro.cdr.records.ConnectionRecord`
+        (callers reading ``report.pre.full`` or ``report.pre.truncated``
+        build them on demand); ``"reference"`` runs the original
         record-based loops, the oracle the fused engine is tested against.
         Both produce identical reports (the parity suites assert
         bit-equality), so the switch exists for verification and
@@ -174,7 +175,7 @@ class AnalysisPipeline:
         if exclude_loss_days:
             from repro.cdr.quality import detect_loss_days
 
-            findings, _ = detect_loss_days(pre.full, self.clock)
+            findings, _ = detect_loss_days(pre.columnar_full(), self.clock)
             excluded = tuple(f.day for f in findings)
             if excluded:
                 notes.append(

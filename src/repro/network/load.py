@@ -185,19 +185,29 @@ class CellLoadModel:
         cached = self._templates.get(cell_id)
         if cached is not None:
             return cached
-        prof = self._profiles[cell_id]
-        days: list[npt.NDArray[np.float64]] = []
-        for weekday in range(7):
-            shape = self._we_shape if weekday >= 5 else self._wd_shape
-            days.append(prof.floor + (prof.ceiling - prof.floor) * shape)
-        template: npt.NDArray[np.float64] = np.concatenate(days)
-        if template.shape != (BINS_PER_WEEK,):
-            raise RuntimeError(
-                f"weekly template has shape {template.shape}, "
-                f"expected ({BINS_PER_WEEK},)"
-            )
+        template = self._weekly_templates([self._profiles[cell_id]])[0]
         self._templates[cell_id] = template
         return template
+
+    def _weekly_templates(
+        self, profiles: Sequence[LoadProfile]
+    ) -> npt.NDArray[np.float64]:
+        """Weekly templates of several cells, ``(len(profiles), 672)``.
+
+        The one definition of a template: each profile's floor plus its
+        floor-to-ceiling range times five weekday shapes and two weekend
+        shapes.
+        """
+        week_shape = np.concatenate([self._wd_shape] * 5 + [self._we_shape] * 2)
+        if week_shape.shape != (BINS_PER_WEEK,):
+            raise RuntimeError(
+                f"weekly template has shape {week_shape.shape}, "
+                f"expected ({BINS_PER_WEEK},)"
+            )
+        floors = np.asarray([p.floor for p in profiles])[:, None]
+        ceilings = np.asarray([p.ceiling for p in profiles])[:, None]
+        templates: npt.NDArray[np.float64] = floors + (ceilings - floors) * week_shape
+        return templates
 
     def _entropy(self, cell_id: int, day: int) -> int:
         """Seed of the cell's noise generator on one study day."""
@@ -268,24 +278,18 @@ class CellLoadModel:
     def busy_cell_ids(self, mean_threshold: float = 0.70) -> list[int]:
         """Cells whose mean weekly utilization is at least ``mean_threshold``.
 
-        Every cell's :meth:`mean_weekly_utilization`, bit for bit, from
-        blocks of weekly templates (the same float operations per bin, the
-        same row-wise mean), without filling the per-cell template cache.
-        A block holds :data:`_TEMPLATE_BLOCK` cells: one matrix for a whole
-        topology would add its temporaries (~17 MB for 1,563 cells) to the
-        peak memory of every ``analyze``.
+        Every cell's :meth:`mean_weekly_utilization`, bit for bit, as the
+        row means of :meth:`_weekly_templates` blocks, without filling the
+        per-cell template cache.  A block holds :data:`_TEMPLATE_BLOCK`
+        cells: one matrix for a whole topology would add its temporaries
+        (~17 MB for 1,563 cells) to the peak memory of every ``analyze``.
         """
         cell_ids = sorted(self.topology.cells)
         profiles = [self._profiles[cell_id] for cell_id in cell_ids]
-        floors = np.asarray([p.floor for p in profiles])[:, None]
-        ceilings = np.asarray([p.ceiling for p in profiles])[:, None]
-        week_shape = np.concatenate([self._wd_shape] * 5 + [self._we_shape] * 2)
         means = np.empty(len(cell_ids))
         for lo in range(0, len(cell_ids), _TEMPLATE_BLOCK):
-            floor = floors[lo : lo + _TEMPLATE_BLOCK]
-            ceiling = ceilings[lo : lo + _TEMPLATE_BLOCK]
-            templates = floor + (ceiling - floor) * week_shape
-            means[lo : lo + _TEMPLATE_BLOCK] = templates.mean(axis=1)
+            block = profiles[lo : lo + _TEMPLATE_BLOCK]
+            means[lo : lo + _TEMPLATE_BLOCK] = self._weekly_templates(block).mean(axis=1)
         return [
             cell_id
             for cell_id, mean in zip(cell_ids, means.tolist())

@@ -1,7 +1,9 @@
 """Unit tests for study-clock calendar arithmetic."""
 
+import numpy as np
 import pytest
 
+from repro.algorithms.intervals import Interval
 from repro.algorithms.timebins import (
     BIN_SECONDS,
     BINS_PER_DAY,
@@ -10,6 +12,7 @@ from repro.algorithms.timebins import (
     HOUR,
     WEEK,
     StudyClock,
+    straddled_bin_span,
 )
 
 
@@ -97,6 +100,26 @@ class TestBins:
 
     def test_n_bins(self):
         assert StudyClock(n_days=90).n_bins == 90 * 96
+
+
+class TestStraddledBinSpan:
+    def test_matches_interval_bins_straddled(self):
+        spans = [
+            (0.0, 0.0),  # zero length on a bin start
+            (900.0, 900.0),
+            (450.0, 450.0),  # zero length inside a bin
+            (0.0, 900.0),  # end on a boundary excludes that bin
+            (100.0, 1800.0),
+            (899.5, 900.5),
+            (1000.0, 1799.0),
+            (3.0 * DAY - 1.0, 3.0 * DAY + 2000.0),
+        ]
+        start = np.array([s for s, _ in spans])
+        end = np.array([e for _, e in spans])
+        first, last = straddled_bin_span(start, end)
+        for i, (s, e) in enumerate(spans):
+            bins = Interval(s, e).bins_straddled(BIN_SECONDS)
+            assert (first[i], last[i]) == (bins[0], bins[-1])
 
 
 class TestWindows:

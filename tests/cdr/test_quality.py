@@ -10,7 +10,7 @@ from repro.cdr.quality import (
     detect_loss_days,
     long_tail_fraction,
 )
-from repro.cdr.records import CDRBatch, ConnectionRecord
+from repro.cdr.records import CDRBatch, ConnectionRecord, count_record_constructions
 
 
 def rec(start, dur, car="car-a", cell=1):
@@ -87,6 +87,20 @@ class TestLossDays:
                 records.append(rec(day * DAY + i * 60.0, 50.0, car=f"car-{i}"))
         findings, _ = detect_loss_days(CDRBatch(records), clock)
         assert findings == []
+
+    def test_columnar_batch_counts_the_same_days(self):
+        batch = self._batch_with_loss()
+        # Rows before the study and after its last day are not counted.
+        extra = [rec(-5.0, 1.0), rec(28 * DAY, 1.0), rec(28 * DAY - 0.5, 1.0)]
+        batch = CDRBatch(list(batch) + extra)
+        clock = StudyClock(n_days=28)
+        findings, per_day = detect_loss_days(batch, clock)
+        with count_record_constructions() as counter:
+            col_findings, col_per_day = detect_loss_days(batch.columnar(), clock)
+        assert counter.count == 0
+        assert col_findings == findings
+        assert col_per_day.tolist() == per_day.tolist()
+        assert per_day.sum() == len(batch) - 2
 
     def test_empty_batch_no_findings(self):
         findings, per_day = detect_loss_days(CDRBatch([]), StudyClock(n_days=14))

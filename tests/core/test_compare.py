@@ -1,7 +1,9 @@
 """Tests for report comparison."""
 
+import numpy as np
 import pytest
 
+from repro.cdr.records import count_record_constructions
 from repro.core.compare import (
     MetricDelta,
     compare_reports,
@@ -46,6 +48,17 @@ class TestCompareReports:
         assert "handovers/session (median)" in metrics
         for value, fmt in metrics.values():
             format(value, fmt)  # every fmt renders
+
+    def test_extract_metrics_builds_no_records(self, dataset):
+        pipeline = AnalysisPipeline(
+            dataset.clock, dataset.load_model, dataset.topology.cells
+        )
+        report = pipeline.run(dataset.batch.columnar(), with_clustering=False)
+        with count_record_constructions() as counter:
+            metrics = extract_metrics(report)
+        assert counter.count == 0
+        durations = [r.duration for r in report.pre.truncated]
+        assert metrics["cell-session median (s)"][0] == float(np.median(durations))
 
     def test_compare_same_report_zero_delta(self, two_reports):
         report_a, _ = two_reports

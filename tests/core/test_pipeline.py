@@ -151,6 +151,17 @@ class TestLossDayExclusion:
         wd = {r.weekday: r for r in plain.weekday_rows}
         wd_clean = {r.weekday: r for r in cleaned.weekday_rows}
         assert wd_clean["Wednesday"].car_mean > wd["Wednesday"].car_mean
+        # The detector counts days from the start column: a columnar input
+        # gets the same report and builds no records.
+        from repro.cdr.records import count_record_constructions
+
+        with count_record_constructions() as counter:
+            columnar = pipeline.run(
+                ds.batch.columnar(), with_clustering=False, exclude_loss_days=True
+            )
+        assert counter.count == 0
+        assert columnar.notes == cleaned.notes
+        assert columnar.weekday_rows == cleaned.weekday_rows
 
     def test_no_loss_days_no_note(self, report):
         assert not any("data-loss days" in n for n in report.notes)
