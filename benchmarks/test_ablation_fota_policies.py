@@ -7,14 +7,14 @@ policies eliminate busy-cell bytes (network impact) at a bounded cost in
 completion speed.
 """
 
-from repro.fota import (
+from repro.fota.campaign import CampaignConfig
+from repro.fota.policy import (
     BusyAwarePolicy,
-    CampaignConfig,
-    CampaignSimulator,
     NaivePolicy,
     OffPeakPolicy,
     RareFirstPolicy,
 )
+from repro.fota.simulator import CampaignSimulator
 
 
 def run_all_policies(simulator, campaign):

@@ -6,12 +6,10 @@ loaded cells — for the naive policy, then repeats the campaign with a
 campaign-server throttle of 3 concurrent downloads per cell.
 """
 
-from repro.fota import (
-    CampaignConfig,
-    CampaignSimulator,
-    NaivePolicy,
-    assess_impact,
-)
+from repro.fota.campaign import CampaignConfig
+from repro.fota.impact import assess_impact
+from repro.fota.policy import NaivePolicy
+from repro.fota.simulator import CampaignSimulator
 
 
 def test_fota_impact(benchmark, dataset, pre, busy_schedule, days, emit):

@@ -21,12 +21,11 @@ from repro.core.matrices import matrices_for_all, regularity_score
 from repro.core.preprocess import preprocess
 from repro.core.report import format_segmentation
 from repro.core.segmentation import days_on_network, segment_cars
-from repro.prediction import (
+from repro.prediction.evaluate import evaluate_predictor, train_test_split_weeks
+from repro.prediction.model import (
     AlwaysPredictor,
     HourOfDayPredictor,
     HourOfWeekPredictor,
-    evaluate_predictor,
-    train_test_split_weeks,
 )
 
 

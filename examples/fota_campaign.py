@@ -16,16 +16,15 @@ from repro import SimulationConfig, StudyClock, TraceGenerator
 from repro.core.busy import BusySchedule
 from repro.core.preprocess import preprocess
 from repro.core.segmentation import days_on_network
-from repro.fota import (
+from repro.fota.campaign import CampaignConfig
+from repro.fota.planner import CampaignPlanner, PlannedPolicy
+from repro.fota.policy import (
     BusyAwarePolicy,
-    CampaignConfig,
-    CampaignPlanner,
-    CampaignSimulator,
     NaivePolicy,
     OffPeakPolicy,
-    PlannedPolicy,
     RareFirstPolicy,
 )
+from repro.fota.simulator import CampaignSimulator
 
 
 def main() -> None:

@@ -21,12 +21,9 @@ import numpy as np
 from repro import SimulationConfig, StudyClock, TraceGenerator
 from repro.core.preprocess import preprocess
 from repro.core.stability import fleet_stability
-from repro.prediction import (
-    evaluate_gap_models,
-    threshold_sweep,
-    train_test_split_weeks,
-)
-from repro.prediction.tuning import best_by_f1, format_sweep
+from repro.prediction.evaluate import train_test_split_weeks
+from repro.prediction.interarrival import evaluate_gap_models
+from repro.prediction.tuning import best_by_f1, format_sweep, threshold_sweep
 from repro.viz import hbar_chart
 
 

@@ -27,13 +27,33 @@ Quickstart::
     print(format_report(pipeline.run(dataset.batch)))
 """
 
-from repro.algorithms.timebins import StudyClock
-from repro.cdr.records import CDRBatch, ConnectionRecord
-from repro.core.pipeline import AnalysisPipeline, AnalysisReport
-from repro.simulate.config import SimulationConfig
-from repro.simulate.generator import TraceDataset, TraceGenerator
+from __future__ import annotations
+
+import importlib
+from typing import TYPE_CHECKING
+
+if TYPE_CHECKING:
+    from repro.algorithms.timebins import StudyClock
+    from repro.cdr.records import CDRBatch, ConnectionRecord
+    from repro.core.pipeline import AnalysisPipeline, AnalysisReport
+    from repro.simulate.config import SimulationConfig
+    from repro.simulate.generator import TraceDataset, TraceGenerator
 
 __version__ = "1.0.0"
+
+#: Each top-level name and the module that defines it.  A name's module is
+#: imported on first access (PEP 562), so importing a ``repro`` submodule
+#: never loads the trace generator along with this package.
+_HOMES = {
+    "AnalysisPipeline": "repro.core.pipeline",
+    "AnalysisReport": "repro.core.pipeline",
+    "CDRBatch": "repro.cdr.records",
+    "ConnectionRecord": "repro.cdr.records",
+    "SimulationConfig": "repro.simulate.config",
+    "StudyClock": "repro.algorithms.timebins",
+    "TraceDataset": "repro.simulate.generator",
+    "TraceGenerator": "repro.simulate.generator",
+}
 
 __all__ = [
     "AnalysisPipeline",
@@ -46,3 +66,11 @@ __all__ = [
     "TraceGenerator",
     "__version__",
 ]
+
+
+def __getattr__(name: str) -> object:
+    """A top-level name, looked up in the module :data:`_HOMES` names."""
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(home), name)

@@ -17,22 +17,3 @@ hints (:mod:`repro.analysis.findings`), path-scoped severity
 it all (:mod:`repro.analysis.cli`); CI runs it over ``src/`` as a hard
 gate.
 """
-
-from repro.analysis.baseline import Baseline
-from repro.analysis.config import LintConfig
-from repro.analysis.findings import Finding, Severity
-from repro.analysis.registry import Rule, all_rules, get_rule, register
-from repro.analysis.runner import LintResult, lint_paths
-
-__all__ = [
-    "Baseline",
-    "Finding",
-    "LintConfig",
-    "LintResult",
-    "Rule",
-    "Severity",
-    "all_rules",
-    "get_rule",
-    "lint_paths",
-    "register",
-]

@@ -12,8 +12,8 @@ those rules one project-wide view, built once per run:
 * every scanned file parsed into a :class:`ModuleInfo` (dotted module name,
   top-level classes with bases / methods / field annotations, top-level
   functions),
-* cross-module symbol resolution — ``repro.fota.NaivePolicy`` resolves
-  through the package ``__init__`` re-export to the defining class — with
+* cross-module symbol resolution — ``pkg.Thing`` resolves through a
+  package ``__init__`` re-export to the class ``pkg.impl`` defines — with
   the same canonical-dotted-name discipline the per-file alias table uses,
 * the class hierarchy (``class_has_method`` follows bases across modules),
 * the test tree's identifier index for coverage-style contracts (RL017).
@@ -177,10 +177,9 @@ class ProjectContext:
     def resolve_class(self, canonical: str, _depth: int = 0) -> ClassInfo | None:
         """Project class named by a canonical dotted path, if any.
 
-        Follows re-exports (``from repro.core.mapreduce import
-        MapReduceStats`` in a package ``__init__``) up to a small depth, so
-        ``repro.core.MapReduceStats`` and its defining module both resolve
-        to the same :class:`ClassInfo`.
+        Follows re-exports (``from pkg.impl import Thing`` in the package
+        ``pkg``'s ``__init__``) up to a small depth, so ``pkg.Thing`` and
+        ``pkg.impl.Thing`` both resolve to the same :class:`ClassInfo`.
         """
         if _depth > 5:
             return None

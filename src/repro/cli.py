@@ -33,7 +33,6 @@ import sys
 from typing import TYPE_CHECKING
 
 from repro.algorithms.timebins import StudyClock
-from repro.cdr.anonymize import Anonymizer
 from repro.cdr.io import (
     load_trace,
     read_columnar_auto,
@@ -41,13 +40,11 @@ from repro.cdr.io import (
     write_records_csv,
     write_records_jsonl,
 )
-from repro.cdr.quality import assess_quality
 from repro.core.pipeline import AnalysisPipeline
 from repro.core.preprocess import NoUsableRecordsError
 from repro.core.report import format_report, format_report_markdown
 from repro.network.load import CellLoadModel
 from repro.network.topology import build_topology
-from repro.simulate.generator import TraceGenerator
 from repro.simulate.scenarios import SCENARIOS, scenario
 
 if TYPE_CHECKING:
@@ -66,20 +63,37 @@ _WORKERS_HELP = (
 )
 
 
+def _int(text: str) -> int:
+    """``int(text)``, or the usage error argparse reports for a non-integer."""
+    try:
+        return int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _workers(text: str) -> int:
     """``--workers`` argument type for every command that takes one.
 
     A count of at least 0; a negative count exits 2 with a usage line
     instead of silently meaning "every CPU".
     """
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    value = _int(text)
     if value < 0:
         raise argparse.ArgumentTypeError(
             f"must be 0 (one per CPU) or a positive count, got {value}"
         )
+    return value
+
+
+def _positive(text: str) -> int:
+    """``--days``, ``--cars`` and ``--shard-rows`` argument type.
+
+    A count of at least 1; zero or less exits 2 with a usage line instead
+    of a traceback from deep inside the command.
+    """
+    value = _int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive count, got {value}")
     return value
 
 
@@ -92,8 +106,8 @@ def _add_generate(
 ) -> None:
     p = subparsers.add_parser("generate", help="generate a synthetic CDR trace")
     p.add_argument("--scenario", default="default", choices=sorted(SCENARIOS))
-    p.add_argument("--cars", type=int, default=200)
-    p.add_argument("--days", type=int, default=28)
+    p.add_argument("--cars", type=_positive, default=200)
+    p.add_argument("--days", type=_positive, default=28)
     p.add_argument("--seed", type=int, default=None, help="override the root seed")
     p.add_argument(
         "--workers",
@@ -113,7 +127,7 @@ def _add_generate(
     )
     p.add_argument(
         "--shard-rows",
-        type=int,
+        type=_positive,
         default=None,
         help="write --out as a directory of cdrz shards of at most this "
         "many rows (cdrz format only)",
@@ -141,7 +155,7 @@ def _add_convert(
     )
     p.add_argument(
         "--shard-rows",
-        type=int,
+        type=_positive,
         default=None,
         help="write dst as a directory of cdrz shards of at most this "
         "many rows (cdrz format only)",
@@ -163,7 +177,7 @@ def _add_analyze(
     p = subparsers.add_parser("analyze", help="run the full paper analysis on a trace")
     p.add_argument("--trace", required=True, help="trace written by `generate`")
     p.add_argument("--scenario", default="default", choices=sorted(SCENARIOS))
-    p.add_argument("--days", type=int, default=28)
+    p.add_argument("--days", type=_positive, default=28)
     p.add_argument("--no-clustering", action="store_true")
     p.add_argument(
         "--markdown", action="store_true", help="emit the report as markdown"
@@ -178,7 +192,7 @@ def _add_quality(
 ) -> None:
     p = subparsers.add_parser("quality", help="data-quality diagnostics on a trace")
     p.add_argument("--trace", required=True)
-    p.add_argument("--days", type=int, default=28)
+    p.add_argument("--days", type=_positive, default=28)
 
 
 def _add_fota(
@@ -189,7 +203,7 @@ def _add_fota(
     )
     p.add_argument("--trace", required=True)
     p.add_argument("--scenario", default="default", choices=sorted(SCENARIOS))
-    p.add_argument("--days", type=int, default=28)
+    p.add_argument("--days", type=_positive, default=28)
     p.add_argument("--update-mb", type=float, default=200.0)
     p.add_argument(
         "--max-concurrent", type=int, default=None,
@@ -205,7 +219,7 @@ def _add_journeys(
     )
     p.add_argument("--trace", required=True)
     p.add_argument("--scenario", default="default", choices=sorted(SCENARIOS))
-    p.add_argument("--days", type=int, default=28)
+    p.add_argument("--days", type=_positive, default=28)
 
 
 def _add_serve(
@@ -223,7 +237,7 @@ def _add_serve(
         "--trace", required=True, help=".cdrz file or shard directory"
     )
     p.add_argument("--scenario", default="default", choices=sorted(SCENARIOS))
-    p.add_argument("--days", type=int, default=28)
+    p.add_argument("--days", type=_positive, default=28)
     p.add_argument("--workers", type=_workers, default=1, help=_WORKERS_HELP)
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8357)
@@ -273,10 +287,10 @@ def _add_twin(
     p.add_argument("target", help="trace to twin: csv/jsonl/cdrz file or shard dir")
     p.add_argument("--scenario", default="smoke", choices=sorted(SCENARIOS))
     p.add_argument(
-        "--days", type=int, default=28, help="study length of the target trace"
+        "--days", type=_positive, default=28, help="study length of the target trace"
     )
     p.add_argument(
-        "--cars", type=int, default=100, help="fleet size of candidate twins"
+        "--cars", type=_positive, default=100, help="fleet size of candidate twins"
     )
     p.add_argument("--seed", type=int, default=42, help="candidate generator seed")
     p.add_argument(
@@ -394,6 +408,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
 
         config = replace(config, seed=args.seed)
     if args.workers == 1:
+        from repro.simulate.generator import TraceGenerator
+
         dataset = TraceGenerator(config).generate()
     else:
         from repro.simulate.parallel import ParallelTraceGenerator
@@ -403,6 +419,8 @@ def cmd_generate(args: argparse.Namespace) -> int:
     records = dataset.batch.records
     columnar = None
     if args.anonymize_key:
+        from repro.cdr.anonymize import Anonymizer
+
         records = Anonymizer(key=args.anonymize_key).anonymize(records)
     elif fmt == "cdrz":
         # The freshly generated batch already carries its columnar view;
@@ -619,6 +637,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_quality(args: argparse.Namespace) -> int:
+    from repro.cdr.quality import assess_quality
+
     clock = StudyClock(n_days=args.days)
     batch = load_trace(args.trace)
     report = assess_quality(batch, clock)
@@ -630,14 +650,14 @@ def cmd_fota(args: argparse.Namespace) -> int:
     from repro.core.busy import BusySchedule
     from repro.core.preprocess import preprocess
     from repro.core.segmentation import days_on_network
-    from repro.fota import (
+    from repro.fota.campaign import CampaignConfig
+    from repro.fota.policy import (
         BusyAwarePolicy,
-        CampaignConfig,
-        CampaignSimulator,
         NaivePolicy,
         OffPeakPolicy,
         RareFirstPolicy,
     )
+    from repro.fota.simulator import CampaignSimulator
 
     config = scenario(args.scenario, n_cars=1, n_days=args.days)
     clock = StudyClock(n_days=args.days)
@@ -776,7 +796,8 @@ def cmd_twin(args: argparse.Namespace) -> int:
     import json
 
     from repro.cdr.errors import ReproError
-    from repro.twin import calibrate, summarize_source, twin_context
+    from repro.twin.search import calibrate
+    from repro.twin.summary import summarize_source, twin_context
 
     knobs = None
     if args.knobs is not None:

@@ -427,12 +427,13 @@ class PresencePartial:
 
 
 class PresenceKernel:
-    """Figure 2: distinct cars and cells per study day.
+    """Figure 2: distinct cars and cells per study day; Figure 6 too.
 
     Accumulates the chunks' distinct packed pair sets and unions them at
     finalize — per-day counts are exact integers, so the closing divisions
     are the same single correctly-rounded IEEE operations the reference
-    performs.
+    performs.  The day/car pair set also carries days-on-network, which
+    :func:`finalize_days` reads from the same partial.
     """
 
     def __init__(self, clock: StudyClock, car_ids: tuple[str, ...]) -> None:
@@ -511,70 +512,8 @@ def finalize_presence(
     )
 
 
-@dataclass
-class DaysPartial:
-    """Distinct day/car pair set of one shard (exact)."""
-
-    car_ids: tuple[str, ...]
-    n_days: int
-    car_pairs: npt.NDArray[np.int64]
-
-    def absorb_partial(self, partial: "DaysPartial") -> None:
-        """Union another shard's day/car pairs into this one."""
-        if partial.n_days != self.n_days:
-            raise ValueError(
-                f"study length mismatch: {self.n_days} vs {partial.n_days} days"
-            )
-        n_days = np.int64(self.n_days)
-        union = _union_vocab(self.car_ids, partial.car_ids)
-        if union != self.car_ids:
-            remap = _remap_codes(self.car_ids, union)
-            self.car_pairs = (
-                remap[self.car_pairs // n_days] * n_days + self.car_pairs % n_days
-            )
-        theirs = partial.car_pairs
-        if union != partial.car_ids:
-            remap = _remap_codes(partial.car_ids, union)
-            theirs = remap[theirs // n_days] * n_days + theirs % n_days
-        self.car_ids = union
-        self.car_pairs = np.union1d(self.car_pairs, theirs)
-
-
-class DaysKernel:
-    """Figure 6: distinct study days each car appeared on the network."""
-
-    def __init__(self, clock: StudyClock, car_ids: tuple[str, ...]) -> None:
-        self._clock = clock
-        self._car_ids = car_ids
-        self._car_pairs: list[npt.NDArray[np.int64]] = []
-
-    def consume(self, inter: ChunkIntermediates) -> None:
-        self._car_pairs.append(inter.day_car_packed)
-        if len(self._car_pairs) >= _PAIR_COLLAPSE:
-            self._car_pairs = [np.unique(np.concatenate(self._car_pairs))]
-
-    def export_partial(self) -> DaysPartial:
-        # Chunk blocks are already distinct sorted sets; only cross-chunk
-        # unions need the dedupe.
-        if len(self._car_pairs) != 1:
-            self._car_pairs = [
-                np.unique(np.concatenate(self._car_pairs))
-                if self._car_pairs
-                else np.empty(0, dtype=np.int64)
-            ]
-        return DaysPartial(
-            car_ids=self._car_ids,
-            n_days=self._clock.n_days,
-            car_pairs=self._car_pairs[0],
-        )
-
-    def finalize(self) -> dict[str, int]:
-        partial = self.export_partial()
-        return finalize_days(partial)
-
-
-def finalize_days(partial: DaysPartial) -> dict[str, int]:
-    """Close a days partial into the per-car distinct-day counts."""
+def finalize_days(partial: PresencePartial) -> dict[str, int]:
+    """Figure 6: the per-car distinct-day counts of a presence partial."""
     codes, counts = np.unique(
         partial.car_pairs // np.int64(partial.n_days), return_counts=True
     )
@@ -1719,7 +1658,6 @@ class FusedPartial:
     n_records: int
     n_ghosts: int
     presence: PresencePartial
-    days: DaysPartial
     carriers: CarriersPartial
     connect_full: ConnectPartial
     connect_trunc: ConnectPartial
@@ -1736,7 +1674,6 @@ class FusedPartial:
         self.n_records = self.n_records + partial.n_records
         self.n_ghosts = self.n_ghosts + partial.n_ghosts
         self.presence.absorb_partial(partial.presence)
-        self.days.absorb_partial(partial.days)
         self.carriers.absorb_partial(partial.carriers)
         self.connect_full.absorb_partial(partial.connect_full)
         self.connect_trunc.absorb_partial(partial.connect_trunc)
@@ -1801,7 +1738,6 @@ class FusedEngine:
         self._vocab: tuple[tuple[str, ...], tuple[str, ...]] | None = None
         self._kernels: list[FusedAnalysis] = []
         self._presence: PresenceKernel | None = None
-        self._days: DaysKernel | None = None
         self._carriers: CarriersKernel | None = None
         self._connect_full: ConnectKernel | None = None
         self._connect_trunc: ConnectKernel | None = None
@@ -1814,14 +1750,12 @@ class FusedEngine:
     ) -> None:
         self._vocab = (car_ids, carrier_names)
         self._presence = PresenceKernel(self.clock, car_ids)
-        self._days = DaysKernel(self.clock, car_ids)
         self._carriers = CarriersKernel(car_ids, carrier_names, CARRIER_ORDER)
         self._connect_full = ConnectKernel(car_ids, truncated=False)
         self._connect_trunc = ConnectKernel(car_ids, truncated=True)
         self._durations = DurationKernel(self.config.truncate_s)
         kernels: list[FusedAnalysis] = [
             self._presence,
-            self._days,
             self._carriers,
             self._connect_full,
             self._connect_trunc,
@@ -1862,14 +1796,12 @@ class FusedEngine:
     def export_partial(self) -> FusedPartial:
         """Ship this shard's state for an index-ordered cross-shard fold."""
         presence_k = self._presence
-        days_k = self._days
         carriers_k = self._carriers
         full_k = self._connect_full
         trunc_k = self._connect_trunc
         durations_k = self._durations
         if (
             presence_k is None
-            or days_k is None
             or carriers_k is None
             or full_k is None
             or trunc_k is None
@@ -1880,7 +1812,6 @@ class FusedEngine:
             n_records=self._n_records,
             n_ghosts=self._n_ghosts,
             presence=presence_k.export_partial(),
-            days=days_k.export_partial(),
             carriers=carriers_k.export_partial(),
             connect_full=full_k.export_partial(),
             connect_trunc=trunc_k.export_partial(),
@@ -1933,7 +1864,7 @@ def _connect_result(
 
 def finalize_fused(partial: FusedPartial, clock: StudyClock) -> FusedReport:
     """Close a (possibly merged) :class:`FusedPartial` into a report."""
-    days = finalize_days(partial.days)
+    days = finalize_days(partial.presence)
     exposure = (
         finalize_busy(partial.busy) if partial.busy is not None else None
     )
@@ -1985,9 +1916,9 @@ def days_on_network_fused(
     col: ColumnarCDRBatch, clock: StudyClock
 ) -> dict[str, int]:
     """Fused-kernel twin of :func:`repro.core.segmentation.days_on_network`."""
-    kernel = DaysKernel(clock, col.car_ids)
+    kernel = PresenceKernel(clock, col.car_ids)
     kernel.consume(ChunkIntermediates(col, clock, _TRUNCATE_DEFAULT))
-    return kernel.finalize()
+    return finalize_days(kernel.export_partial())
 
 
 def carrier_usage_fused(

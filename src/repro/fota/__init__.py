@@ -9,32 +9,3 @@ into code: delivery policies, a campaign simulator that replays a trace, and
 impact metrics (completion rate, time-to-complete, bytes delivered through
 busy cells).
 """
-
-from repro.fota.campaign import CampaignConfig, CampaignResult, CarOutcome
-from repro.fota.impact import ImpactReport, assess_impact
-from repro.fota.planner import CampaignPlanner, DeliveryPlan, PlannedPolicy
-from repro.fota.policy import (
-    BusyAwarePolicy,
-    DeliveryPolicy,
-    NaivePolicy,
-    OffPeakPolicy,
-    RareFirstPolicy,
-)
-from repro.fota.simulator import CampaignSimulator
-
-__all__ = [
-    "BusyAwarePolicy",
-    "CampaignConfig",
-    "CampaignPlanner",
-    "CampaignResult",
-    "CampaignSimulator",
-    "DeliveryPlan",
-    "ImpactReport",
-    "PlannedPolicy",
-    "assess_impact",
-    "CarOutcome",
-    "DeliveryPolicy",
-    "NaivePolicy",
-    "OffPeakPolicy",
-    "RareFirstPolicy",
-]

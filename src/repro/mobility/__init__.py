@@ -7,27 +7,3 @@ cached shortest-path routing, per-car behaviour profiles that emit trip
 schedules over the 90-day study, and movement along routes that yields the
 sequence of radio sectors a car traverses with entry/exit times.
 """
-
-from repro.mobility.movement import SectorSpan, EdgeCellIndex, route_sector_timeline
-from repro.mobility.profiles import (
-    PROFILE_MIX,
-    CarProfile,
-    DailyTripPlanner,
-)
-from repro.mobility.roads import RoadNetwork, build_road_network
-from repro.mobility.routing import Route, Router
-from repro.mobility.trips import Trip
-
-__all__ = [
-    "CarProfile",
-    "DailyTripPlanner",
-    "EdgeCellIndex",
-    "PROFILE_MIX",
-    "RoadNetwork",
-    "Route",
-    "Router",
-    "SectorSpan",
-    "Trip",
-    "build_road_network",
-    "route_sector_timeline",
-]

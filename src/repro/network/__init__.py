@@ -8,47 +8,3 @@ into ~120-degree sectors, each sector hosting one cell per radio carrier
 15-minute bins, and a simple PRB scheduler used to reproduce the Figure 1
 saturation experiment.
 """
-
-from repro.network.capacity import achievable_rate_bps, spectral_efficiency
-from repro.network.cells import (
-    CARRIERS,
-    BaseStation,
-    Carrier,
-    Cell,
-    RadioTechnology,
-    Sector,
-)
-from repro.network.coverage import carrier_deployment_share, sample_coverage
-from repro.network.geometry import Point, bearing_deg, distance, hex_grid
-from repro.network.load import CellLoadModel, LoadProfile
-from repro.network.scheduler import DownloadFlow, PRBScheduler, SchedulerResult
-from repro.network.signal import PathLossModel, SignalMap, hysteresis_handover
-from repro.network.topology import NetworkTopology, TopologyConfig, build_topology
-
-__all__ = [
-    "CARRIERS",
-    "BaseStation",
-    "Carrier",
-    "Cell",
-    "CellLoadModel",
-    "DownloadFlow",
-    "LoadProfile",
-    "NetworkTopology",
-    "PRBScheduler",
-    "PathLossModel",
-    "Point",
-    "SignalMap",
-    "RadioTechnology",
-    "SchedulerResult",
-    "Sector",
-    "TopologyConfig",
-    "achievable_rate_bps",
-    "carrier_deployment_share",
-    "sample_coverage",
-    "bearing_deg",
-    "build_topology",
-    "hysteresis_handover",
-    "spectral_efficiency",
-    "distance",
-    "hex_grid",
-]

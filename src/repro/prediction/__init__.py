@@ -7,29 +7,3 @@ and schedule downloads.  This package implements an hour-of-week presence
 predictor built directly on the 24x7 matrices of Section 4.2, two baselines,
 and a train/test evaluation harness.
 """
-
-from repro.prediction.evaluate import EvaluationResult, evaluate_predictor, train_test_split_weeks
-from repro.prediction.interarrival import GapModel, evaluate_gap_models, fit_gap_models
-from repro.prediction.model import (
-    AlwaysPredictor,
-    HourOfDayPredictor,
-    HourOfWeekPredictor,
-    PresencePredictor,
-)
-from repro.prediction.tuning import SweepPoint, best_by_f1, threshold_sweep
-
-__all__ = [
-    "AlwaysPredictor",
-    "EvaluationResult",
-    "GapModel",
-    "evaluate_gap_models",
-    "fit_gap_models",
-    "HourOfDayPredictor",
-    "HourOfWeekPredictor",
-    "PresencePredictor",
-    "SweepPoint",
-    "best_by_f1",
-    "evaluate_predictor",
-    "threshold_sweep",
-    "train_test_split_weeks",
-]

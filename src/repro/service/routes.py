@@ -25,12 +25,8 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 from repro.algorithms.stats import TrendLine
-from repro.cdr.store import DEFAULT_CHUNK_ROWS
-from repro.core.fused import ChunkIntermediates
 from repro.core.handover import HandoverType
-from repro.core.preprocess import PreprocessConfig
-from repro.core.twinstats import TwinStatsKernel, TwinStatsPartial
-from repro.twin.summary import summary_from_parts
+from repro.twin.summary import summary_from_parts, twin_stats_for_batches
 
 if TYPE_CHECKING:
     from repro.service.state import ServiceState
@@ -244,28 +240,18 @@ def build_timeline(state: ServiceState, params: Mapping[str, str]) -> dict[str, 
 def build_twin(state: ServiceState, params: Mapping[str, str]) -> dict[str, object]:
     """The served trace's calibration-target summary (``repro.twin``).
 
-    Sweeps the memmapped shards once with a :class:`TwinStatsKernel` —
-    one kernel per shard (shards carry their own vocabularies), partials
-    folded in manifest order, so the payload is bit-identical to an
-    offline :func:`repro.twin.summary.summarize_source` run over the same
+    Sweeps the memmapped shards once, in manifest order, through
+    :func:`repro.twin.summary.twin_stats_for_batches` — the sweep an
+    offline :func:`repro.twin.summary.summarize_source` runs — so the
+    payload is bit-identical to that offline summary of the same
     directory.  The client feeds this straight into
     ``TraceSummary.from_json_dict`` as a calibration target.
     """
     report = state.report()
     clock = state.context.clock
-    truncate_s = PreprocessConfig().truncate_s
-    merged: TwinStatsPartial | None = None
-    for entry in state.manifest():
-        batch = state.shard_batch(entry)
-        kernel = TwinStatsKernel(batch.car_ids, clock)
-        for lo in range(0, len(batch), DEFAULT_CHUNK_ROWS):
-            chunk = batch.rows(lo, min(lo + DEFAULT_CHUNK_ROWS, len(batch)))
-            kernel.consume(ChunkIntermediates(chunk, clock, truncate_s))
-        partial = kernel.export_partial()
-        if merged is None:
-            merged = partial
-        else:
-            merged.absorb_partial(partial)
+    merged = twin_stats_for_batches(
+        (state.shard_batch(entry) for entry in state.manifest()), clock
+    )
     if merged is None:
         raise QueryError(409, "trace has no rows")
     return summary_from_parts(report, merged, clock).to_json_dict()

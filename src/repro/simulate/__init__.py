@@ -9,32 +9,3 @@ artifacts (exactly-one-hour ghost records, stuck modems that fail to
 disconnect, days of partial data loss) are injected so the paper's
 preprocessing steps (Section 3) have something real to clean.
 """
-
-from repro.simulate.artifacts import (
-    ArtifactConfig,
-    apply_data_loss,
-    apply_stuck_modems,
-    inject_ghost_hour_records,
-)
-from repro.simulate.config import SimulationConfig
-from repro.simulate.events import EventConfig
-from repro.simulate.generator import TraceDataset, TraceGenerator
-from repro.simulate.parallel import ParallelTraceGenerator
-from repro.simulate.population import Car, build_population
-from repro.simulate.scenarios import SCENARIOS, scenario
-
-__all__ = [
-    "ArtifactConfig",
-    "Car",
-    "EventConfig",
-    "ParallelTraceGenerator",
-    "SCENARIOS",
-    "SimulationConfig",
-    "TraceDataset",
-    "TraceGenerator",
-    "apply_data_loss",
-    "apply_stuck_modems",
-    "build_population",
-    "inject_ghost_hour_records",
-    "scenario",
-]

@@ -16,33 +16,3 @@ Exposed on the CLI as ``repro-cars twin`` and in the analysis service as
 the ``twin`` query kind.  This package must stay import-independent of
 :mod:`repro.service` (the service imports us).
 """
-
-from repro.twin.divergence import DivergenceReport, StatDivergence, divergence
-from repro.twin.search import (
-    GeneratorConfig,
-    TwinResult,
-    calibrate,
-    summarize_candidate,
-)
-from repro.twin.summary import (
-    TraceSummary,
-    TwinContext,
-    summarize_batch,
-    summarize_source,
-    twin_context,
-)
-
-__all__ = [
-    "DivergenceReport",
-    "GeneratorConfig",
-    "StatDivergence",
-    "TraceSummary",
-    "TwinContext",
-    "TwinResult",
-    "calibrate",
-    "divergence",
-    "summarize_candidate",
-    "summarize_batch",
-    "summarize_source",
-    "twin_context",
-]

@@ -22,7 +22,7 @@ only to rounding error.  Within one path every number is deterministic:
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -306,23 +306,23 @@ def summarize_batch(col: ColumnarCDRBatch, ctx: TwinContext) -> TraceSummary:
     )
 
 
-def twin_stats_for_source(
-    source: str | Path,
+def twin_stats_for_batches(
+    batches: Iterable[ColumnarCDRBatch],
     clock: StudyClock,
     *,
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
-) -> TwinStatsPartial:
-    """Twin-stat partial of a `.cdrz` file or shard directory.
+) -> TwinStatsPartial | None:
+    """Twin-stat partial of shard batches, folded in the order given.
 
     One kernel per shard (shards may carry different vocabularies), chunk
     consumption within each shard, partials folded in shard order — the
     same structure as the fused map-reduce, run in process.  The result
-    is bit-identical at any ``chunk_rows``.
+    is bit-identical at any ``chunk_rows``; ``None`` when there is no
+    batch.
     """
     truncate_s = PreprocessConfig().truncate_s
     merged: TwinStatsPartial | None = None
-    for shard in resolve_shards(source):
-        batch = read_batch_cdrz(shard)
+    for batch in batches:
         kernel = TwinStatsKernel(batch.car_ids, clock)
         for lo in range(0, len(batch), chunk_rows):
             chunk = batch.rows(lo, min(lo + chunk_rows, len(batch)))
@@ -332,6 +332,21 @@ def twin_stats_for_source(
             merged = partial
         else:
             merged.absorb_partial(partial)
+    return merged
+
+
+def twin_stats_for_source(
+    source: str | Path,
+    clock: StudyClock,
+    *,
+    chunk_rows: int = DEFAULT_CHUNK_ROWS,
+) -> TwinStatsPartial:
+    """Twin-stat partial of a `.cdrz` file or shard directory."""
+    merged = twin_stats_for_batches(
+        (read_batch_cdrz(shard) for shard in resolve_shards(source)),
+        clock,
+        chunk_rows=chunk_rows,
+    )
     if merged is None:
         raise ValueError(f"no shards to summarize under {source}")
     return merged

@@ -55,6 +55,33 @@ class TestWorkersAlignment:
         assert "argument --workers: must be 0 (one per CPU)" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["generate", "--out", "unused.csv", "--days", "0"],
+            ["generate", "--out", "unused.csv", "--cars", "0"],
+            ["generate", "--out", "unused", "--shard-rows", "0"],
+            ["convert", "unused.csv", "unused", "--shard-rows", "-5"],
+            ["analyze", "--trace", "unused", "--days", "0"],
+            ["quality", "--trace", "unused", "--days", "-1"],
+            ["fota", "--trace", "unused", "--days", "0"],
+            ["journeys", "--trace", "unused", "--days", "0"],
+            ["serve", "--trace", "unused", "--days", "0"],
+            ["twin", "unused", "--out", "unused.json", "--days", "0"],
+            ["twin", "unused", "--out", "unused.json", "--cars", "0"],
+        ],
+        ids=lambda argv: f"{argv[0]}{argv[-2]}",
+    )
+    def test_non_positive_count_exit_2_with_usage(self, argv, capsys):
+        """Zero or fewer days, cars or shard rows is a usage error."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: repro {argv[0]} ")
+        assert f"argument {argv[-2]}: must be a positive count" in err
+        assert "Traceback" not in err
+
 
 def make_batch(n=60):
     records = [

@@ -1,17 +1,23 @@
-"""Cold commands never import scipy or networkx.
+"""Cold commands load only what they use.
 
-Only trace generation needs them: the topology's site KD-tree
-(``scipy.spatial``) and the road graph (``networkx``), plus the optional
-handover-graph helpers.  The Section 4 analyses read CDR fields and
-per-cell PRB counters, so ``analyze``, ``inspect``, ``query`` and every
-daemon route must run without loading either package; together they
-cost more of a cold ``import repro.cli`` than everything else.
+Only trace generation needs scipy and networkx: the topology's site
+KD-tree (``scipy.spatial``) and the road graph (``networkx``), plus the
+optional handover-graph helpers.  The Section 4 analyses read CDR fields
+and per-cell PRB counters, so ``analyze``, ``inspect``, ``query`` and
+every daemon route must run without loading either package; together
+they cost more of a cold ``import repro.cli`` than everything else.
+
+The same commands stay off the trace generator's own stack — population,
+radio, routing and movement — and off the prediction, FOTA, twin-search,
+quality and anonymization modules (:data:`GENERATOR_STACK`); each budget
+case records how many ``repro`` modules its probe loaded.
 
 Each case runs in a fresh interpreter.  A case fails if the interpreter's
-``sys.modules`` holds either package at exit, or if any process it
+``sys.modules`` holds a forbidden module at exit, or if any process it
 started (``--workers 2`` sweeps shards in child processes) reports
 importing one under ``PYTHONPROFILEIMPORTTIME``.  ``generate`` is the
-control: it must load both, so the detector cannot pass vacuously.
+control: it must load scipy, networkx and ``repro.simulate.generator``,
+so the detector cannot pass vacuously.
 """
 
 from __future__ import annotations
@@ -31,17 +37,34 @@ HEAVY = frozenset({"scipy", "networkx"})
 SCENARIO = "smoke"
 DAYS = 7
 
-#: Appended to every probe: the heavy packages in this interpreter's
-#: ``sys.modules``, on one stderr line.
-_REPORT = f"""
+#: ``repro`` modules (and packages, with everything under them) that no
+#: analysis command or daemon route may load.
+GENERATOR_STACK = (
+    "repro.simulate.generator",
+    "repro.simulate.parallel",
+    "repro.simulate.radio",
+    "repro.simulate.population",
+    "repro.mobility.routing",
+    "repro.mobility.profiles",
+    "repro.mobility.movement",
+    "repro.prediction",
+    "repro.fota",
+    "repro.twin.search",
+    "repro.twin.divergence",
+    "repro.cdr.quality",
+    "repro.cdr.anonymize",
+)
+
+#: Appended to every probe: this interpreter's ``sys.modules``, on one
+#: stderr line.
+_REPORT = """
 import sys
-_loaded = {{m.partition(".")[0] for m in sys.modules}} & {set(HEAVY)!r}
-print("heavy-modules:", *sorted(_loaded), file=sys.stderr)
+print("loaded-modules:", *sorted(sys.modules), file=sys.stderr)
 """
 
 
-def heavy_imports(probe: str) -> set[str]:
-    """Heavy packages a fresh interpreter running ``probe`` imported.
+def loaded_modules(probe: str) -> set[str]:
+    """Every module a fresh interpreter running ``probe`` imported.
 
     The probe must exit 0; the union covers the probe's own ``sys.modules``
     and the import-time log of every process it started.
@@ -60,13 +83,34 @@ def heavy_imports(probe: str) -> set[str]:
     assert proc.returncode == 0, proc.stderr[-3000:]
     loaded: set[str] = set()
     for line in proc.stderr.splitlines():
-        if line.startswith("heavy-modules:"):
+        if line.startswith("loaded-modules:"):
             loaded.update(line.split()[1:])
         elif line.startswith("import time:"):
-            name = line.rpartition("|")[2].strip().partition(".")[0]
-            if name in HEAVY:
-                loaded.add(name)
+            loaded.add(line.rpartition("|")[2].strip())
     return loaded
+
+
+def heavy_packages(loaded: set[str]) -> set[str]:
+    """The heavy packages among the module names ``loaded``."""
+    return {name.partition(".")[0] for name in loaded} & HEAVY
+
+
+def heavy_imports(probe: str) -> set[str]:
+    """Heavy packages a fresh interpreter running ``probe`` imported."""
+    return heavy_packages(loaded_modules(probe))
+
+
+def over_budget(loaded: set[str]) -> list[str]:
+    """The modules of :data:`GENERATOR_STACK` among ``loaded``."""
+    return sorted(
+        name
+        for name in loaded
+        if any(name == home or name.startswith(home + ".") for home in GENERATOR_STACK)
+    )
+
+
+def repro_modules(loaded: set[str]) -> set[str]:
+    return {name for name in loaded if name.partition(".")[0] == "repro"}
 
 
 def cli_probe(argv: list[str], expect_rc: int = 0) -> str:
@@ -77,6 +121,13 @@ def cli_probe(argv: list[str], expect_rc: int = 0) -> str:
     )
 
 
+def analyze_argv(shard_dir: Path, workers: str) -> list[str]:
+    return [
+        "analyze", "--trace", str(shard_dir), "--scenario", SCENARIO,
+        "--days", str(DAYS), "--workers", workers,
+    ]
+
+
 @pytest.fixture(scope="module")
 def shard_dir(tmp_path_factory) -> Path:
     """A small cdrz shard directory, written by a separate process."""
@@ -85,44 +136,73 @@ def shard_dir(tmp_path_factory) -> Path:
         "generate", "--scenario", SCENARIO, "--cars", "25", "--days", str(DAYS),
         "--format", "cdrz", "--shard-rows", "400", "--out", str(out),
     ]
-    # The generating process is the control: it needs both packages.
-    assert heavy_imports(cli_probe(argv)) == HEAVY
+    # The generating process is the control: it needs both packages and
+    # the generator.
+    loaded = loaded_modules(cli_probe(argv))
+    assert heavy_packages(loaded) == HEAVY
+    assert "repro.simulate.generator" in loaded
     return out
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_analyze_imports_neither(shard_dir, workers):
-    argv = [
-        "analyze", "--trace", str(shard_dir), "--scenario", SCENARIO,
-        "--days", str(DAYS), "--workers", workers,
-    ]
-    assert heavy_imports(cli_probe(argv)) == set()
+    assert heavy_imports(cli_probe(analyze_argv(shard_dir, workers))) == set()
 
 
 def test_inspect_imports_neither(shard_dir):
     assert heavy_imports(cli_probe(["inspect", str(shard_dir)])) == set()
 
 
-def test_query_without_a_daemon_imports_neither():
+def query_probe() -> str:
     with socket.socket() as sock:
         sock.bind(("127.0.0.1", 0))
         port = sock.getsockname()[1]
     # Nothing listens on the port once the socket is closed: exit 2.
-    argv = ["query", "summary", "--port", str(port)]
-    assert heavy_imports(cli_probe(argv, expect_rc=2)) == set()
+    return cli_probe(["query", "summary", "--port", str(port)], expect_rc=2)
 
 
-def test_every_service_route_imports_neither(shard_dir):
+def test_query_without_a_daemon_imports_neither():
+    assert heavy_imports(query_probe()) == set()
+
+
+def daemon_probe(shard_dir: Path, skip: tuple[str, ...] = ()) -> str:
+    """A daemon's ``refresh()``, then one query per route not in ``skip``."""
     first = sorted(shard_dir.glob("*.cdrz"))[0]
     batch = read_batch_cdrz(first)
     car = batch.car_ids[int(batch.car_code[0])]
-    probe = (
+    return (
         "from repro.service import ANALYSIS_ROUTES, ServiceConfig, ServiceState\n"
         f"state = ServiceState(ServiceConfig(trace={str(shard_dir)!r}, "
         f"scenario={SCENARIO!r}, days={DAYS}))\n"
         "state.refresh()\n"
-        "for kind in ANALYSIS_ROUTES:\n"
+        f"for kind in sorted(set(ANALYSIS_ROUTES) - {set(skip)!r}):\n"
         f"    params = {{'car': {car!r}}} if kind == 'timeline' else {{}}\n"
         "    assert state.query(kind, params)\n"
     )
-    assert heavy_imports(probe) == set()
+
+
+def test_every_service_route_imports_neither(shard_dir):
+    assert heavy_imports(daemon_probe(shard_dir)) == set()
+
+
+#: Each budget case: how to build its probe from the shard directory.
+BUDGET_PROBES = {
+    "analyze": lambda shards: cli_probe(analyze_argv(shards, "1")),
+    "analyze-workers-2": lambda shards: cli_probe(analyze_argv(shards, "2")),
+    "inspect": lambda shards: cli_probe(["inspect", str(shards)]),
+    "query": lambda shards: query_probe(),
+    # The twin route summarizes through the prediction layer by design.
+    "daemon": lambda shards: daemon_probe(shards, skip=("twin",)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUDGET_PROBES))
+def test_analysis_commands_skip_the_generator_stack(shard_dir, case, record_property):
+    loaded = repro_modules(loaded_modules(BUDGET_PROBES[case](shard_dir)))
+    record_property("repro_modules", len(loaded))
+    assert over_budget(loaded) == [], f"{case} loaded {len(loaded)} repro modules"
+
+
+def test_import_repro_loads_no_submodule():
+    """``repro``'s top-level names resolve on first access, not at import."""
+    assert repro_modules(loaded_modules("import repro\n")) == {"repro"}
