@@ -27,7 +27,7 @@ TARGET_SHARDS = 16
 
 
 def _result_key(report):
-    """Hashable projection of every FusedReport field, bit-exact."""
+    """Hashable projection of every fold report field, bit-exact."""
     exposure, handovers = report.exposure, report.handovers
     return (
         tuple(report.presence.car_fraction.tolist()),

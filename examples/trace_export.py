@@ -49,7 +49,7 @@ def main() -> None:
         f"  cars: {report.presence.n_cars_total}, "
         f"mean connected share (truncated): "
         f"{report.connect_time.mean_truncated:.2%}, "
-        f"ghost records dropped: {report.pre.n_dropped_ghosts}"
+        f"ghost records dropped: {report.n_ghosts}"
     )
     print("Aggregates match the in-memory run: anonymization is loss-free "
           "for every analysis in the paper.")

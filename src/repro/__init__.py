@@ -35,7 +35,8 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:
     from repro.algorithms.timebins import StudyClock
     from repro.cdr.records import CDRBatch, ConnectionRecord
-    from repro.core.pipeline import AnalysisPipeline, AnalysisReport
+    from repro.core.fused import AnalysisReport
+    from repro.core.pipeline import AnalysisPipeline
     from repro.simulate.config import SimulationConfig
     from repro.simulate.generator import TraceDataset, TraceGenerator
 
@@ -46,7 +47,7 @@ __version__ = "1.0.0"
 #: never loads the trace generator along with this package.
 _HOMES = {
     "AnalysisPipeline": "repro.core.pipeline",
-    "AnalysisReport": "repro.core.pipeline",
+    "AnalysisReport": "repro.core.fused",
     "CDRBatch": "repro.cdr.records",
     "ConnectionRecord": "repro.cdr.records",
     "SimulationConfig": "repro.simulate.config",

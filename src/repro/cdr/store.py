@@ -244,20 +244,21 @@ def write_sharded_cdrz(
     batch: ColumnarCDRBatch,
     *,
     shard_rows: int,
-    assume_sorted: bool | None = None,
 ) -> list[Path]:
     """Split a batch row-wise into ``shard-NNNNN.cdrz`` files under a directory.
 
-    Shards are contiguous row ranges (zero-copy slices), so reading them
-    back in filename order reproduces the exact input row stream; every
-    shard carries the full dictionary tables.  Returns the written paths
-    in order.  An empty batch still writes one empty shard so the
-    directory round-trips.
+    A batch out of record order is sorted into it first, so the shards
+    form one globally start-sorted stream — the order a shard fold
+    requires.  Shards are contiguous row ranges (zero-copy slices of a
+    sorted batch), so reading them back in filename order reproduces the
+    sorted row stream; every shard carries the full dictionary tables.
+    Returns the written paths in order.  An empty batch still writes one
+    empty shard so the directory round-trips.
     """
     if shard_rows < 1:
         raise CDRValidationError(f"shard_rows must be >= 1, got {shard_rows}")
-    if assume_sorted is None:
-        assume_sorted = is_record_sorted(batch)
+    if not is_record_sorted(batch):
+        batch = batch.sorted()
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths: list[Path] = []
@@ -265,7 +266,7 @@ def write_sharded_cdrz(
     for index, lo in enumerate(range(0, max(n, 1), shard_rows)):
         shard = batch.rows(lo, min(lo + shard_rows, n))
         shard_path = directory / _SHARD_NAME.format(index=index)
-        write_batch_cdrz(shard_path, shard, assume_sorted=assume_sorted)
+        write_batch_cdrz(shard_path, shard, assume_sorted=True)
         paths.append(shard_path)
     return paths
 
@@ -526,12 +527,16 @@ def iter_cdrz_chunks(
     Empty shards yield nothing.  Peak memory is one chunk's worth of
     touched pages, independent of trace size, which is what lets the
     fused engine (:meth:`repro.core.fused.FusedEngine.consume`) process
-    month-scale traces on a laptop.
+    month-scale traces on a laptop.  The engine needs rows in record
+    order, so a shard out of it is sorted first, holding that one shard
+    in memory.
     """
     if chunk_rows < 1:
         raise CDRValidationError(f"chunk_rows must be >= 1, got {chunk_rows}")
     for path in resolve_shards(source):
         batch = read_batch_cdrz(path, mmap=mmap)
+        if not is_record_sorted(batch):
+            batch = batch.sorted()
         for lo in range(0, len(batch), chunk_rows):
             yield batch.rows(lo, min(lo + chunk_rows, len(batch)))
 

@@ -29,10 +29,13 @@ inventory and PRB counters.
 from __future__ import annotations
 
 import argparse
+import functools
+import math
 import sys
 from typing import TYPE_CHECKING
 
 from repro.algorithms.timebins import StudyClock
+from repro.cdr.errors import ReproError
 from repro.cdr.io import (
     load_trace,
     read_columnar_auto,
@@ -41,7 +44,6 @@ from repro.cdr.io import (
     write_records_jsonl,
 )
 from repro.core.pipeline import AnalysisPipeline
-from repro.core.preprocess import NoUsableRecordsError
 from repro.core.report import format_report, format_report_markdown
 from repro.network.load import CellLoadModel
 from repro.network.topology import build_topology
@@ -52,6 +54,8 @@ if TYPE_CHECKING:
 
     from repro.cdr.columnar import ColumnarCDRBatch
     from repro.cdr.records import ConnectionRecord
+    from repro.core.fused import AnalysisReport
+    from repro.network.topology import NetworkTopology
 
 #: One help string for every shard-sweeping command (analyze, serve,
 #: twin): worker semantics are identical everywhere — results never
@@ -86,7 +90,7 @@ def _workers(text: str) -> int:
 
 
 def _positive(text: str) -> int:
-    """``--days``, ``--cars`` and ``--shard-rows`` argument type.
+    """``--days``, ``--cars``, ``--shard-rows`` and ``--max-concurrent`` type.
 
     A count of at least 1; zero or less exits 2 with a usage line instead
     of a traceback from deep inside the command.
@@ -94,6 +98,24 @@ def _positive(text: str) -> int:
     value = _int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive count, got {value}")
+    return value
+
+
+def _amount(text: str, *, zero_ok: bool) -> float:
+    """``--cache-mb`` (``zero_ok``) and ``--duration-hours`` argument type.
+
+    A finite number of at least 0, or above 0; anything else (NaN and
+    infinities included) exits 2 with a usage line.
+    """
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}")
+    if value < 0 or (value == 0 and not zero_ok):
+        bound = "0 or more" if zero_ok else "positive"
+        raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
     return value
 
 
@@ -182,8 +204,8 @@ def _add_analyze(
     p.add_argument(
         "--markdown", action="store_true", help="emit the report as markdown"
     )
-    # With --workers != 1 the fused engine map-reduces a cdrz trace shard
-    # by shard and prints a summary of the same statistics.
+    # With --workers != 1 a cdrz trace is folded shard by shard; the report
+    # is the same, after one fan-out line.
     p.add_argument("--workers", type=_workers, default=1, help=_WORKERS_HELP)
 
 
@@ -206,7 +228,7 @@ def _add_fota(
     p.add_argument("--days", type=_positive, default=28)
     p.add_argument("--update-mb", type=float, default=200.0)
     p.add_argument(
-        "--max-concurrent", type=int, default=None,
+        "--max-concurrent", type=_positive, default=None,
         help="per-cell concurrent-download cap (throttled run)",
     )
 
@@ -243,7 +265,7 @@ def _add_serve(
     p.add_argument("--port", type=int, default=8357)
     p.add_argument(
         "--cache-mb",
-        type=float,
+        type=functools.partial(_amount, zero_ok=True),
         default=64.0,
         help="LRU byte budget for cached query responses",
     )
@@ -321,7 +343,9 @@ def _add_saturate(
         "saturate", help="run the Figure 1 greedy-download saturation experiment"
     )
     p.add_argument("--start-hour", type=float, default=20.75)
-    p.add_argument("--duration-hours", type=float, default=4.0)
+    p.add_argument(
+        "--duration-hours", type=functools.partial(_amount, zero_ok=False), default=4.0
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -524,109 +548,67 @@ def cmd_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
-def _analyze_shards(args: argparse.Namespace) -> int:
-    """``analyze --workers N``: full Section 4 statistics by map-reduce.
+def _fold_report(
+    args: argparse.Namespace,
+    clock: StudyClock,
+    topology: NetworkTopology,
+    load_model: CellLoadModel,
+) -> AnalysisReport | None:
+    """``analyze --workers N`` over cdrz shards: the shard fold's report.
 
-    The fused map-reduce folds exact per-shard partials, so every
-    statistic below matches the in-memory report bit for bit at any worker
-    count (float sums to reassociation precision).
+    Prints the fan-out line first.  Returns ``None`` when the shards are
+    out of start order, so the caller analyzes the trace in process.
     """
-    from repro.cdr.errors import CDRValidationError
-    from repro.cdr.store import shard_manifest
     from repro.core.busy import BusySchedule
-    from repro.core.mapreduce import analyze_shards_fused
+    from repro.core.clustering import select_busy_cells
+    from repro.core.mapreduce import ShardOrderError, analyze_shards_fused
     from repro.cpus import available_cpus
+
+    try:
+        report, stats = analyze_shards_fused(
+            args.trace,
+            clock,
+            schedule=BusySchedule.from_load_model(load_model),
+            cells=topology.cells,
+            busy_cells=None if args.no_clustering else select_busy_cells(load_model),
+            workers=args.workers if args.workers > 0 else available_cpus(),
+        )
+    except ShardOrderError as exc:
+        print(f"analyze: {exc}; analyzing in process", file=sys.stderr)
+        return None
+    print(
+        f"fused map-reduce over {stats.n_shards} shard(s), "
+        f"{report.n_kept + report.n_ghosts:,} rows, {stats.workers} worker(s); "
+        f"peak RSS {stats.peak_rss_bytes / 1e6:.0f} MB"
+    )
+    return report
+
+
+def cmd_analyze(args: argparse.Namespace) -> int:
+    """``analyze``: the paper report, the same at any ``--workers``.
+
+    A cdrz file or shard directory at ``--workers`` other than 1 runs the
+    shard fold; everything else runs the in-memory pipeline.
+    """
+    from pathlib import Path
 
     config = scenario(args.scenario, n_cars=1, n_days=args.days)
     clock = StudyClock(n_days=args.days)
     topology = build_topology(config.topology)
     load_model = CellLoadModel(topology, clock, seed=config.load_seed)
-    schedule = BusySchedule.from_load_model(load_model)
-    n_workers = args.workers if args.workers > 0 else available_cpus()
+    fold = args.workers != 1 and (
+        Path(args.trace).is_dir() or trace_format(args.trace) == "cdrz"
+    )
     try:
-        manifest = shard_manifest(args.trace)
-        report, stats = analyze_shards_fused(
-            args.trace,
-            clock,
-            schedule=schedule,
-            cells=topology.cells,
-            workers=n_workers,
-        )
-    except CDRValidationError as exc:
-        print(f"fused shard analysis needs a cdrz trace: {exc}", file=sys.stderr)
-        return 2
-    total_rows = sum(entry.n_rows for entry in manifest)
-    print(
-        f"fused map-reduce over {stats.n_shards} shard(s), {total_rows:,} "
-        f"rows, {stats.workers} worker(s); peak RSS "
-        f"{stats.peak_rss_bytes / 1e6:.0f} MB"
-    )
-    print(
-        f"records kept {stats.n_records:,} "
-        f"(+{stats.n_ghosts_dropped:,} ghosts dropped; "
-        f"{stats.n_empty_shards} empty shard(s))"
-    )
-    presence = report.presence
-    print(
-        f"presence: {presence.n_cars_total:,} cars over "
-        f"{presence.n_cells_total:,} cells; mean daily car share "
-        f"{presence.car_fraction.mean():.1%}, cell share "
-        f"{presence.cell_fraction.mean():.1%}"
-    )
-    connect = report.connect_time
-    print(
-        f"connect time: mean share {connect.mean_full:.2%} "
-        f"(truncated {connect.mean_truncated:.2%}) over "
-        f"{len(connect.car_ids):,} cars"
-    )
-    durations = report.durations
-    print(
-        f"duration: median {durations.median:.1f} s, "
-        f"p73 {durations.p73:.1f} s, mean {durations.mean_full:.1f} s "
-        f"(truncated {durations.mean_truncated:.1f} s), "
-        f">600 s: {durations.fraction_over_cutoff:.1%}"
-    )
-    shares = ", ".join(
-        f"{carrier} {fraction:.1%}"
-        for carrier, fraction in report.carriers.time_fraction.items()
-    )
-    print(f"carrier time shares: {shares or 'n/a'}")
-    if report.exposure is not None:
-        print(
-            "busy exposure: mean busy share "
-            f"{report.exposure.busy_share.mean():.1%}"
-        )
-    if report.segmentation is not None:
-        for row in report.segmentation.rows:
-            print(
-                f"segment {row.label}: {row.total:.1%} of cars "
-                f"(busy {row.busy:.1%}, non-busy {row.non_busy:.1%}, "
-                f"both {row.both:.1%})"
-            )
-    if report.handovers is not None:
-        ho = report.handovers
-        print(
-            f"handovers: {ho.total_handovers:,} across "
-            f"{ho.n_sessions:,} network sessions "
-            f"(median {ho.percentile(50):.1f}/session)"
-        )
-    return 0
-
-
-def cmd_analyze(args: argparse.Namespace) -> int:
-    try:
-        if args.workers != 1:
-            return _analyze_shards(args)
-        config = scenario(args.scenario, n_cars=1, n_days=args.days)
-        clock = StudyClock(n_days=args.days)
-        topology = build_topology(config.topology)
-        load_model = CellLoadModel(topology, clock, seed=config.load_seed)
-        # Columns only: the pipeline puts them in record order if they are
-        # not already, and builds no ConnectionRecord objects.
-        batch = read_columnar_auto(args.trace)
-        pipeline = AnalysisPipeline(clock, load_model, topology.cells)
-        report = pipeline.run(batch, with_clustering=not args.no_clustering)
-    except NoUsableRecordsError as exc:
+        report = _fold_report(args, clock, topology, load_model) if fold else None
+        if report is None:
+            # Columns only: the pipeline puts them in record order if they
+            # are not already, and builds no ConnectionRecord objects.
+            batch = read_columnar_auto(args.trace)
+            pipeline = AnalysisPipeline(clock, load_model, topology.cells)
+            report = pipeline.run(batch, with_clustering=not args.no_clustering)
+    except (ReproError, OSError) as exc:
+        # No usable rows, an unreadable or missing trace: one line, exit 2.
         print(f"analyze: {args.trace}: {exc}", file=sys.stderr)
         return 2
     if args.markdown:
@@ -795,7 +777,6 @@ def cmd_twin(args: argparse.Namespace) -> int:
     """``twin``: calibrate the generator against a target trace."""
     import json
 
-    from repro.cdr.errors import ReproError
     from repro.twin.search import calibrate
     from repro.twin.summary import summarize_source, twin_context
 

@@ -17,9 +17,8 @@ import numpy.typing as npt
 
 from repro.algorithms.kmeans import KMeans, KMeansResult, silhouette_score
 from repro.algorithms.timebins import StudyClock
-from repro.cdr.columnar import ColumnarCDRBatch
 from repro.cdr.records import CDRBatch
-from repro.core.concurrency import weekly_concurrency, weekly_concurrency_fused
+from repro.core.concurrency import weekly_concurrency
 from repro.network.load import CellLoadModel
 
 #: The paper's selection threshold: mean weekly U_PRB of at least 70%.
@@ -99,37 +98,28 @@ def select_busy_cells(
     return model.busy_cell_ids(mean_threshold)
 
 
-def cluster_busy_cells(
-    batch: CDRBatch | ColumnarCDRBatch,
-    model: CellLoadModel,
-    clock: StudyClock,
-    k: int = 2,
-    mean_threshold: float = BUSY_MEAN_THRESHOLD,
-    seed: int = 0,
-) -> BusyCellClusters:
-    """Run the full Figure 11 pipeline.
-
-    Selects busy cells, builds their mean-weekly concurrent-car vectors from
-    aggregated sessions, and k-means-clusters the vectors.  Cells with no
-    recorded car connections contribute all-zero vectors, exactly as they
-    would in the paper's data.  A :class:`ColumnarCDRBatch` gets its vectors
-    from :func:`weekly_concurrency_fused`; a :class:`CDRBatch` runs the
-    record-based :func:`weekly_concurrency` per cell, the oracle the
-    columnar vectors are tested against.
-    """
-    cell_ids = select_busy_cells(model, mean_threshold)
-    if len(cell_ids) < k:
+def require_clusterable(
+    n_cells: int, k: int, mean_threshold: float = BUSY_MEAN_THRESHOLD
+) -> None:
+    """Raise unless ``n_cells`` busy cells can form ``k`` clusters."""
+    if n_cells < k:
         raise ValueError(
-            f"only {len(cell_ids)} busy cells at threshold {mean_threshold}; "
+            f"only {n_cells} busy cells at threshold {mean_threshold}; "
             f"cannot form {k} clusters"
         )
-    if isinstance(batch, ColumnarCDRBatch):
-        vectors = weekly_concurrency_fused(batch, cell_ids, clock)
-    else:
-        by_cell = batch.by_cell()
-        vectors = np.stack(
-            [weekly_concurrency(by_cell.get(cid, []), clock) for cid in cell_ids]
-        )
+
+
+def cluster_vectors(
+    cell_ids: list[int],
+    vectors: npt.NDArray[np.float64],
+    k: int = 2,
+    seed: int = 0,
+) -> BusyCellClusters:
+    """k-means over per-cell weekly concurrency vectors (Figure 11).
+
+    ``vectors`` row ``i`` belongs to ``cell_ids[i]``; clusters are ordered
+    by ascending mean concurrency level.
+    """
     result = KMeans(k, seed=seed).fit(vectors)
     levels: list[float] = [
         float(vectors[result.labels == label].mean())
@@ -141,3 +131,29 @@ def cluster_busy_cells(
     return BusyCellClusters(
         cell_ids=cell_ids, vectors=vectors, result=result, ordering=ordering
     )
+
+
+def cluster_busy_cells(
+    batch: CDRBatch,
+    model: CellLoadModel,
+    clock: StudyClock,
+    k: int = 2,
+    mean_threshold: float = BUSY_MEAN_THRESHOLD,
+    seed: int = 0,
+) -> BusyCellClusters:
+    """Run the full Figure 11 pipeline over records: the reference.
+
+    Selects busy cells, builds their mean-weekly concurrent-car vectors from
+    aggregated sessions with the record-based :func:`weekly_concurrency`,
+    and k-means-clusters the vectors.  Cells with no recorded car
+    connections contribute all-zero vectors, exactly as they would in the
+    paper's data.  The fused engine builds the same vectors from columns
+    (:class:`repro.core.fused.BusyCellKernel`).
+    """
+    cell_ids = select_busy_cells(model, mean_threshold)
+    require_clusterable(len(cell_ids), k, mean_threshold)
+    by_cell = batch.by_cell()
+    vectors = np.stack(
+        [weekly_concurrency(by_cell.get(cid, []), clock) for cid in cell_ids]
+    )
+    return cluster_vectors(cell_ids, vectors, k, seed)

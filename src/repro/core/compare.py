@@ -4,7 +4,7 @@ Operators run the paper's analysis repeatedly — month over month, region
 against region, before and after a policy — and care about the deltas: did
 connected time grow, did the busy-exposed tail move, did a new band take
 traffic.  This module extracts the comparable headline metrics from two
-:class:`~repro.core.pipeline.AnalysisReport` objects and renders the diff.
+:class:`~repro.core.fused.AnalysisReport` objects and renders the diff.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.pipeline import AnalysisReport
+from repro.core.fused import AnalysisReport
 
 
 @dataclass(frozen=True)
@@ -40,8 +40,15 @@ class MetricDelta:
 
 
 def extract_metrics(report: AnalysisReport) -> dict[str, tuple[float, str]]:
-    """The comparable headline metrics of one report, name -> (value, fmt)."""
-    durations = report.pre.columnar_truncated().duration
+    """The comparable headline metrics of one report, name -> (value, fmt).
+
+    Needs a report of :meth:`~repro.core.pipeline.AnalysisPipeline.run`:
+    the session median is exact over its cleaned batch.
+    """
+    pre, exposure, segmentation = report.pre, report.exposure, report.segmentation
+    if pre is None or exposure is None or segmentation is None:
+        raise ValueError("comparison needs an AnalysisPipeline report")
+    durations = pre.columnar_truncated().duration
     rows = {r.weekday: r for r in report.weekday_rows}
     metrics: dict[str, tuple[float, str]] = {
         "cars observed": (float(report.presence.n_cars_total), ",.0f"),
@@ -51,9 +58,9 @@ def extract_metrics(report: AnalysisReport) -> dict[str, tuple[float, str]]:
         "connect share (full)": (report.connect_time.mean_full, ".2%"),
         "connect share (truncated)": (report.connect_time.mean_truncated, ".2%"),
         "cell-session median (s)": (float(np.median(durations)), ".0f"),
-        "cars >50% busy time": (report.exposure.fraction_above(0.5), ".1%"),
+        "cars >50% busy time": (exposure.fraction_above(0.5), ".1%"),
         "rare cars (<=10 days)": (
-            report.segmentation.row("Rare (<= 10 days)").total,
+            segmentation.row("Rare (<= 10 days)").total,
             ".1%",
         ),
         "C3+C4 time share": (

@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 import numpy.typing as npt
@@ -171,11 +172,36 @@ def weekly_concurrency_fused(
     Returns a ``(len(cell_ids), 672)`` array whose row ``i`` is bit for bit
     ``weekly_concurrency(<cell_ids[i]'s records>, clock)``, sessions joined
     over :data:`SESSION_GAP_S`; rows of cells not listed are ignored and a
-    listed cell without rows gets zeros.  One lexsort orders the listed
-    cells' rows by (cell, car, start, end), the order
-    :func:`concatenate_gaps` visits a car's intervals in; a segmented
-    running maximum of the ends then splits each (cell, car) run into
-    aggregate sessions with the same float tests.
+    listed cell without rows gets zeros.
+    """
+    listed = np.isin(col.cell_id, np.asarray(cell_ids, dtype=np.int64))
+    start = col.start[listed]
+    return weekly_concurrency_rows(
+        cell_ids,
+        col.cell_id[listed],
+        col.car_code[listed],
+        start,
+        start + col.duration[listed],
+        clock,
+    )
+
+
+def weekly_concurrency_rows(
+    cell_ids: Sequence[int],
+    cell_id: npt.NDArray[np.int64],
+    car: npt.NDArray[Any],
+    start: npt.NDArray[np.float64],
+    end: npt.NDArray[np.float64],
+    clock: StudyClock,
+) -> npt.NDArray[np.float64]:
+    """Weekly concurrency vectors of ``cell_ids`` from rows on those cells.
+
+    ``car`` is any integer code that orders cars like their ids.  One
+    lexsort orders the rows by (cell, car, start, end), the order
+    :func:`concatenate_gaps` visits a car's intervals in, so the result
+    does not depend on the input row order; a segmented running maximum
+    of the ends then splits each (cell, car) run into aggregate sessions
+    with the same float tests.
     """
     n_weeks = clock.duration // WEEK
     if n_weeks == 0:
@@ -183,15 +209,9 @@ def weekly_concurrency_fused(
     cells, row_of_cell = np.unique(
         np.asarray(cell_ids, dtype=np.int64), return_inverse=True
     )
-    pos = np.searchsorted(cells, col.cell_id)
-    listed = pos < cells.size
-    listed[listed] = cells[pos[listed]] == col.cell_id[listed]
-    if not listed.any():
+    if not start.size:
         return np.zeros((len(row_of_cell), BINS_PER_WEEK))
-    cell = pos[listed]
-    car = col.car_code[listed]
-    start = col.start[listed]
-    end = start + col.duration[listed]
+    cell = np.searchsorted(cells, cell_id)
     order = np.lexsort((end, start, car, cell))
     cell, car, start, end = cell[order], car[order], start[order], end[order]
 

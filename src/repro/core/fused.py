@@ -22,13 +22,17 @@ Two ways to run it, strongest guarantee first:
   set-valued statistics (distinct day/car/cell pairs) are exact integers.
 * **Map-reduce across shards** — workers export a picklable
   :class:`FusedPartial` per shard and the parent folds them in shard-index
-  order (:func:`repro.core.mapreduce.analyze_shards_fused`).  The fold is
+  order (:func:`repro.core.mapreduce.fold_shards_fused`).  The fold is
   deterministic and *worker-count invariant*: any ``--workers`` value
   yields the same bits.  Counts, pair sets, histograms and
   session/handover statistics merge exactly (bit-identical to the
   references); per-car, per-carrier and duration float sums merge to
   reassociation precision against a serial pass, because a sequential
   float chain cannot be reconstructed from shard subtotals.
+
+Either way one step closes the partial: :func:`finalize_fused` returns the
+paper's :class:`AnalysisReport`, and the twin statistics
+(:mod:`repro.core.twinstats`) are read-outs of the same partial.
 
 Kernels implement the small :class:`FusedAnalysis` protocol —
 ``consume(intermediates)`` plus the ``export_partial`` / ``absorb_partial``
@@ -46,8 +50,8 @@ from __future__ import annotations
 import copy
 import math
 from collections import Counter
-from collections.abc import Iterable
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Protocol
 
@@ -61,6 +65,12 @@ from repro.cdr.columnar import ColumnarCDRBatch
 from repro.cdr.store import keys_in_record_order
 from repro.core.busy import BusyExposure, BusySchedule, _shares
 from repro.core.carriers import CARRIER_ORDER, CarrierUsage
+from repro.core.clustering import (
+    BusyCellClusters,
+    cluster_vectors,
+    require_clusterable,
+)
+from repro.core.concurrency import weekly_concurrency_rows
 from repro.core.connect_time import ConnectTimeResult, DurationStats
 from repro.core.handover import HandoverStats, HandoverType
 from repro.core.preprocess import (
@@ -69,7 +79,7 @@ from repro.core.preprocess import (
     PreprocessConfig,
     PreprocessResult,
 )
-from repro.core.presence import DailyPresence
+from repro.core.presence import DailyPresence, WeekdayRow, weekday_table
 from repro.core.segmentation import CarSegmentation, segment_cars
 from repro.network.cells import Cell
 
@@ -379,6 +389,40 @@ def _remap_codes(
     return np.asarray([index[name] for name in old], dtype=np.int64)
 
 
+def _in_vocab(
+    codes: npt.NDArray[np.int64], old: tuple[str, ...], union: tuple[str, ...]
+) -> npt.NDArray[np.int64]:
+    """Car codes against ``old`` translated to the ``union`` vocabulary."""
+    return codes if old == union else _remap_codes(old, union)[codes]
+
+
+def _weld_runs(
+    acc_car: npt.NDArray[np.int64], inc_car: npt.NDArray[np.int64]
+) -> Iterator[tuple[int, int, int]]:
+    """``(row, first, end)`` for each car both car-grouped tables hold.
+
+    ``row`` is the car's last accumulated row, ``first:end`` its incoming
+    run: the rows a chain or session weld walks, in car order.
+    """
+    if not (acc_car.size and inc_car.size):
+        return
+    last = np.flatnonzero(_last_of_each_car(acc_car))
+    acc_last = dict(zip(acc_car[last].tolist(), last.tolist()))
+    cars, first = np.unique(inc_car, return_index=True)
+    ends = np.append(first[1:], inc_car.size)
+    for car, j0, j1 in zip(cars.tolist(), first.tolist(), ends.tolist()):
+        row = acc_last.get(car)
+        if row is not None:
+            yield row, j0, j1
+
+
+def _last_of_each_car(car: npt.NDArray[np.int64]) -> npt.NDArray[np.bool_]:
+    """Mask of each car's last row in a table grouped by car."""
+    last = np.ones(car.size, dtype=np.bool_)
+    last[:-1] = car[1:] != car[:-1]
+    return last
+
+
 def _dedupe_cell_days(
     days: npt.NDArray[np.int64], cells: npt.NDArray[np.int64]
 ) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]:
@@ -387,6 +431,20 @@ def _dedupe_cell_days(
     n_vocab = np.int64(max(int(vocab.size), 1))
     packed = np.unique(days * n_vocab + codes.astype(np.int64))
     return packed // n_vocab, vocab[packed % n_vocab]
+
+
+#: Hours in a day: the length of :attr:`PresencePartial.hours`.
+N_HOURS = 24
+
+
+def _hour_counts(inter: ChunkIntermediates) -> npt.NDArray[np.int64]:
+    """In-study connection starts per hour of day of one chunk."""
+    hours = inter.start[inter.in_study]
+    np.floor_divide(np.mod(hours, DAY, out=hours), 3600.0, out=hours)
+    out: npt.NDArray[np.int64] = np.bincount(
+        hours.astype(np.int64), minlength=N_HOURS
+    ).astype(np.int64)
+    return out
 
 
 @dataclass
@@ -400,6 +458,8 @@ class PresencePartial:
     #: Parallel arrays of distinct ``(day, cell_id)`` pairs.
     cell_days: npt.NDArray[np.int64]
     cell_ids: npt.NDArray[np.int64]
+    #: In-study connection starts per hour of day (the diurnal shape).
+    hours: npt.NDArray[np.int64]
 
     def absorb_partial(self, partial: "PresencePartial") -> None:
         """Union another shard's pair sets into this one (integer-exact)."""
@@ -407,6 +467,7 @@ class PresencePartial:
             raise ValueError(
                 f"study length mismatch: {self.n_days} vs {partial.n_days} days"
             )
+        self.hours = self.hours + partial.hours
         n_days = np.int64(self.n_days)
         union = _union_vocab(self.car_ids, partial.car_ids)
         if union != self.car_ids:
@@ -433,7 +494,8 @@ class PresenceKernel:
     finalize — per-day counts are exact integers, so the closing divisions
     are the same single correctly-rounded IEEE operations the reference
     performs.  The day/car pair set also carries days-on-network, which
-    :func:`finalize_days` reads from the same partial.
+    :func:`finalize_days` reads from the same partial, and the kernel
+    counts in-study starts per hour of day for the twin's diurnal shape.
     """
 
     def __init__(self, clock: StudyClock, car_ids: tuple[str, ...]) -> None:
@@ -442,8 +504,10 @@ class PresenceKernel:
         self._car_pairs: list[npt.NDArray[np.int64]] = []
         self._cell_days: list[npt.NDArray[np.int64]] = []
         self._cell_ids: list[npt.NDArray[np.int64]] = []
+        self._hours = np.zeros(N_HOURS, dtype=np.int64)
 
     def consume(self, inter: ChunkIntermediates) -> None:
+        self._hours += _hour_counts(inter)
         self._car_pairs.append(inter.day_car_packed)
         days, cells = inter.day_cell_pairs
         self._cell_days.append(days)
@@ -477,6 +541,7 @@ class PresenceKernel:
             car_pairs=self._car_pairs[0],
             cell_days=self._cell_days[0],
             cell_ids=self._cell_ids[0],
+            hours=self._hours.copy(),
         )
 
     def finalize(self) -> DailyPresence:
@@ -808,6 +873,76 @@ def finalize_busy(partial: BusyPartial) -> BusyExposure:
     return _shares(car_ids, partial.busy[present], partial.total[present])
 
 
+# -- busy-cell concurrency (Figure 11) ---------------------------------------
+
+
+@dataclass
+class BusyCellPartial:
+    """The truncated rows one shard holds on the busy cells (exact).
+
+    A car's 30-s session on a cell may span shards, so the partial ships
+    the rows — cell, car code, start, truncated end; about a tenth of a
+    trace — and :func:`finalize_fused` runs the weekly-concurrency
+    arithmetic once over all of them.
+    """
+
+    #: The busy cells, in the caller's order (Figure 11's row order).
+    cells: tuple[int, ...]
+    car_ids: tuple[str, ...]
+    cell_id: npt.NDArray[np.int64]
+    car: npt.NDArray[np.int64]
+    start: npt.NDArray[np.float64]
+    end: npt.NDArray[np.float64]
+
+    def absorb_partial(self, partial: "BusyCellPartial") -> None:
+        """Append a later shard's rows, car codes remapped to one vocabulary."""
+        if partial.cells != self.cells:
+            raise ValueError("busy-cell partials list different cells")
+        union = _union_vocab(self.car_ids, partial.car_ids)
+        mine = _in_vocab(self.car, self.car_ids, union)
+        theirs = _in_vocab(partial.car, partial.car_ids, union)
+        self.car_ids = union
+        self.cell_id = np.concatenate((self.cell_id, partial.cell_id))
+        self.car = np.concatenate((mine, theirs))
+        self.start = np.concatenate((self.start, partial.start))
+        self.end = np.concatenate((self.end, partial.end))
+
+
+class BusyCellKernel:
+    """Figure 11: the busy cells' truncated rows.
+
+    Membership is tested per distinct cell of the chunk, then gathered.
+    """
+
+    def __init__(self, cells: Sequence[int], car_ids: tuple[str, ...]) -> None:
+        self._cells = tuple(int(c) for c in cells)
+        self._car_ids = car_ids
+        no_int, no_float = np.empty(0, dtype=np.int64), np.empty(0)
+        #: Per-chunk (cell, car, start, end) rows, after one empty block.
+        self._blocks: list[tuple[npt.NDArray[Any], ...]] = [
+            (no_int, no_int, no_float, no_float)
+        ]
+
+    def consume(self, inter: ChunkIntermediates) -> None:
+        if inter.n == 0:
+            return
+        cells_v, row_codes = inter.cell_groups
+        rows = np.flatnonzero(np.isin(cells_v, self._cells)[row_codes])
+        start = inter.start[rows]
+        self._blocks.append(
+            (
+                inter.cell_id[rows],
+                inter.car_code[rows].astype(np.int64),
+                start,
+                start + inter.trunc_duration[rows],
+            )
+        )
+
+    def export_partial(self) -> BusyCellPartial:
+        cell_id, car, start, end = (np.concatenate(c) for c in zip(*self._blocks))
+        return BusyCellPartial(self._cells, self._car_ids, cell_id, car, start, end)
+
+
 @dataclass
 class ConnectPartial:
     """Per-car union-chain endpoint table of one shard (exact).
@@ -828,59 +963,29 @@ class ConnectPartial:
     car: npt.NDArray[np.int64]
     start: npt.NDArray[np.float64]
     cm: npt.NDArray[np.float64]
-    #: Two chains of one car weld when the later one starts within this
-    #: many seconds of the earlier one's running max — 0 is the pure
-    #: interval union (connect time); 30 gives the paper's aggregate
-    #: sessions (Section 3), the twinning extractor's session table.
-    join_gap_s: float = 0.0
 
     def absorb_partial(self, partial: "ConnectPartial") -> None:
         """Weld a later shard's chain table onto this one (exact)."""
-        if partial.join_gap_s != self.join_gap_s:
-            raise ValueError(
-                "cannot merge chain tables with different join gaps: "
-                f"{self.join_gap_s} vs {partial.join_gap_s}"
-            )
         union = _union_vocab(self.car_ids, partial.car_ids)
-        acc_car = self.car
-        if union != self.car_ids:
-            acc_car = _remap_codes(self.car_ids, union)[acc_car]
-        inc_car = partial.car
-        if union != partial.car_ids:
-            inc_car = _remap_codes(partial.car_ids, union)[inc_car]
+        acc_car = _in_vocab(self.car, self.car_ids, union)
+        inc_car = _in_vocab(partial.car, partial.car_ids, union)
         acc_cm = self.cm.copy()
         inc_start = partial.start
         inc_cm = partial.cm
 
-        # Last chain row per car on the accumulated side; first run per car
-        # on the incoming side.  Both tables are grouped by (monotone-
-        # remapped) car code, so runs are contiguous.
-        n_acc = len(acc_car)
+        # Both tables are grouped by (monotone-remapped) car code, so each
+        # car's last accumulated chain meets its incoming run in one walk.
         drop = np.zeros(len(inc_car), dtype=np.bool_)
-        if n_acc and len(inc_car):
-            acc_last: dict[int, int] = {}
-            bounds = np.flatnonzero(np.diff(acc_car))
-            for row in np.append(bounds, n_acc - 1).tolist():
-                acc_last[int(acc_car[row])] = row
-            inc_cars, inc_first = np.unique(inc_car, return_index=True)
-            inc_end = np.append(inc_first[1:], len(inc_car))
-            starts_l = inc_start.tolist()
-            cms_l = inc_cm.tolist()
-            gap = self.join_gap_s
-            for c, j0, j1 in zip(
-                inc_cars.tolist(), inc_first.tolist(), inc_end.tolist()
-            ):
-                row = acc_last.get(int(c))
-                if row is None:
-                    continue
-                cm_acc = float(acc_cm[row])
-                j = j0
-                while j < j1 and starts_l[j] - cm_acc <= gap:
-                    if cms_l[j] > cm_acc:
-                        cm_acc = cms_l[j]
-                    drop[j] = True
-                    j += 1
-                acc_cm[row] = cm_acc
+        starts_l = inc_start.tolist()
+        cms_l = inc_cm.tolist()
+        for row, j, j1 in _weld_runs(acc_car, inc_car):
+            cm_acc = float(acc_cm[row])
+            while j < j1 and starts_l[j] <= cm_acc:
+                if cms_l[j] > cm_acc:
+                    cm_acc = cms_l[j]
+                drop[j] = True
+                j += 1
+            acc_cm[row] = cm_acc
 
         keep = ~drop
         car = np.concatenate((acc_car, inc_car[keep]))
@@ -890,16 +995,21 @@ class ConnectPartial:
         self.start = np.concatenate((self.start, inc_start[keep]))[order]
         self.cm = np.concatenate((acc_cm, inc_cm[keep]))[order]
 
+    def rows(self, mask: npt.NDArray[np.bool_]) -> "ConnectPartial":
+        """The chains ``mask`` selects, in table order."""
+        return ConnectPartial(
+            self.car_ids, self.car[mask], self.start[mask], self.cm[mask]
+        )
+
 
 class ConnectKernel:
     """Figure 3: per-car union-of-intervals connected seconds.
 
     Within a chunk, union chains come from the shared segmented running
-    maximum; across chunks each car carries its open chain ``(start, cm)``
-    so a chain closing later still contributes the reference's single
-    ``cm - start`` subtraction.  A carried chain can swallow a *prefix* of
-    the next chunk's chunk-local chains (a long earlier record may span
-    several of them), handled per car before the closed chains are kept.
+    maximum; across chunks each car's last chain stays open, and the next
+    chunk's chains weld onto it with :meth:`ConnectPartial.absorb_partial`
+    — the shard fold's own weld — so a chain closing later still
+    contributes the reference's single ``cm - start`` subtraction.
 
     The kernel collects chain *endpoints*, never sums: every float add is
     deferred to :func:`finalize_connect_partial`, which is what makes one
@@ -907,31 +1017,14 @@ class ConnectKernel:
     exported :class:`ConnectPartial` exact across shards.
     """
 
-    def __init__(
-        self,
-        car_ids: tuple[str, ...],
-        *,
-        truncated: bool,
-        join_gap_s: float = 0.0,
-    ) -> None:
-        n = len(car_ids)
-        self._car_ids = car_ids
+    def __init__(self, car_ids: tuple[str, ...], *, truncated: bool) -> None:
         self._truncated = truncated
-        #: Chain-join tolerance: 0 unions overlapping intervals (connect
-        #: time); a positive gap concatenates sessions, matching
-        #: ``concatenate_gaps`` (``next.start - prev.end <= gap`` joins).
-        self._gap = join_gap_s
-        self._open_start = np.zeros(n)
-        self._open_cm = np.zeros(n)
-        self._has_open = np.zeros(n, dtype=np.bool_)
-        #: Closed-chain (car, start, cm) blocks, per-car chronological.
-        self._blocks: list[
-            tuple[
-                npt.NDArray[np.int64],
-                npt.NDArray[np.float64],
-                npt.NDArray[np.float64],
-            ]
-        ] = []
+        #: Each car's last chain, open to welding with the next chunk.
+        self._open = ConnectPartial(
+            car_ids, np.empty(0, dtype=np.int64), np.empty(0), np.empty(0)
+        )
+        #: Closed chains, per chunk, per-car chronological.
+        self._closed: list[ConnectPartial] = []
 
     def consume(self, inter: ChunkIntermediates) -> None:
         n = inter.n
@@ -939,81 +1032,32 @@ class ConnectKernel:
             return
         s = inter.s_sorted
         cm = inter.trunc_cummax if self._truncated else inter.full_cummax
-        car = inter.car_sorted
         is_start = inter.is_car_start
         new_seg = is_start.copy()
-        new_seg[1:] |= ~is_start[1:] & (s[1:] - cm[:-1] > self._gap)
+        new_seg[1:] |= ~is_start[1:] & (s[1:] > cm[:-1])
         seg_first = np.flatnonzero(new_seg)
         seg_last = np.append(seg_first[1:] - 1, n - 1)
-        seg_car = car[seg_first]
-        seg_s = s[seg_first]
-        seg_cm = cm[seg_last]
-        n_seg = len(seg_first)
-        run_first = np.flatnonzero(
-            np.concatenate(([True], seg_car[1:] != seg_car[:-1]))
+        table = ConnectPartial(
+            self._open.car_ids, inter.car_sorted[seg_first], s[seg_first], cm[seg_last]
         )
-        run_last = np.append(run_first[1:], n_seg)
-
-        interior = np.zeros(n_seg, dtype=np.bool_)
-        has_open = self._has_open
-        open_start = self._open_start
-        open_cm = self._open_cm
-        close_car: list[int] = []
-        close_s: list[float] = []
-        close_cm: list[float] = []
-        gap = self._gap
-        for a, b in zip(run_first.tolist(), run_last.tolist()):
-            c = int(seg_car[a])
-            k = a
-            if has_open[c]:
-                oc = float(open_cm[c])
-                while k < b and seg_s[k] - oc <= gap:
-                    if seg_cm[k] > oc:
-                        oc = float(seg_cm[k])
-                    k += 1
-                if k == b:
-                    open_cm[c] = oc
-                    continue
-                close_car.append(c)
-                close_s.append(float(open_start[c]))
-                close_cm.append(oc)
-            interior[k : b - 1] = True
-            open_start[c] = seg_s[b - 1]
-            open_cm[c] = seg_cm[b - 1]
-            has_open[c] = True
-        sel = np.flatnonzero(interior)
-        self._blocks.append(
-            (
-                np.concatenate(
-                    (np.asarray(close_car, dtype=np.int64), seg_car[sel])
-                ),
-                np.concatenate((np.asarray(close_s), seg_s[sel])),
-                np.concatenate((np.asarray(close_cm), seg_cm[sel])),
-            )
-        )
+        if self._closed:  # the first chunk has no open chain to weld onto
+            self._open.absorb_partial(table)
+            table = self._open
+        last = _last_of_each_car(table.car)
+        self._closed.append(table.rows(~last))
+        self._open = table.rows(last)
 
     def export_partial(self) -> ConnectPartial:
-        opens = np.flatnonzero(self._has_open)
-        blocks = self._blocks + [
-            (
-                opens.astype(np.int64),
-                self._open_start[opens],
-                self._open_cm[opens],
-            )
-        ]
-        car = np.concatenate([b[0] for b in blocks])
-        start = np.concatenate([b[1] for b in blocks])
-        cm = np.concatenate([b[2] for b in blocks])
-        # Stable car sort: blocks are appended chronologically and each
-        # block is per-car chronological, so grouping by car preserves each
-        # car's chain order; the open chains land last, where they belong.
+        # Stable car sort: the tables are chronological and each is per-car
+        # chronological, so grouping by car keeps each car's chain order.
+        tables = [*self._closed, self._open]
+        car = np.concatenate([t.car for t in tables])
         order = np.argsort(car, kind="stable")
         return ConnectPartial(
-            car_ids=self._car_ids,
+            car_ids=self._open.car_ids,
             car=car[order],
-            start=start[order],
-            cm=cm[order],
-            join_gap_s=self._gap,
+            start=np.concatenate([t.start for t in tables])[order],
+            cm=np.concatenate([t.cm for t in tables])[order],
         )
 
 
@@ -1266,75 +1310,52 @@ class HandoverPartial:
         acc_ints = self.ints
         if union != self.car_ids:
             acc_ints = acc_ints.copy()
-            acc_ints[:, _H_CAR] = _remap_codes(self.car_ids, union)[
-                acc_ints[:, _H_CAR]
-            ]
+            acc_ints[:, _H_CAR] = _in_vocab(acc_ints[:, _H_CAR], self.car_ids, union)
         inc_ints = partial.ints.copy()
-        if union != partial.car_ids:
-            inc_ints[:, _H_CAR] = _remap_codes(partial.car_ids, union)[
-                inc_ints[:, _H_CAR]
-            ]
+        inc_ints[:, _H_CAR] = _in_vocab(inc_ints[:, _H_CAR], partial.car_ids, union)
         acc_kinds = self.kinds
         acc_cm = self.cm.copy()
         inc_kinds = partial.kinds
         inc_start = partial.start
         inc_cm = partial.cm
 
-        n_acc = len(acc_ints)
-        n_inc = len(inc_ints)
-        drop = np.zeros(n_inc, dtype=np.bool_)
-        if n_acc and n_inc:
-            acc_car = acc_ints[:, _H_CAR]
-            acc_last: dict[int, int] = {}
-            bounds = np.flatnonzero(np.diff(acc_car))
-            for row in np.append(bounds, n_acc - 1).tolist():
-                acc_last[int(acc_car[row])] = row
-            inc_cars, inc_first = np.unique(
-                inc_ints[:, _H_CAR], return_index=True
-            )
-            inc_end = np.append(inc_first[1:], n_inc)
-            starts_l = inc_start.tolist()
-            for c, j0, j1 in zip(
-                inc_cars.tolist(), inc_first.tolist(), inc_end.tolist()
-            ):
-                r = acc_last.get(int(c))
-                if r is None:
-                    continue
-                row = acc_ints[r]
-                cm_acc = float(acc_cm[r])
-                j = j0
-                while j < j1 and starts_l[j] - cm_acc <= self.gap:
-                    inc_row = inc_ints[j]
-                    if (
-                        row[_H_LCELL] >= 0
-                        and inc_row[_H_FCELL] >= 0
-                        and row[_H_LCELL] != inc_row[_H_FCELL]
-                    ):
-                        kind = _boundary_kind(
-                            int(row[_H_LTECH]),
-                            int(row[_H_LBS]),
-                            int(row[_H_LSEC]),
-                            int(inc_row[_H_FTECH]),
-                            int(inc_row[_H_FBS]),
-                            int(inc_row[_H_FSEC]),
-                        )
-                        row[_H_HO] += 1
-                        acc_kinds[r, kind] += 1
-                    row[_H_HO] += inc_row[_H_HO]
-                    acc_kinds[r] += inc_kinds[j]
-                    row[_H_SIZE] += inc_row[_H_SIZE]
-                    row[_H_KNOWN] += inc_row[_H_KNOWN]
-                    if inc_row[_H_FCELL] >= 0:
-                        if row[_H_FCELL] < 0:
-                            row[_H_FCELL : _H_FSEC + 1] = inc_row[
-                                _H_FCELL : _H_FSEC + 1
-                            ]
-                        row[_H_LCELL:] = inc_row[_H_LCELL:]
-                    if inc_cm[j] > cm_acc:
-                        cm_acc = float(inc_cm[j])
-                    drop[j] = True
-                    j += 1
-                acc_cm[r] = cm_acc
+        drop = np.zeros(len(inc_ints), dtype=np.bool_)
+        starts_l = inc_start.tolist()
+        for r, j, j1 in _weld_runs(acc_ints[:, _H_CAR], inc_ints[:, _H_CAR]):
+            row = acc_ints[r]
+            cm_acc = float(acc_cm[r])
+            while j < j1 and starts_l[j] - cm_acc <= self.gap:
+                inc_row = inc_ints[j]
+                if (
+                    row[_H_LCELL] >= 0
+                    and inc_row[_H_FCELL] >= 0
+                    and row[_H_LCELL] != inc_row[_H_FCELL]
+                ):
+                    kind = _boundary_kind(
+                        int(row[_H_LTECH]),
+                        int(row[_H_LBS]),
+                        int(row[_H_LSEC]),
+                        int(inc_row[_H_FTECH]),
+                        int(inc_row[_H_FBS]),
+                        int(inc_row[_H_FSEC]),
+                    )
+                    row[_H_HO] += 1
+                    acc_kinds[r, kind] += 1
+                row[_H_HO] += inc_row[_H_HO]
+                acc_kinds[r] += inc_kinds[j]
+                row[_H_SIZE] += inc_row[_H_SIZE]
+                row[_H_KNOWN] += inc_row[_H_KNOWN]
+                if inc_row[_H_FCELL] >= 0:
+                    if row[_H_FCELL] < 0:
+                        row[_H_FCELL : _H_FSEC + 1] = inc_row[
+                            _H_FCELL : _H_FSEC + 1
+                        ]
+                    row[_H_LCELL:] = inc_row[_H_LCELL:]
+                if inc_cm[j] > cm_acc:
+                    cm_acc = float(inc_cm[j])
+                drop[j] = True
+                j += 1
+            acc_cm[r] = cm_acc
 
         keep = ~drop
         ints = np.concatenate((acc_ints, inc_ints[keep]))
@@ -1345,6 +1366,18 @@ class HandoverPartial:
         self.start = np.concatenate((self.start, inc_start[keep]))[order]
         self.cm = np.concatenate((acc_cm, inc_cm[keep]))[order]
 
+    def rows(self, mask: npt.NDArray[np.bool_]) -> "HandoverPartial":
+        """The sessions ``mask`` selects, in table order."""
+        return HandoverPartial(
+            self.car_ids,
+            self.gap,
+            self.min_records,
+            start=self.start[mask],
+            cm=self.cm[mask],
+            kinds=self.kinds[mask],
+            ints=self.ints[mask],
+        )
+
 
 class HandoverKernel:
     """Section 4.5: handovers per network session, classified by kind.
@@ -1353,12 +1386,13 @@ class HandoverKernel:
     running-max scan (a session breaks exactly where the reference's gap
     grouping breaks), handovers are counted vectorized between consecutive
     known-cell rows of each session, and per-session first/last known-cell
-    attributes are gathered for the boundary checks.  Each car carries its
-    open session across chunks; a carried session can swallow a *prefix* of
-    the next chunk's sessions (one long record keeps the gap test alive
-    across several of them), merged per car with integer adds — so a
-    single-engine pass is bit-identical to the reference at any chunk size,
-    and the exported table merges across shards exactly.
+    attributes are gathered for the boundary checks.  Each car's last
+    session stays open across chunks and can swallow a *prefix* of the next
+    chunk's sessions (one long record keeps the gap test alive across
+    several of them), welded by :meth:`HandoverPartial.absorb_partial` —
+    the shard fold's own weld, integer adds only — so a single-engine pass
+    is bit-identical to the reference at any chunk size, and the exported
+    table merges across shards exactly.
 
     All shards of one trace must classify against the same ``cells``
     directory: attribute codes ride in the partials.
@@ -1372,7 +1406,6 @@ class HandoverKernel:
         gap: float,
         min_records: int,
     ) -> None:
-        self._car_ids = car_ids
         self._gap = gap
         self._min_records = min_records
         directory = np.fromiter(sorted(cells), dtype=np.int64, count=len(cells))
@@ -1395,22 +1428,18 @@ class HandoverKernel:
         self._dir_sector = np.asarray(
             [cells[int(c)].sector_index for c in directory], dtype=np.int64
         )
-        n = len(car_ids)
-        self._has_open = np.zeros(n, dtype=np.bool_)
-        self._o_start = np.zeros(n)
-        self._o_cm = np.zeros(n)
-        self._o_kinds = np.zeros((n, 4), dtype=np.int64)
-        self._o_ints = np.full((n, 12), -1, dtype=np.int64)
-        #: Closed-session (start, cm, kinds, ints) blocks, per-car
-        #: chronological within each block.
-        self._blocks: list[
-            tuple[
-                npt.NDArray[np.float64],
-                npt.NDArray[np.float64],
-                npt.NDArray[np.int64],
-                npt.NDArray[np.int64],
-            ]
-        ] = []
+        #: Each car's last session, open to welding with the next chunk.
+        self._open = HandoverPartial(
+            car_ids,
+            gap,
+            min_records,
+            start=np.empty(0),
+            cm=np.empty(0),
+            kinds=np.empty((0, 4), dtype=np.int64),
+            ints=np.empty((0, 12), dtype=np.int64),
+        )
+        #: Closed sessions, per chunk, per-car chronological.
+        self._closed: list[HandoverPartial] = []
 
     def consume(self, inter: ChunkIntermediates) -> None:
         n = inter.n
@@ -1500,118 +1529,39 @@ class HandoverKernel:
             ints[uniq, col_tech + 1] = self._dir_bs[at]
             ints[uniq, col_tech + 2] = self._dir_sector[at]
 
-        # Per-car chunk-boundary merging: the carried open session swallows
-        # the prefix of this chunk's sessions while the gap test holds.
-        run_first = np.flatnonzero(
-            np.concatenate(([True], sess_car[1:] != sess_car[:-1]))
+        # A car's open session swallows the prefix of this chunk's sessions
+        # while the gap test holds — the shard fold's weld.
+        table = HandoverPartial(
+            self._open.car_ids,
+            self._gap,
+            self._min_records,
+            start=sess_start,
+            cm=sess_cm,
+            kinds=kinds_per,
+            ints=ints,
         )
-        run_last = np.append(run_first[1:], n_sess)
-        interior = np.zeros(n_sess, dtype=np.bool_)
-        has_open = self._has_open
-        o_start = self._o_start
-        o_cm = self._o_cm
-        o_kinds = self._o_kinds
-        o_ints = self._o_ints
-        close_start: list[float] = []
-        close_cm: list[float] = []
-        close_kinds: list[npt.NDArray[np.int64]] = []
-        close_ints: list[npt.NDArray[np.int64]] = []
-        for a, b in zip(run_first.tolist(), run_last.tolist()):
-            c = int(sess_car[a])
-            k = a
-            if has_open[c]:
-                row = o_ints[c]
-                ocm = float(o_cm[c])
-                while k < b and sess_start[k] - ocm <= self._gap:
-                    inc = ints[k]
-                    if (
-                        row[_H_LCELL] >= 0
-                        and inc[_H_FCELL] >= 0
-                        and row[_H_LCELL] != inc[_H_FCELL]
-                    ):
-                        bk = _boundary_kind(
-                            int(row[_H_LTECH]),
-                            int(row[_H_LBS]),
-                            int(row[_H_LSEC]),
-                            int(inc[_H_FTECH]),
-                            int(inc[_H_FBS]),
-                            int(inc[_H_FSEC]),
-                        )
-                        row[_H_HO] += 1
-                        o_kinds[c, bk] += 1
-                    row[_H_HO] += inc[_H_HO]
-                    o_kinds[c] += kinds_per[k]
-                    row[_H_SIZE] += inc[_H_SIZE]
-                    row[_H_KNOWN] += inc[_H_KNOWN]
-                    if inc[_H_FCELL] >= 0:
-                        if row[_H_FCELL] < 0:
-                            row[_H_FCELL : _H_FSEC + 1] = inc[
-                                _H_FCELL : _H_FSEC + 1
-                            ]
-                        row[_H_LCELL:] = inc[_H_LCELL:]
-                    if sess_cm[k] > ocm:
-                        ocm = float(sess_cm[k])
-                    k += 1
-                o_cm[c] = ocm
-                if k == b:
-                    continue
-                close_start.append(float(o_start[c]))
-                close_cm.append(ocm)
-                close_kinds.append(o_kinds[c].copy())
-                close_ints.append(o_ints[c].copy())
-            interior[k : b - 1] = True
-            o_start[c] = sess_start[b - 1]
-            o_cm[c] = sess_cm[b - 1]
-            o_kinds[c] = kinds_per[b - 1]
-            o_ints[c] = ints[b - 1]
-            has_open[c] = True
-
-        sel = np.flatnonzero(interior)
-        self._blocks.append(
-            (
-                np.concatenate((np.asarray(close_start), sess_start[sel])),
-                np.concatenate((np.asarray(close_cm), sess_cm[sel])),
-                np.concatenate(
-                    (
-                        np.asarray(close_kinds, dtype=np.int64).reshape(-1, 4),
-                        kinds_per[sel],
-                    )
-                ),
-                np.concatenate(
-                    (
-                        np.asarray(close_ints, dtype=np.int64).reshape(-1, 12),
-                        ints[sel],
-                    )
-                ),
-            )
-        )
+        if self._closed:  # the first chunk has no open session to weld onto
+            self._open.absorb_partial(table)
+            table = self._open
+        last = _last_of_each_car(table.ints[:, _H_CAR])
+        self._closed.append(table.rows(~last))
+        self._open = table.rows(last)
 
     def export_partial(self) -> HandoverPartial:
-        opens = np.flatnonzero(self._has_open)
-        blocks = self._blocks + [
-            (
-                self._o_start[opens],
-                self._o_cm[opens],
-                self._o_kinds[opens],
-                self._o_ints[opens],
-            )
-        ]
-        start = np.concatenate([b[0] for b in blocks])
-        cm = np.concatenate([b[1] for b in blocks])
-        kinds = np.concatenate([b[2] for b in blocks])
-        ints = np.concatenate([b[3] for b in blocks])
-        # Stable car sort: blocks are chronological and per-car ordered
-        # within themselves, and the open sessions sit in the final block,
-        # so each car's sessions come out chronological with its open
-        # session last — the reference's emission order.
+        # Stable car sort: the tables are chronological and per-car ordered
+        # within themselves, and the open sessions come last, so each car's
+        # sessions come out chronological with its open session last — the
+        # reference's emission order.
+        tables = [*self._closed, self._open]
+        ints = np.concatenate([t.ints for t in tables])
         order = np.argsort(ints[:, _H_CAR], kind="stable")
         return HandoverPartial(
-            car_ids=self._car_ids,
+            car_ids=self._open.car_ids,
             gap=self._gap,
             min_records=self._min_records,
-            start=start[order],
-            cm=cm[order],
-            kinds=kinds[order],
+            start=np.concatenate([t.start for t in tables])[order],
+            cm=np.concatenate([t.cm for t in tables])[order],
+            kinds=np.concatenate([t.kinds for t in tables])[order],
             ints=ints[order],
         )
 
@@ -1651,12 +1601,17 @@ class FusedPartial:
     Folding shards in index order with :meth:`absorb_partial` and then
     finalizing reproduces the serial engine: every sub-partial's merge is
     exact (integer counts, pair-set unions, endpoint welds, histogram
-    adds), except the per-car busy tallies and the per-carrier and
-    duration sums, which merge to reassociation precision.
+    adds, row appends), except the per-car busy tallies and the
+    per-carrier and duration sums, which merge to reassociation precision.
+    ``first_start``/``last_start`` bound the kept rows' starts (``inf`` and
+    ``-inf`` when there are none) so a fold can tell shards that are out
+    of start order, which every chain weld above assumes they are not.
     """
 
     n_records: int
     n_ghosts: int
+    first_start: float
+    last_start: float
     presence: PresencePartial
     carriers: CarriersPartial
     connect_full: ConnectPartial
@@ -1664,15 +1619,20 @@ class FusedPartial:
     durations: DurationPartial
     busy: BusyPartial | None
     handover: HandoverPartial | None
+    busy_cells: BusyCellPartial | None
 
     def absorb_partial(self, partial: "FusedPartial") -> None:
         """Fold a later shard's bundle into this one, kernel by kernel."""
-        if (self.busy is None) != (partial.busy is None) or (
-            self.handover is None
-        ) != (partial.handover is None):
+        if (
+            (self.busy is None) != (partial.busy is None)
+            or (self.handover is None) != (partial.handover is None)
+            or (self.busy_cells is None) != (partial.busy_cells is None)
+        ):
             raise ValueError("fused partials ran different kernel sets")
         self.n_records = self.n_records + partial.n_records
         self.n_ghosts = self.n_ghosts + partial.n_ghosts
+        self.first_start = min(self.first_start, partial.first_start)
+        self.last_start = max(self.last_start, partial.last_start)
         self.presence.absorb_partial(partial.presence)
         self.carriers.absorb_partial(partial.carriers)
         self.connect_full.absorb_partial(partial.connect_full)
@@ -1682,27 +1642,38 @@ class FusedPartial:
             self.busy.absorb_partial(partial.busy)
         if self.handover is not None and partial.handover is not None:
             self.handover.absorb_partial(partial.handover)
+        if self.busy_cells is not None and partial.busy_cells is not None:
+            self.busy_cells.absorb_partial(partial.busy_cells)
 
 
-@dataclass(frozen=True)
-class FusedReport:
-    """Results of one fused pass, one field per registered analysis.
+@dataclass
+class AnalysisReport:
+    """All paper analyses computed over one data set.
 
-    ``exposure`` and ``segmentation`` are ``None`` when the engine ran
-    without a :class:`BusySchedule`; ``handovers`` is ``None`` without a
-    cell directory — mirroring how :class:`AnalysisPipeline` treats those
-    optional inputs.
+    Field-to-paper mapping: ``presence`` -> Figure 2, ``weekday_rows`` ->
+    Table 1, ``connect_time`` -> Figure 3, ``days`` -> Figure 6,
+    ``segmentation`` -> Table 2, ``exposure`` -> Figure 7, ``durations`` ->
+    Figure 9, ``clusters`` -> Figure 11, ``handovers`` -> Section 4.5,
+    ``carriers`` -> Table 3.  An optional field is ``None`` when its input
+    was missing (a :class:`BusySchedule`, a cell directory, busy cells),
+    ``durations`` only from the reference engine; ``pre`` is set only by
+    the in-memory :meth:`repro.core.pipeline.AnalysisPipeline.run`.
     """
 
     presence: DailyPresence
-    days: dict[str, int]
+    weekday_rows: list[WeekdayRow]
     connect_time: ConnectTimeResult
-    durations: DurationStats
+    days: dict[str, int]
     carriers: CarrierUsage
-    exposure: BusyExposure | None
-    segmentation: CarSegmentation | None
-    handovers: HandoverStats | None
+    n_kept: int
     n_ghosts: int
+    durations: DurationStats | None = None
+    exposure: BusyExposure | None = None
+    segmentation: CarSegmentation | None = None
+    handovers: HandoverStats | None = None
+    clusters: BusyCellClusters | None = None
+    notes: list[str] = field(default_factory=list)
+    pre: PreprocessResult | None = None
 
 
 class FusedEngine:
@@ -1727,14 +1698,18 @@ class FusedEngine:
         schedule: BusySchedule | None = None,
         cells: dict[int, Cell] | None = None,
         min_records: int = 2,
+        busy_cells: Sequence[int] | None = None,
     ) -> None:
         self.clock = clock
         self.config = config or PreprocessConfig()
         self._schedule = schedule
         self._cells = cells
         self._min_records = min_records
+        self._busy_cell_ids = busy_cells
         self._n_records = 0
         self._n_ghosts = 0
+        self._first_start = math.inf
+        self._last_start = -math.inf
         self._vocab: tuple[tuple[str, ...], tuple[str, ...]] | None = None
         self._kernels: list[FusedAnalysis] = []
         self._presence: PresenceKernel | None = None
@@ -1744,6 +1719,7 @@ class FusedEngine:
         self._durations: DurationKernel | None = None
         self._busy: BusyKernel | None = None
         self._handover: HandoverKernel | None = None
+        self._busy_cells: BusyCellKernel | None = None
 
     def _bind(
         self, car_ids: tuple[str, ...], carrier_names: tuple[str, ...]
@@ -1772,6 +1748,9 @@ class FusedEngine:
                 min_records=self._min_records,
             )
             kernels.append(self._handover)
+        if self._busy_cell_ids is not None:
+            self._busy_cells = BusyCellKernel(self._busy_cell_ids, car_ids)
+            kernels.append(self._busy_cells)
         self._kernels = kernels
 
     def consume(self, chunk: ColumnarCDRBatch) -> None:
@@ -1786,10 +1765,13 @@ class FusedEngine:
         inter = ChunkIntermediates(chunk, self.clock, self.config.truncate_s)
         self._n_records += inter.n
         self._n_ghosts += inter.n_ghosts
+        if inter.n:
+            self._first_start = min(self._first_start, float(inter.start.min()))
+            self._last_start = max(self._last_start, float(inter.start.max()))
         for kernel in self._kernels:
             kernel.consume(inter)
 
-    def finalize(self) -> FusedReport:
+    def finalize(self) -> AnalysisReport:
         """Close every kernel into its paper statistic."""
         return finalize_fused(self.export_partial(), self.clock)
 
@@ -1811,6 +1793,8 @@ class FusedEngine:
         return FusedPartial(
             n_records=self._n_records,
             n_ghosts=self._n_ghosts,
+            first_start=self._first_start,
+            last_start=self._last_start,
             presence=presence_k.export_partial(),
             carriers=carriers_k.export_partial(),
             connect_full=full_k.export_partial(),
@@ -1820,6 +1804,11 @@ class FusedEngine:
             handover=(
                 self._handover.export_partial()
                 if self._handover is not None
+                else None
+            ),
+            busy_cells=(
+                self._busy_cells.export_partial()
+                if self._busy_cells is not None
                 else None
             ),
         )
@@ -1862,20 +1851,48 @@ def _connect_result(
     )
 
 
-def finalize_fused(partial: FusedPartial, clock: StudyClock) -> FusedReport:
-    """Close a (possibly merged) :class:`FusedPartial` into a report."""
+def _busy_cell_clusters(
+    partial: BusyCellPartial, clock: StudyClock, k: int
+) -> BusyCellClusters:
+    """Figure 11 from a busy-cell partial; ``ValueError`` when it cannot run."""
+    require_clusterable(len(partial.cells), k)
+    vectors = weekly_concurrency_rows(
+        partial.cells, partial.cell_id, partial.car, partial.start, partial.end, clock
+    )
+    return cluster_vectors(list(partial.cells), vectors, k)
+
+
+def finalize_fused(
+    partial: FusedPartial, clock: StudyClock, *, cluster_k: int = 2
+) -> AnalysisReport:
+    """Close a (possibly merged) :class:`FusedPartial` into the report.
+
+    With busy cells, Figure 11 clusters them into ``cluster_k`` groups, or
+    notes why clustering was skipped.
+    """
+    presence = finalize_presence(partial.presence, clock)
     days = finalize_days(partial.presence)
     exposure = (
         finalize_busy(partial.busy) if partial.busy is not None else None
     )
-    return FusedReport(
-        presence=finalize_presence(partial.presence, clock),
-        days=days,
+    notes = [f"dropped {partial.n_ghosts} exactly-1-hour ghost records"]
+    clusters: BusyCellClusters | None = None
+    if partial.busy_cells is not None:
+        try:
+            clusters = _busy_cell_clusters(partial.busy_cells, clock, cluster_k)
+        except ValueError as exc:
+            notes.append(f"clustering skipped: {exc}")
+    return AnalysisReport(
+        presence=presence,
+        weekday_rows=weekday_table(presence),
         connect_time=_connect_result(
             partial.connect_full, partial.connect_trunc, clock
         ),
-        durations=finalize_durations(partial.durations),
+        days=days,
         carriers=finalize_carriers(partial.carriers),
+        n_kept=partial.n_records,
+        n_ghosts=partial.n_ghosts,
+        durations=finalize_durations(partial.durations),
         exposure=exposure,
         segmentation=(
             segment_cars(days, exposure) if exposure is not None else None
@@ -1885,7 +1902,8 @@ def finalize_fused(partial: FusedPartial, clock: StudyClock) -> FusedReport:
             if partial.handover is not None
             else None
         ),
-        n_ghosts=partial.n_ghosts,
+        clusters=clusters,
+        notes=notes,
     )
 
 

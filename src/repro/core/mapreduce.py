@@ -3,24 +3,27 @@
 The paper's dataset — 1.1 billion CDRs from a million cars over 90 days —
 is embarrassingly parallel on disk: :func:`repro.cdr.store.write_sharded_cdrz`
 lays a trace out as ``shard-NNNNN.cdrz`` files that together form one
-globally start-sorted row stream.  :func:`analyze_shards_fused` fans the
+globally start-sorted row stream.  :func:`fold_shards_fused` fans the
 fused engine (:class:`repro.core.fused.FusedEngine`) across worker
-processes, one *shard* at a time:
+processes, one *shard* at a time, and :func:`analyze_shards_fused` closes
+the fold into the paper report:
 
 **Map.**  Workers claim shard indices from the pool queue.  Each shard is
 consumed chunk by chunk under bounded memory (one chunk of memory-mapped
-pages at a time) by a fresh engine, and the resulting
-:class:`~repro.core.fused.FusedPartial` — a pure function of that shard's
-bytes — is shipped back to the parent.
+pages at a time) by a fresh engine — a shard out of record order is
+sorted first — and the resulting :class:`~repro.core.fused.FusedPartial`,
+a pure function of that shard's bytes, is shipped back to the parent.
 
 **Reduce.**  The parent folds the partials with
 :meth:`~repro.core.fused.FusedPartial.absorb_partial` in *shard index
-order*, whatever order workers finished in.  Because every partial depends
-only on its shard and the fold order is fixed, the reduced report is
-bit-identical for any worker count (including ``workers=1``, which runs
-the same per-shard fold inline with no pool).  The parity suites in
-``tests/core/test_fused_parity.py`` and ``tests/core/test_mapreduce.py``
-assert this.
+order*, whatever order workers finished in, and refuses shards that are
+not in global start order (:class:`ShardOrderError`): the kernels weld
+per-car chains across a shard boundary only forward in time.  Because
+every partial depends only on its shard and the fold order is fixed, the
+reduced report is bit-identical for any worker count (including
+``workers=1``, which runs the same per-shard fold inline with no pool).
+The parity suites in ``tests/core/test_fused_parity.py`` and
+``tests/core/test_mapreduce.py`` assert this.
 
 Timing deliberately lives in ``benchmarks/`` (library code takes no
 wall-clock readings); this module reports structural stats plus peak RSS.
@@ -28,19 +31,21 @@ wall-clock readings); this module reports structural stats plus peak RSS.
 
 from __future__ import annotations
 
+import math
 import multiprocessing
 import sys
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from repro.algorithms.timebins import StudyClock
+from repro.cdr.errors import ReproError
 from repro.cdr.store import DEFAULT_CHUNK_ROWS, iter_cdrz_chunks, resolve_shards
 from repro.core.busy import BusySchedule
 from repro.core.fused import (
+    AnalysisReport,
     FusedEngine,
     FusedPartial,
-    FusedReport,
     finalize_fused,
 )
 from repro.core.preprocess import NoUsableRecordsError, PreprocessConfig
@@ -52,9 +57,13 @@ except ImportError:  # pragma: no cover
     resource = None  # type: ignore[assignment]
 
 
+class ShardOrderError(ReproError):
+    """A shard starts before the last start of the shard folded before it."""
+
+
 @dataclass(frozen=True)
 class MapReduceStats:
-    """Run facts reported alongside the reduced :class:`FusedReport`."""
+    """Run facts reported alongside a shard fold."""
 
     n_shards: int
     n_empty_shards: int
@@ -83,8 +92,8 @@ class FusedMapSpec:
     """Everything a fused map worker needs for one shard.
 
     Shipped to workers whole (inherited through fork, pickled under
-    spawn), so the optional :class:`~repro.core.busy.BusySchedule` and
-    cell directory must be picklable — both are plain data.
+    spawn), so the optional :class:`~repro.core.busy.BusySchedule`, cell
+    directory and busy-cell list must be picklable — all are plain data.
     """
 
     shards: tuple[Path, ...]
@@ -94,6 +103,7 @@ class FusedMapSpec:
     cells: dict[int, Cell] | None
     min_records: int
     chunk_rows: int
+    busy_cells: tuple[int, ...] | None = None
 
 
 #: Per-process map spec.  Under the fork start method the parent fills it
@@ -120,6 +130,7 @@ def map_shard_fused(spec: FusedMapSpec, index: int) -> FusedPartial | None:
         schedule=spec.schedule,
         cells=spec.cells,
         min_records=spec.min_records,
+        busy_cells=spec.busy_cells,
     )
     consumed = False
     for chunk in iter_cdrz_chunks(spec.shards[index], chunk_rows=spec.chunk_rows):
@@ -203,35 +214,31 @@ def map_shards_fused(
     return _map_fused_parallel(spec, n_workers, wanted)
 
 
-def analyze_shards_fused(
+def fold_shards_fused(
     source: str | Path | Sequence[str | Path],
     clock: StudyClock,
     *,
     schedule: BusySchedule | None = None,
     cells: dict[int, Cell] | None = None,
+    busy_cells: Sequence[int] | None = None,
     workers: int = 1,
     chunk_rows: int = DEFAULT_CHUNK_ROWS,
     config: PreprocessConfig | None = None,
     min_records: int = 2,
-) -> tuple[FusedReport, MapReduceStats]:
-    """Run every Section 4 analysis over shards with ``workers`` processes.
+) -> tuple[FusedPartial, MapReduceStats]:
+    """Fold every shard's :class:`FusedPartial` with ``workers`` processes.
 
     ``source`` is anything :func:`repro.cdr.store.resolve_shards` accepts —
     a shard directory, one ``.cdrz`` file, or an explicit path list (kept
-    in the given order, which must be global start order).  Workers stream
-    each shard through one :class:`~repro.core.fused.FusedEngine`, and the
-    parent folds the returned :class:`~repro.core.fused.FusedPartial`
-    bundles in *shard index order* before closing them with
-    :func:`~repro.core.fused.finalize_fused`.  Presence, days-on-network,
-    connect time, handovers, carrier reach, the duration histogram and the
-    ghost count reduce *exactly* — bit-identical to a single serial engine
-    (and to the record-based references) at any worker count — while the
-    per-car busy tallies and the per-carrier and duration sums merge to
-    reassociation precision.  ``exposure``/``segmentation``/``handovers``
-    are ``None`` unless ``schedule``/``cells`` are given, mirroring the
-    pipeline.  Empty shards reduce as no-ops and are counted in the
-    returned stats; a source with no kept record at all (no rows, or
-    ghosts only) raises :class:`~repro.core.preprocess.NoUsableRecordsError`.
+    in the given order, which must be global start order).  Each shard runs
+    through one :class:`~repro.core.fused.FusedEngine` (``schedule``,
+    ``cells`` and ``busy_cells`` switch on its optional kernels), and the
+    parent folds the partials in *shard index order*: bit-identical at any
+    worker count and chunk size.  Empty shards fold as no-ops and are
+    counted in the stats.  Raises :class:`ShardOrderError` when a shard's
+    first kept start falls before the last kept start of the shard before
+    it, and :class:`~repro.core.preprocess.NoUsableRecordsError` when no
+    record is kept at all (no rows, or ghosts only).
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -244,26 +251,35 @@ def analyze_shards_fused(
         cells=cells,
         min_records=min_records,
         chunk_rows=chunk_rows,
+        busy_cells=None if busy_cells is None else tuple(busy_cells),
     )
     n_workers = min(workers, len(shards))
     indexed = map_shards_fused(spec, workers=n_workers)
 
     merged: FusedPartial | None = None
     n_empty = 0
-    for index in range(len(shards)):
+    last_start, last_shard = -math.inf, ""
+    for index, shard in enumerate(shards):
         partial = indexed[index]
         if partial is None:
             n_empty += 1
             continue
         if partial.n_records == 0 and partial.n_ghosts == 0:
             n_empty += 1
+        if partial.first_start < last_start:
+            raise ShardOrderError(
+                f"{shard} starts at {partial.first_start:.3f} s, before the "
+                f"last start of {last_shard} at {last_start:.3f} s; shards "
+                "must be in global start order"
+            )
+        if partial.n_records:
+            last_start, last_shard = partial.last_start, str(shard)
         if merged is None:
             merged = partial
         else:
             merged.absorb_partial(partial)
     if merged is None or merged.n_records == 0:
         raise NoUsableRecordsError(merged.n_ghosts if merged is not None else 0)
-    report = finalize_fused(merged, clock)
     stats = MapReduceStats(
         n_shards=len(shards),
         n_empty_shards=n_empty,
@@ -272,4 +288,40 @@ def analyze_shards_fused(
         workers=n_workers,
         peak_rss_bytes=peak_rss_bytes(),
     )
-    return report, stats
+    return merged, stats
+
+
+def analyze_shards_fused(
+    source: str | Path | Sequence[str | Path],
+    clock: StudyClock,
+    *,
+    schedule: BusySchedule | None = None,
+    cells: dict[int, Cell] | None = None,
+    busy_cells: Sequence[int] | None = None,
+    workers: int = 1,
+    chunk_rows: int = DEFAULT_CHUNK_ROWS,
+    config: PreprocessConfig | None = None,
+    min_records: int = 2,
+) -> tuple[AnalysisReport, MapReduceStats]:
+    """Every Section 4 analysis over shards: the fold, finalized.
+
+    Everything but the per-car busy tallies and the per-carrier and
+    duration sums reduces *exactly* — bit-identical to one serial engine
+    and to the record-based references — and those merge to reassociation
+    precision.  ``exposure``/``segmentation``, ``handovers`` and
+    ``clusters`` are ``None`` without ``schedule``, ``cells`` and
+    ``busy_cells``.
+    """
+    partial, stats = fold_shards_fused(
+        source,
+        clock,
+        schedule=schedule,
+        cells=cells,
+        busy_cells=busy_cells,
+        workers=workers,
+        chunk_rows=chunk_rows,
+        config=config,
+        min_records=min_records,
+    )
+    report = finalize_fused(partial, clock)
+    return report, replace(stats, peak_rss_bytes=peak_rss_bytes())

@@ -1,23 +1,26 @@
 """End-to-end analysis pipeline.
 
-Runs every analysis of Section 4 over a raw CDR batch and collects the
-results in an :class:`AnalysisReport` whose fields correspond one-to-one to
-the paper's tables and figures.  Individual analyses remain importable on
-their own; the pipeline just sequences them with shared preprocessing.
+Runs every analysis of Section 4 over a raw CDR batch held in memory and
+collects the results in an :class:`~repro.core.fused.AnalysisReport`,
+whose fields correspond one-to-one to the paper's tables and figures.
+Individual analyses remain importable on their own; the pipeline just
+sequences them with shared preprocessing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from repro.algorithms.timebins import StudyClock
 from repro.cdr.columnar import ColumnarCDRBatch
 from repro.cdr.records import CDRBatch
-from repro.core.busy import BusyExposure, BusySchedule, busy_exposure
-from repro.core.carriers import CarrierUsage, carrier_usage
-from repro.core.clustering import BusyCellClusters, cluster_busy_cells
-from repro.core.connect_time import ConnectTimeResult, connect_time_analysis
-from repro.core.fused import FusedEngine
+from repro.core.busy import BusySchedule, busy_exposure
+from repro.core.carriers import carrier_usage
+from repro.core.clustering import (
+    BusyCellClusters,
+    cluster_busy_cells,
+    select_busy_cells,
+)
+from repro.core.connect_time import connect_time_analysis
+from repro.core.fused import AnalysisReport, FusedEngine, finalize_fused
 from repro.core.handover import HandoverStats, handover_analysis
 from repro.core.preprocess import (
     NoUsableRecordsError,
@@ -26,38 +29,10 @@ from repro.core.preprocess import (
     preprocess,
     preprocess_lazy,
 )
-from repro.core.presence import (
-    DailyPresence,
-    WeekdayRow,
-    daily_presence,
-    weekday_table,
-)
-from repro.core.segmentation import CarSegmentation, days_on_network, segment_cars
+from repro.core.presence import daily_presence, weekday_table
+from repro.core.segmentation import days_on_network, segment_cars
 from repro.network.cells import Cell
 from repro.network.load import CellLoadModel
-
-
-@dataclass
-class AnalysisReport:
-    """All paper analyses computed over one data set.
-
-    Field-to-paper mapping: ``presence`` -> Figure 2, ``weekday_rows`` ->
-    Table 1, ``connect_time`` -> Figure 3, ``days`` -> Figure 6,
-    ``segmentation`` -> Table 2, ``exposure`` -> Figure 7, ``clusters`` ->
-    Figure 11, ``handovers`` -> Section 4.5, ``carriers`` -> Table 3.
-    """
-
-    pre: PreprocessResult
-    presence: DailyPresence
-    weekday_rows: list[WeekdayRow]
-    connect_time: ConnectTimeResult
-    days: dict[str, int]
-    exposure: BusyExposure
-    segmentation: CarSegmentation
-    carriers: CarrierUsage
-    handovers: HandoverStats | None = None
-    clusters: BusyCellClusters | None = None
-    notes: list[str] = field(default_factory=list)
 
 
 class AnalysisPipeline:
@@ -109,17 +84,17 @@ class AnalysisPipeline:
         :func:`repro.core.preprocess.preprocess_lazy`).
 
         ``engine`` selects the implementation of the Section 4 analyses:
-        ``"fused"`` (default) makes one pass over the columns computing
-        shared intermediates for every analysis at once
-        (:class:`repro.core.fused.FusedEngine`) with lazy preprocessing, and
-        builds Figure 11's vectors and the loss-day counts from the columns
-        too, so it constructs no :class:`~repro.cdr.records.ConnectionRecord`
-        (callers reading ``report.pre.full`` or ``report.pre.truncated``
-        build them on demand); ``"reference"`` runs the original
-        record-based loops, the oracle the fused engine is tested against.
-        Both produce identical reports (the parity suites assert
-        bit-equality), so the switch exists for verification and
-        benchmarking, not correctness.
+        ``"fused"`` (default) runs one :class:`repro.core.fused.FusedEngine`
+        over the kept columns, Figure 11's busy-cell rows included, and
+        closes it with :func:`repro.core.fused.finalize_fused` — the same
+        step that closes a shard fold — so it constructs no
+        :class:`~repro.cdr.records.ConnectionRecord` (callers reading
+        ``report.pre.full`` or ``report.pre.truncated`` build them on
+        demand); ``"reference"`` runs the original record-based loops, the
+        oracle the fused engine is tested against.  Both produce identical
+        reports (the parity suites assert bit-equality) except Figure 9's
+        ``durations``, which only the fused engine fills, so the switch
+        exists for verification and benchmarking, not correctness.
 
         ``exclude_loss_days`` runs the data-quality loss-day detector and
         removes flagged days from the Table 1 weekday statistics (the paper
@@ -132,7 +107,6 @@ class AnalysisPipeline:
             raise ValueError(
                 f"engine must be 'fused' or 'reference', got {engine!r}"
             )
-        notes: list[str] = []
         if engine == "fused":
             pre = preprocess_lazy(batch, self.preprocess_config)
         else:
@@ -140,71 +114,72 @@ class AnalysisPipeline:
             pre = preprocess(records, self.preprocess_config)
         if pre.n_kept == 0:
             raise NoUsableRecordsError(pre.n_dropped_ghosts)
-        notes.append(f"dropped {pre.n_dropped_ghosts} exactly-1-hour ghost records")
 
-        handovers: HandoverStats | None = None
         if engine == "fused":
             fused_engine = FusedEngine(
                 self.clock,
                 self.preprocess_config,
                 schedule=self.schedule,
                 cells=self.cells,
+                busy_cells=(
+                    select_busy_cells(self.load_model) if with_clustering else None
+                ),
             )
             fused_engine.consume(pre.columnar_full())
-            fused = fused_engine.finalize()
-            if fused.exposure is None or fused.segmentation is None:
-                raise RuntimeError("fused pipeline ran without a schedule")
-            presence = fused.presence
-            connect_time = fused.connect_time
-            days = fused.days
-            carriers = fused.carriers
-            exposure = fused.exposure
-            segmentation = fused.segmentation
-            handovers = fused.handovers
+            partial = fused_engine.export_partial()
+            # The engine saw the kept columns only; the ghosts were dropped
+            # by preprocessing.
+            partial.n_ghosts = pre.n_dropped_ghosts
+            report = finalize_fused(partial, self.clock, cluster_k=cluster_k)
         else:
-            presence = daily_presence(pre.full, self.clock)
-            connect_time = connect_time_analysis(pre, self.clock)
-            days = days_on_network(pre.full, self.clock)
-            exposure = busy_exposure(pre.truncated, self.schedule)
-            carriers = carrier_usage(pre.full)
-            segmentation = segment_cars(days, exposure)
-            if self.cells is not None:
-                handovers = handover_analysis(pre, self.cells)
+            report = self._reference(pre, with_clustering, cluster_k)
+        report.pre = pre
 
-        excluded: tuple[int, ...] = ()
         if exclude_loss_days:
             from repro.cdr.quality import detect_loss_days
 
             findings, _ = detect_loss_days(pre.columnar_full(), self.clock)
             excluded = tuple(f.day for f in findings)
             if excluded:
-                notes.append(
+                report.notes.insert(
+                    1,
                     f"excluded suspected data-loss days from Table 1: "
-                    f"{list(excluded)}"
+                    f"{list(excluded)}",
                 )
-        weekday_rows = weekday_table(presence, exclude_days=excluded)
+                report.weekday_rows = weekday_table(
+                    report.presence, exclude_days=excluded
+                )
+        return report
 
+    def _reference(
+        self, pre: PreprocessResult, with_clustering: bool, cluster_k: int
+    ) -> AnalysisReport:
+        """The record-based analyses, the oracle of the fused engine."""
+        presence = daily_presence(pre.full, self.clock)
+        days = days_on_network(pre.full, self.clock)
+        exposure = busy_exposure(pre.truncated, self.schedule)
+        handovers: HandoverStats | None = None
+        if self.cells is not None:
+            handovers = handover_analysis(pre, self.cells)
+        notes = [f"dropped {pre.n_dropped_ghosts} exactly-1-hour ghost records"]
         clusters: BusyCellClusters | None = None
         if with_clustering:
             try:
                 clusters = cluster_busy_cells(
-                    pre.columnar_truncated() if engine == "fused" else pre.truncated,
-                    self.load_model,
-                    self.clock,
-                    k=cluster_k,
+                    pre.truncated, self.load_model, self.clock, k=cluster_k
                 )
             except ValueError as exc:
                 notes.append(f"clustering skipped: {exc}")
-
         return AnalysisReport(
-            pre=pre,
             presence=presence,
-            weekday_rows=weekday_rows,
-            connect_time=connect_time,
+            weekday_rows=weekday_table(presence),
+            connect_time=connect_time_analysis(pre, self.clock),
             days=days,
+            carriers=carrier_usage(pre.full),
+            n_kept=pre.n_kept,
+            n_ghosts=pre.n_dropped_ghosts,
             exposure=exposure,
-            segmentation=segmentation,
-            carriers=carriers,
+            segmentation=segment_cars(days, exposure),
             handovers=handovers,
             clusters=clusters,
             notes=notes,

@@ -7,8 +7,9 @@ these helpers keep that formatting in one place.
 from __future__ import annotations
 
 from repro.core.carriers import CARRIER_ORDER, CarrierUsage
+from repro.core.connect_time import DurationStats
+from repro.core.fused import AnalysisReport
 from repro.core.handover import HandoverStats, HandoverType
-from repro.core.pipeline import AnalysisReport
 from repro.core.presence import DailyPresence, WeekdayRow
 from repro.core.segmentation import CarSegmentation
 
@@ -76,10 +77,20 @@ def format_car_trend(presence: DailyPresence) -> str:
     )
 
 
+def format_durations(stats: DurationStats) -> str:
+    """Figure 9: the cell-connection duration summary line."""
+    return (
+        f"duration: median {stats.median:.1f} s, p73 {stats.p73:.1f} s, "
+        f"mean {stats.mean_full:.1f} s (truncated {stats.mean_truncated:.1f} s), "
+        f">600 s: {stats.fraction_over_cutoff:.1%}"
+    )
+
+
 def format_report(report: AnalysisReport) -> str:
     """Full multi-section text report of an analysis run."""
     sections = [
         "== Daily presence (Fig 2) ==",
+        f"records kept {report.n_kept:,}",
         f"cars: {report.presence.n_cars_total}, cells ever used: "
         f"{report.presence.n_cells_total}",
         format_car_trend(report.presence),
@@ -90,17 +101,19 @@ def format_report(report: AnalysisReport) -> str:
         "== Connected time (Fig 3) ==",
         f"mean share full: {report.connect_time.mean_full:.1%}, "
         f"truncated: {report.connect_time.mean_truncated:.1%}",
-        "",
-        "== Table 2 ==",
-        format_segmentation(report.segmentation),
-        "",
-        "== Busy exposure (Fig 7) ==",
-        f">50% busy time: {report.exposure.fraction_above(0.5):.1%} of cars; "
-        f"all busy: {report.exposure.fraction_all_busy():.1%}",
-        "",
-        "== Table 3 ==",
-        format_carrier_table(report.carriers),
     ]
+    if report.durations is not None:
+        sections.append(format_durations(report.durations))
+    if report.segmentation is not None:
+        sections += ["", "== Table 2 ==", format_segmentation(report.segmentation)]
+    if report.exposure is not None:
+        sections += [
+            "",
+            "== Busy exposure (Fig 7) ==",
+            f">50% busy time: {report.exposure.fraction_above(0.5):.1%} of cars; "
+            f"all busy: {report.exposure.fraction_all_busy():.1%}",
+        ]
+    sections += ["", "== Table 3 ==", format_carrier_table(report.carriers)]
     if report.handovers is not None:
         sections += ["", "== Handovers (Sec 4.5) ==", format_handover_stats(report.handovers)]
     if report.clusters is not None:
@@ -124,10 +137,14 @@ def format_report_markdown(report: AnalysisReport) -> str:
         "",
         f"- cars: **{report.presence.n_cars_total}**, cells ever used: "
         f"**{report.presence.n_cells_total}**",
-        f"- records kept: **{report.pre.n_kept:,}** "
-        f"({report.pre.n_dropped_ghosts} ghost rows dropped)",
+        f"- records kept: **{report.n_kept:,}** "
+        f"({report.n_ghosts} ghost rows dropped)",
         f"- mean connected share: **{report.connect_time.mean_full:.1%}** full / "
         f"**{report.connect_time.mean_truncated:.1%}** truncated",
+    ]
+    if report.durations is not None:
+        lines.append(f"- {format_durations(report.durations)}")
+    lines += [
         "",
         "### Table 1 — weekday presence",
         "",
@@ -139,18 +156,19 @@ def format_report_markdown(report: AnalysisReport) -> str:
             f"| {row.weekday} | {row.cell_mean:.1%} | {row.cell_std:.1%} "
             f"| {row.car_mean:.1%} | {row.car_std:.1%} |"
         )
-    lines += [
-        "",
-        "### Table 2 — segmentation",
-        "",
-        "| Segment | Busy | Non-Busy | Both | Total |",
-        "|---|---|---|---|---|",
-    ]
-    for row in report.segmentation.rows:
-        lines.append(
-            f"| {row.label} | {row.busy:.1%} | {row.non_busy:.1%} "
-            f"| {row.both:.1%} | {row.total:.1%} |"
-        )
+    if report.segmentation is not None:
+        lines += [
+            "",
+            "### Table 2 — segmentation",
+            "",
+            "| Segment | Busy | Non-Busy | Both | Total |",
+            "|---|---|---|---|---|",
+        ]
+        for row in report.segmentation.rows:
+            lines.append(
+                f"| {row.label} | {row.busy:.1%} | {row.non_busy:.1%} "
+                f"| {row.both:.1%} | {row.total:.1%} |"
+            )
     usage = report.carriers
     lines += [
         "",

@@ -1,182 +1,104 @@
-"""Calibration-target extraction on fused partials (trace twinning).
+"""Calibration-target read-outs of a fused partial (trace twinning).
 
 The twinning loop (:mod:`repro.twin`) compares traces through a handful of
-summary statistics.  Three of them — the diurnal start-hour shape, the
-session-duration histogram and the aggregate-session table that inter-
-arrival gaps are read from — are not part of the Section 4
-:class:`~repro.core.fused.FusedReport`, so this module adds one more
-kernel in the same mold: consume :class:`ChunkIntermediates`, export a
-picklable partial, absorb later shards exactly.
+summary statistics.  Three of them are not part of the Section 4 report —
+the diurnal start-hour shape, the truncated-duration quantiles and the
+aggregate-session table that inter-arrival gaps are read from — yet every
+number they need is already in :class:`~repro.core.fused.FusedPartial`:
 
-Merge discipline (the RL010 contract):
+* the hour-of-day start counts ride in the presence partial;
+* the duration histogram is Figure 9's sparse table of reported
+  durations; a truncated duration lands in the same bin as its reported
+  one, or in the cutoff's bin when it was capped;
+* the aggregate sessions are the truncated union chains joined over the
+  paper's 30-s gap.
 
-* ``hour_counts`` and ``duration_bins`` are integer counts — shard sums
-  are exact and order-independent.
-* ``sessions`` reuses :class:`~repro.core.fused.ConnectPartial` with a
-  positive ``join_gap_s``: the chain tables weld across shard boundaries
-  with the same compare/max walk the connect-time kernel uses, so the
-  aggregate-session table — and every gap read from it — is bit-identical
-  at any chunk size and worker count.
-
-The quantile read-out is histogram-based and shared with the fused
-Figure 9 kernel (:func:`repro.algorithms.stats.binned_order_statistic`):
-with the default 1-second bins a duration quantile is exact to half a bin.
+So a twin summary is a read-out of the same fold the analysis report
+closes, exact at any chunk size and worker count: the counts merge by
+integer adds and the chain table welds with comparisons only.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
 
 from repro.algorithms.stats import binned_order_statistic
-from repro.algorithms.timebins import DAY, StudyClock
-from repro.core.fused import ChunkIntermediates, ConnectKernel, ConnectPartial
-from repro.core.preprocess import PreprocessConfig
-
-#: Hours in a diurnal profile.
-N_HOURS = 24
-
-#: Default histogram bin width for session durations, seconds.
-DEFAULT_DURATION_BIN_S = 1.0
-
-
-@dataclass
-class TwinStatsPartial:
-    """One shard's twin-statistic contribution, exactly mergeable."""
-
-    #: Raw rows consumed, before ghost dropping (matches the service's
-    #: trace-level record count).
-    n_records: int
-    #: Connection starts per hour of day, in-study rows only.
-    hour_counts: npt.NDArray[np.int64]
-    #: Truncated-duration histogram; bin ``k`` covers
-    #: ``[k * bin_s, (k + 1) * bin_s)`` and the last bin is closed.
-    duration_bins: npt.NDArray[np.int64]
-    bin_s: float
-    #: Aggregate-session endpoint table (gap-joined truncated chains).
-    sessions: ConnectPartial
-
-    def absorb_partial(self, partial: "TwinStatsPartial") -> None:
-        """Fold a later shard's statistics into this one (exact)."""
-        if partial.bin_s != self.bin_s or len(partial.duration_bins) != len(
-            self.duration_bins
-        ):
-            raise ValueError(
-                "cannot merge twin-stat partials with different duration "
-                "histograms"
-            )
-        self.n_records = self.n_records + partial.n_records
-        self.hour_counts = self.hour_counts + partial.hour_counts
-        self.duration_bins = self.duration_bins + partial.duration_bins
-        self.sessions.absorb_partial(partial.sessions)
+from repro.core.concurrency import SESSION_GAP_S
+from repro.core.fused import (
+    DURATION_BIN_S,
+    N_HOURS,
+    ConnectPartial,
+    DurationPartial,
+    PresencePartial,
+)
 
 
-class TwinStatsKernel:
-    """Twin-statistic kernel over shared :class:`ChunkIntermediates`.
-
-    Follows the :class:`~repro.core.fused.FusedAnalysis` protocol —
-    ``consume`` plus ``export_partial`` — so it composes with the fused
-    sweep's chunking and the cross-shard fold unchanged.
-    """
-
-    def __init__(
-        self,
-        car_ids: tuple[str, ...],
-        clock: StudyClock,
-        *,
-        session_gap_s: float | None = None,
-        truncate_s: float | None = None,
-        bin_s: float = DEFAULT_DURATION_BIN_S,
-    ) -> None:
-        defaults = PreprocessConfig()
-        if session_gap_s is None:
-            session_gap_s = defaults.session_gap_s
-        if truncate_s is None:
-            truncate_s = defaults.truncate_s
-        if bin_s <= 0:
-            raise ValueError(f"bin_s must be positive, got {bin_s}")
-        self.clock = clock
-        self._bin_s = bin_s
-        self._n_bins = int(np.ceil(truncate_s / bin_s)) + 1
-        self._n_records = 0
-        self._hour_counts = np.zeros(N_HOURS, dtype=np.int64)
-        self._duration_bins = np.zeros(self._n_bins, dtype=np.int64)
-        self._sessions = ConnectKernel(
-            car_ids, truncated=True, join_gap_s=session_gap_s
-        )
-
-    def consume(self, inter: ChunkIntermediates) -> None:
-        """Fold one chunk's rows into the counters and session chains."""
-        self._n_records += inter.n + inter.n_ghosts
-        if inter.n:
-            starts = inter.start[inter.in_study]
-            hours = np.floor_divide(np.mod(starts, DAY), 3600.0).astype(
-                np.int64
-            )
-            self._hour_counts += np.bincount(hours, minlength=N_HOURS).astype(
-                np.int64
-            )
-            idx = np.minimum(
-                np.floor_divide(inter.trunc_duration, self._bin_s).astype(
-                    np.int64
-                ),
-                self._n_bins - 1,
-            )
-            self._duration_bins += np.bincount(
-                idx, minlength=self._n_bins
-            ).astype(np.int64)
-        self._sessions.consume(inter)
-
-    def export_partial(self) -> TwinStatsPartial:
-        """Ship this shard's counters and session table for folding."""
-        return TwinStatsPartial(
-            n_records=self._n_records,
-            hour_counts=self._hour_counts.copy(),
-            duration_bins=self._duration_bins.copy(),
-            bin_s=self._bin_s,
-            sessions=self._sessions.export_partial(),
-        )
-
-
-def diurnal_shape(partial: TwinStatsPartial) -> npt.NDArray[np.float64]:
+def diurnal_shape(presence: PresencePartial) -> npt.NDArray[np.float64]:
     """Hour-of-day start fractions (sums to 1; zeros on an empty trace)."""
-    total = int(partial.hour_counts.sum())
+    total = int(presence.hours.sum())
     if total == 0:
         return np.zeros(N_HOURS)
-    out: npt.NDArray[np.float64] = partial.hour_counts / float(total)
+    out: npt.NDArray[np.float64] = presence.hours / float(total)
     return out
 
 
-def duration_quantile(partial: TwinStatsPartial, q: float) -> float:
-    """The ``q`` (0..1) duration quantile, exact to half a histogram bin.
+def duration_quantile(durations: DurationPartial, q: float) -> float:
+    """The ``q`` (0..1) truncated-duration quantile, exact to half a bin.
 
     Reads the lower order statistic (0-based rank ``floor(q * (n - 1))``)
-    out of the merged histogram and returns the containing bin's midpoint
-    — deterministic at any shard split because the counts merge exactly.
+    of the truncated durations out of the reported-duration histogram:
+    every bin at or past the cutoff's own bin holds durations the cutoff
+    caps into that bin.  The result is the containing bin's midpoint —
+    deterministic at any shard split because the counts merge exactly.
     """
     if not 0 <= q <= 1:
         raise ValueError(f"quantile must be in [0, 1], got {q}")
-    counts = partial.duration_bins
+    counts = durations.counts
     n = int(counts.sum())
     if n == 0:
         return 0.0
-    bins = np.arange(len(counts), dtype=np.int64)
+    cap = int(np.floor(durations.truncate_s / DURATION_BIN_S))
+    bins = np.minimum(durations.bins, cap)
     rank = int(np.floor(q * (n - 1))) + 1
-    return binned_order_statistic(bins, counts, rank, partial.bin_s)
+    return binned_order_statistic(bins, counts, rank, DURATION_BIN_S)
+
+
+def aggregate_sessions(chains: ConnectPartial) -> ConnectPartial:
+    """The paper's aggregate sessions from truncated union chains.
+
+    A car's chains are disjoint and chronological, so its running maximum
+    end is always the previous chain's end: a chain joins the session
+    before it when it starts at most :data:`SESSION_GAP_S` after that end.
+    The table stays grouped by car and chronological within car.
+    """
+    car = chains.car
+    if car.size == 0:
+        return chains
+    opens = np.ones(car.size, dtype=np.bool_)
+    opens[1:] = (car[1:] != car[:-1]) | (
+        chains.start[1:] - chains.cm[:-1] > SESSION_GAP_S
+    )
+    heads = np.flatnonzero(opens)
+    tails = np.append(heads[1:], car.size) - 1
+    return ConnectPartial(
+        car_ids=chains.car_ids,
+        car=car[heads],
+        start=chains.start[heads],
+        cm=chains.cm[tails],
+    )
 
 
 def session_gaps(
     sessions: ConnectPartial,
 ) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.float64]]:
-    """Per-car inter-session gaps from a gap-joined chain table.
+    """Per-car inter-session gaps from an aggregate-session table.
 
     Returns ``(car codes, gap seconds)`` over consecutive same-car session
     pairs.  The table is grouped by car and chronological within car, so a
     simple shifted comparison finds every pair; by construction each gap
-    exceeds the table's ``join_gap_s`` (anything closer was welded), so
-    all gaps are positive.
+    exceeds :data:`SESSION_GAP_S` (anything closer was joined), so all
+    gaps are positive.
     """
     if len(sessions.car) < 2:
         return np.zeros(0, dtype=np.int64), np.zeros(0)

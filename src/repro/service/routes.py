@@ -1,7 +1,8 @@
 """Section 4 query routes: fused-report fields -> JSON-safe payloads.
 
-Each route turns one slice of the service's :class:`FusedReport` (or, for
-timelines, the memmapped shard batches) into a plain ``dict`` of Python
+Each route turns one slice of the service's
+:class:`~repro.core.fused.AnalysisReport` (or, for timelines, the
+memmapped shard batches) into a plain ``dict`` of Python
 scalars, lists and strings.  The dict is then encoded by
 ``state.canonical_json`` — sorted keys, no whitespace — so a payload built
 twice from the same report serializes to the same bytes.  Routes therefore
@@ -12,10 +13,9 @@ keyed by strings whose order the encoder normalizes.
 Routes never compute analyses — the fused engine already did during
 ingest.  A route is a cheap projection, which is what makes warm queries a
 cache lookup and cold queries a serialization, never a data sweep (the
-exceptions are ``timeline``, which scans the memmapped columns for one
-car, and ``twin``, which sweeps the shards once for the calibration
-statistics the fused report does not carry — both land in the same keyed
-cache as every other route, so the sweep happens once per trace version).
+exception is ``timeline``, which scans the memmapped columns for one car;
+``twin`` reads its calibration statistics off the held fold).  Every
+route lands in the same keyed cache, so each runs once per trace version.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING
 
 from repro.algorithms.stats import TrendLine
 from repro.core.handover import HandoverType
-from repro.twin.summary import summary_from_parts, twin_stats_for_batches
+from repro.twin.summary import summary_from_partial
 
 if TYPE_CHECKING:
     from repro.service.state import ServiceState
@@ -240,21 +240,14 @@ def build_timeline(state: ServiceState, params: Mapping[str, str]) -> dict[str, 
 def build_twin(state: ServiceState, params: Mapping[str, str]) -> dict[str, object]:
     """The served trace's calibration-target summary (``repro.twin``).
 
-    Sweeps the memmapped shards once, in manifest order, through
-    :func:`repro.twin.summary.twin_stats_for_batches` — the sweep an
-    offline :func:`repro.twin.summary.summarize_source` runs — so the
-    payload is bit-identical to that offline summary of the same
-    directory.  The client feeds this straight into
+    Closes the state's held fold with
+    :func:`repro.twin.summary.summary_from_partial` — the step an offline
+    :func:`repro.twin.summary.summarize_source` ends in — so the payload
+    is bit-identical to that offline summary of the same directory, with
+    no sweep over the shards.  The client feeds this straight into
     ``TraceSummary.from_json_dict`` as a calibration target.
     """
-    report = state.report()
-    clock = state.context.clock
-    merged = twin_stats_for_batches(
-        (state.shard_batch(entry) for entry in state.manifest()), clock
-    )
-    if merged is None:
-        raise QueryError(409, "trace has no rows")
-    return summary_from_parts(report, merged, clock).to_json_dict()
+    return summary_from_partial(state.partial(), state.context.clock).to_json_dict()
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ One :class:`ServiceState` owns everything a batch CLI run rebuilds from
 scratch on every invocation — the scenario's topology, load model and
 :class:`~repro.core.busy.BusySchedule`, the memory-mapped shard batches,
 and, crucially, one pickled :class:`~repro.core.fused.FusedPartial` per
-shard.  Queries are answered from a finalized fused report that is only
-recomputed when the shard manifest changes, and even then by *folding*:
+shard.  Queries are answered from the folded partial and the report
+finalized from it, both only recomputed when the shard manifest changes,
+and even then by *folding*:
 a refresh sweeps only shards the service has never seen (dispatched
 through :func:`repro.core.mapreduce.map_shards_fused` worker processes)
 and folds partials in shard-index order.  The state also holds the
@@ -35,7 +36,12 @@ from typing import TYPE_CHECKING
 from repro.algorithms.timebins import StudyClock
 from repro.cdr.store import DEFAULT_CHUNK_ROWS, read_batch_cdrz
 from repro.core.busy import BusySchedule
-from repro.core.fused import FusedPartial, FusedReport, finalize_fused, fold_fused_partials
+from repro.core.fused import (
+    AnalysisReport,
+    FusedPartial,
+    finalize_fused,
+    fold_fused_partials,
+)
 from repro.core.mapreduce import FusedMapSpec, map_shards_fused
 from repro.core.preprocess import PreprocessConfig
 from repro.cpus import available_cpus
@@ -189,7 +195,7 @@ class ServiceState:
         #: Fold of every partial in ``_scan`` (``None`` when all are empty).
         self._folded: FusedPartial | None = None
         self._trace_fp = ""
-        self._report: FusedReport | None = None
+        self._report: AnalysisReport | None = None
         self._n_records = 0
         self._n_ghosts = 0
         self._batches: dict[ShardKey, ColumnarCDRBatch] = {}
@@ -296,7 +302,7 @@ class ServiceState:
 
     # -- report access -----------------------------------------------------
 
-    def report(self) -> FusedReport:
+    def report(self) -> AnalysisReport:
         """The current fused report, refreshing on first use.
 
         Raises ``ValueError`` when the trace holds no rows at all — every
@@ -309,6 +315,20 @@ class ServiceState:
             if self._report is None:
                 raise ValueError("trace has no rows; nothing to analyze")
             return self._report
+
+    def partial(self) -> FusedPartial:
+        """The held fold of every shard's partial, refreshing on first use.
+
+        The report is finalized from it; the ``twin`` route reads its
+        calibration statistics off it without another sweep.  Raises
+        ``ValueError`` like :meth:`report`.  Callers must not mutate it.
+        """
+        with self._lock:
+            if self._folded is None and not self._scan:
+                self.refresh()
+            if self._folded is None:
+                raise ValueError("trace has no rows; nothing to analyze")
+            return self._folded
 
     @property
     def n_records(self) -> int:

@@ -7,39 +7,34 @@ diurnal load shape, the session-duration CDF, inter-arrival quantiles
 handover rate, per-carrier shares, and the presence/connect-time/busy
 headline numbers of the remaining Section 4 analyses.
 
-Extraction runs the fused engine: shard directories go through
-:func:`repro.core.mapreduce.analyze_shards_fused` (bit-identical at any
-worker count) plus one in-process :class:`~repro.core.twinstats.
-TwinStatsKernel` sweep folding per-shard partials in shard order; in-
-memory batches run one engine and one kernel over a single chunk.  Both
-paths end in :func:`summary_from_parts`.  Statistics carried by exact
-structures — counts, histograms, the welded session table and everything
-derived from them — are bit-identical between the two paths; plain float
-accumulations (carrier time shares) depend on chunk boundaries and agree
-only to rounding error.  Within one path every number is deterministic:
-``summarize_source`` is bit-identical at any worker count.
+Extraction runs the fused engine and reads its partial: shard directories
+go through :func:`repro.core.mapreduce.fold_shards_fused` (bit-identical
+at any worker count), in-memory batches through one engine over a single
+chunk, and the analysis daemon hands over the fold it already holds.
+Every path ends in :func:`summary_from_partial`, which closes the partial
+into the analysis report and reads the twin statistics
+(:mod:`repro.core.twinstats`) off the same partial.  Statistics carried by
+exact structures — counts, histograms, the welded session table and
+everything derived from them — are bit-identical between the paths; plain
+float accumulations (carrier time shares) depend on chunk boundaries and
+agree only to rounding error.  Within one path every number is
+deterministic: ``summarize_source`` is bit-identical at any worker count.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from pathlib import Path
 
 from repro.algorithms.intervals import Interval
 from repro.algorithms.timebins import StudyClock
 from repro.cdr.columnar import ColumnarCDRBatch
-from repro.cdr.io import read_columnar_auto
-from repro.cdr.store import DEFAULT_CHUNK_ROWS, read_batch_cdrz, resolve_shards
+from repro.cdr.io import read_columnar_auto, trace_format
+from repro.cdr.store import is_record_sorted
 from repro.core.busy import BusySchedule
-from repro.core.fused import ChunkIntermediates, FusedEngine, FusedReport
-from repro.core.preprocess import PreprocessConfig
-from repro.core.twinstats import (
-    TwinStatsKernel,
-    TwinStatsPartial,
-    diurnal_shape,
-    duration_quantile,
-)
+from repro.core.fused import ConnectPartial, FusedEngine, FusedPartial, finalize_fused
+from repro.core.twinstats import aggregate_sessions, diurnal_shape, duration_quantile
 from repro.cpus import available_cpus
 from repro.network.cells import Cell
 from repro.network.load import CellLoadModel
@@ -209,14 +204,13 @@ def _share_map(obj: Mapping[str, object], key: str) -> dict[str, float]:
     return out
 
 
-def _sessions_by_car(partial: TwinStatsPartial) -> dict[str, list[Interval]]:
+def _sessions_by_car(sessions: ConnectPartial) -> dict[str, list[Interval]]:
     """The aggregate-session table as per-car interval lists.
 
-    The chain table is grouped by car and chronological within car, so
-    each car's list arrives already sorted — exactly what
+    The table is grouped by car and chronological within car, so each
+    car's list arrives already sorted — exactly what
     :func:`repro.prediction.interarrival.gaps_from_sessions` expects.
     """
-    sessions = partial.sessions
     ids = sessions.car_ids
     out: dict[str, list[Interval]] = {}
     for code, start, end in zip(
@@ -226,18 +220,20 @@ def _sessions_by_car(partial: TwinStatsPartial) -> dict[str, list[Interval]]:
     return out
 
 
-def summary_from_parts(
-    report: FusedReport, partial: TwinStatsPartial, clock: StudyClock
-) -> TraceSummary:
-    """Fold a fused report and a twin-stat partial into one summary.
+def summary_from_partial(partial: FusedPartial, clock: StudyClock) -> TraceSummary:
+    """Close a fused partial into one summary.
 
     The single closing step every extraction path shares — disk or
-    memory, serial or map-reduce — which is what keeps their numbers
-    identical.
+    memory, serial, map-reduce or the daemon's held fold — which is what
+    keeps their numbers identical.  The Section 4 headline numbers come
+    from :func:`~repro.core.fused.finalize_fused`, the twin statistics
+    from read-outs of the same partial.
     """
     from repro.prediction.interarrival import fit_gap_models
 
-    _per_car, fleet = fit_gap_models(_sessions_by_car(partial))
+    report = finalize_fused(partial, clock)
+    sessions = aggregate_sessions(partial.connect_trunc)
+    _per_car, fleet = fit_gap_models(_sessions_by_car(sessions))
     if fleet.n_gaps:
         gap_qs = tuple(fleet.quantile(q) for q in GAP_QS)
     else:
@@ -261,12 +257,12 @@ def summary_from_parts(
     trunc_share = report.connect_time.truncated_share
     days_per_car = list(report.days.values())
     return TraceSummary(
-        n_records=partial.n_records,
+        n_records=partial.n_records + partial.n_ghosts,
         n_cars=int(presence.n_cars_total),
         n_days=int(clock.n_days),
-        diurnal_shape=tuple(diurnal_shape(partial).tolist()),
+        diurnal_shape=tuple(diurnal_shape(partial.presence).tolist()),
         duration_quantiles=tuple(
-            duration_quantile(partial, q) for q in DURATION_QS
+            duration_quantile(partial.durations, q) for q in DURATION_QS
         ),
         interarrival_quantiles=gap_qs,
         n_gaps=fleet.n_gaps,
@@ -292,64 +288,16 @@ def summary_from_parts(
 
 
 def summarize_batch(col: ColumnarCDRBatch, ctx: TwinContext) -> TraceSummary:
-    """Summarize an in-memory columnar batch (the candidate-trace path)."""
-    engine = FusedEngine(
-        ctx.clock, schedule=ctx.schedule, cells=ctx.cells
-    )
-    engine.consume(col)
-    kernel = TwinStatsKernel(col.car_ids, ctx.clock)
-    kernel.consume(
-        ChunkIntermediates(col, ctx.clock, PreprocessConfig().truncate_s)
-    )
-    return summary_from_parts(
-        engine.finalize(), kernel.export_partial(), ctx.clock
-    )
+    """Summarize an in-memory columnar batch (the candidate-trace path).
 
-
-def twin_stats_for_batches(
-    batches: Iterable[ColumnarCDRBatch],
-    clock: StudyClock,
-    *,
-    chunk_rows: int = DEFAULT_CHUNK_ROWS,
-) -> TwinStatsPartial | None:
-    """Twin-stat partial of shard batches, folded in the order given.
-
-    One kernel per shard (shards may carry different vocabularies), chunk
-    consumption within each shard, partials folded in shard order — the
-    same structure as the fused map-reduce, run in process.  The result
-    is bit-identical at any ``chunk_rows``; ``None`` when there is no
-    batch.
+    The engine needs rows in record order, so a batch out of it is sorted
+    first.
     """
-    truncate_s = PreprocessConfig().truncate_s
-    merged: TwinStatsPartial | None = None
-    for batch in batches:
-        kernel = TwinStatsKernel(batch.car_ids, clock)
-        for lo in range(0, len(batch), chunk_rows):
-            chunk = batch.rows(lo, min(lo + chunk_rows, len(batch)))
-            kernel.consume(ChunkIntermediates(chunk, clock, truncate_s))
-        partial = kernel.export_partial()
-        if merged is None:
-            merged = partial
-        else:
-            merged.absorb_partial(partial)
-    return merged
-
-
-def twin_stats_for_source(
-    source: str | Path,
-    clock: StudyClock,
-    *,
-    chunk_rows: int = DEFAULT_CHUNK_ROWS,
-) -> TwinStatsPartial:
-    """Twin-stat partial of a `.cdrz` file or shard directory."""
-    merged = twin_stats_for_batches(
-        (read_batch_cdrz(shard) for shard in resolve_shards(source)),
-        clock,
-        chunk_rows=chunk_rows,
-    )
-    if merged is None:
-        raise ValueError(f"no shards to summarize under {source}")
-    return merged
+    if not is_record_sorted(col):
+        col = col.sorted()
+    engine = FusedEngine(ctx.clock, schedule=ctx.schedule, cells=ctx.cells)
+    engine.consume(col)
+    return summary_from_partial(engine.export_partial(), ctx.clock)
 
 
 def summarize_source(
@@ -357,22 +305,23 @@ def summarize_source(
 ) -> TraceSummary:
     """Summarize any trace: csv/jsonl/cdrz file or `.cdrz` shard directory.
 
-    Shard directories run the fused map-reduce with ``workers`` processes
-    (0 = one per CPU); the result does not depend on the count.  Text
-    traces load in one batch and take the in-memory path.
+    A `.cdrz` file or shard directory runs the fused shard fold with
+    ``workers`` processes (0 = one per CPU); the result does not depend on
+    the count, and shards out of start order raise
+    :class:`~repro.core.mapreduce.ShardOrderError`.  Text traces load in
+    one batch and take the in-memory path.
     """
-    from repro.core.mapreduce import analyze_shards_fused
+    from repro.core.mapreduce import fold_shards_fused
 
     path = Path(source)
-    if not path.is_dir() and path.suffix != ".cdrz":
+    if not path.is_dir() and trace_format(path) != "cdrz":
         return summarize_batch(read_columnar_auto(source), ctx)
     n_workers = workers if workers > 0 else available_cpus()
-    report, _stats = analyze_shards_fused(
+    partial, _stats = fold_shards_fused(
         source,
         ctx.clock,
         schedule=ctx.schedule,
         cells=ctx.cells,
         workers=n_workers,
     )
-    partial = twin_stats_for_source(source, ctx.clock)
-    return summary_from_parts(report, partial, ctx.clock)
+    return summary_from_partial(partial, ctx.clock)

@@ -221,26 +221,20 @@ class TestWorkflows:
         assert outputs[0] == outputs[1]
 
     def test_analyze_workers_routes_to_fused_mapreduce(self, shard_dir, capsys):
-        # The fused map-reduce path prints the full Section 4 statistics
-        # plus Figure 9's duration summary.
-        code = main(
-            [
-                "analyze",
-                "--trace",
-                str(shard_dir),
-                "--days",
-                "7",
-                "--workers",
-                "2",
-            ]
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "fused map-reduce over" in out
-        assert "connect time: mean share" in out
-        assert "duration: median" in out
-        assert ">600 s:" in out
-        assert "carrier time shares" in out
+        # The shard fold prints one fan-out line, then exactly the report
+        # the in-process run prints, Figure 9 and Figure 11 included, in
+        # either format.
+        for fmt in ([], ["--markdown"]):
+            argv = ["analyze", "--trace", str(shard_dir), "--days", "7", *fmt]
+            assert main(argv) == 0
+            serial = capsys.readouterr().out
+            assert main(argv + ["--workers", "2"]) == 0
+            header, body = capsys.readouterr().out.split("\n", 1)
+            assert header.startswith("fused map-reduce over ")
+            assert "2 worker(s); peak RSS" in header
+            assert body == serial
+            assert "duration: median" in serial
+            assert "clusters over" in serial
 
     @pytest.mark.parametrize(
         "argv",
@@ -255,13 +249,14 @@ class TestWorkflows:
         assert exit_info.value.code == 2
         assert "error:" in capsys.readouterr().err
 
-    def test_analyze_workers_rejects_text_traces(self, trace_path, capsys):
-        code = main(
-            ["analyze", "--trace", str(trace_path), "--days", "7", "--workers", "2"]
-        )
-        err = capsys.readouterr().err
-        assert code == 2
-        assert "needs a cdrz trace" in err
+    def test_analyze_text_trace_is_the_same_at_any_workers(self, trace_path, capsys):
+        argv = ["analyze", "--trace", str(trace_path), "--scenario", "smoke",
+                "--days", "7", "--no-clustering"]
+        assert main(argv) == 0
+        serial = capsys.readouterr().out
+        assert main(argv + ["--workers", "2"]) == 0
+        assert capsys.readouterr().out == serial
+        assert serial.startswith("== Daily presence (Fig 2) ==\nrecords kept ")
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize(
@@ -294,6 +289,19 @@ class TestWorkflows:
         assert len(lines) == 1
         assert "no usable records" in lines[0]
         assert f"{ghosts} rows read, {ghosts} ghost records dropped" in lines[0]
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    @pytest.mark.parametrize("name", ["missing.csv", "missing.cdrz", "missing/"])
+    def test_analyze_missing_trace_exits_cleanly(self, tmp_path, capsys, name, workers):
+        trace = str(tmp_path / name)
+        code = main(["analyze", "--trace", trace, "--days", "7", "--workers", workers])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"analyze: {trace}: ")
+        assert "No such file or directory" in lines[0]
 
     def test_analyze_markdown(self, trace_path, capsys):
         code = main(

@@ -69,17 +69,48 @@ class TestWorkersAlignment:
             ["serve", "--trace", "unused", "--days", "0"],
             ["twin", "unused", "--out", "unused.json", "--days", "0"],
             ["twin", "unused", "--out", "unused.json", "--cars", "0"],
+            ["fota", "--trace", "unused", "--max-concurrent", "0"],
+            ["fota", "--trace", "unused", "--max-concurrent", "-1"],
         ],
         ids=lambda argv: f"{argv[0]}{argv[-2]}",
     )
     def test_non_positive_count_exit_2_with_usage(self, argv, capsys):
-        """Zero or fewer days, cars or shard rows is a usage error."""
+        """Zero or fewer days, cars, shard rows or downloads is a usage error."""
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"usage: repro {argv[0]} ")
         assert f"argument {argv[-2]}: must be a positive count" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["serve", "--trace", "unused", "--cache-mb", "-1"], "must be 0 or more"),
+            (["serve", "--trace", "unused", "--cache-mb", "nan"], "invalid float"),
+            (["saturate", "--duration-hours", "-1"], "must be positive"),
+            (["saturate", "--duration-hours", "0"], "must be positive"),
+            (["saturate", "--duration-hours", "inf"], "invalid float"),
+            (["saturate", "--duration-hours", "soon"], "invalid float"),
+        ],
+        ids=[
+            "cache-mb-negative",
+            "cache-mb-nan",
+            "duration-negative",
+            "duration-zero",
+            "duration-inf",
+            "duration-text",
+        ],
+    )
+    def test_out_of_range_amount_exit_2_with_usage(self, argv, message, capsys):
+        """A negative cache or a non-positive test length is a usage error."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: repro {argv[0]} ")
+        assert f"argument {argv[-2]}: {message}" in err
         assert "Traceback" not in err
 
 

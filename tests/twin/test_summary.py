@@ -6,6 +6,7 @@ import pytest
 
 from repro.cdr.io import write_records_csv
 from repro.cdr.store import write_sharded_cdrz
+from repro.core.mapreduce import fold_shards_fused
 from repro.simulate.generator import TraceGenerator
 from repro.simulate.scenarios import scenario
 from repro.twin.summary import (
@@ -15,8 +16,8 @@ from repro.twin.summary import (
     TwinContext,
     summarize_batch,
     summarize_source,
+    summary_from_partial,
     twin_context,
-    twin_stats_for_source,
 )
 
 DAYS = 7
@@ -124,11 +125,17 @@ class TestPathParity:
         assert summarize_source(csv_path, ctx) == summary
 
     def test_chunk_rows_do_not_matter(self, shard_dir, ctx):
-        a = twin_stats_for_source(shard_dir, ctx.clock, chunk_rows=37)
-        b = twin_stats_for_source(shard_dir, ctx.clock)
-        assert (a.hour_counts == b.hour_counts).all()
-        assert (a.duration_bins == b.duration_bins).all()
-        assert (a.sessions.start == b.sessions.start).all()
+        """Every statistic but the float carrier sums is chunk-exact."""
+        a, _ = fold_shards_fused(shard_dir, ctx.clock, chunk_rows=37)
+        b, _ = fold_shards_fused(shard_dir, ctx.clock)
+        assert (a.presence.hours == b.presence.hours).all()
+        assert (a.durations.bins == b.durations.bins).all()
+        assert (a.durations.counts == b.durations.counts).all()
+        assert (a.connect_trunc.start == b.connect_trunc.start).all()
+        assert (a.connect_trunc.cm == b.connect_trunc.cm).all()
+        assert_summaries_close(
+            summary_from_partial(a, ctx.clock), summary_from_partial(b, ctx.clock)
+        )
 
     def test_empty_source_raises(self, tmp_path, ctx):
         from repro.cdr.errors import CDRValidationError
@@ -136,7 +143,9 @@ class TestPathParity:
         empty = tmp_path / "empty"
         empty.mkdir()
         with pytest.raises(CDRValidationError, match="no .* shards"):
-            twin_stats_for_source(empty, ctx.clock)
+            fold_shards_fused(empty, ctx.clock)
+        with pytest.raises(CDRValidationError, match="no .* shards"):
+            summarize_source(empty, ctx)
 
 
 class TestJsonRoundTrip:
