@@ -61,11 +61,8 @@ def test_analysis_throughput(emit, emit_json):
     pre = preprocess(dataset.batch)
     n = len(pre.full)
     full_col = pre.full.columnar()
-    # Materialize every busy mask (and the fused engine's padded mask
-    # table) up front so no engine pays the load model's lazy series
-    # synthesis inside its timed region.
-    for cell_id in cells:
-        schedule.busy_mask(cell_id)
+    # Build every busy mask up front so no engine pays the load model's
+    # on-demand series synthesis inside its timed region.
     schedule.mask_table()
 
     stages = {
@@ -116,11 +113,9 @@ def test_analysis_throughput(emit, emit_json):
     pipeline = AnalysisPipeline(
         clock, load_model=dataset.load_model, cells=cells
     )
-    # Warm the pipeline's busy-mask cache too: series synthesis is part of
-    # the simulated network, not of the analyses under measurement, and
-    # leaving it cold would bill it entirely to whichever engine runs first.
-    for cell_id in cells:
-        pipeline.schedule.busy_mask(cell_id)
+    # Warm the pipeline's busy masks too: series synthesis is part of the
+    # simulated network, not of the analyses under measurement, and leaving
+    # it cold would bill it entirely to whichever engine runs first.
     pipeline.schedule.mask_table()
     # Clustering is engine-independent (k-means over busy-cell vectors), so
     # the end-to-end comparison focuses on the Section 4 analyses.  The

@@ -34,13 +34,7 @@ import numpy as np
 from repro.algorithms.timebins import DAY
 from repro.cdr.store import write_batch_cdrz, write_sharded_cdrz
 from repro.cli import main as cli_main
-from repro.service import (
-    ServiceClient,
-    ServiceConfig,
-    ServiceState,
-    ServiceThread,
-    scenario_context,
-)
+from repro.service import ServiceClient, ServiceConfig, ServiceState, ServiceThread
 from repro.service.routes import ANALYSIS_ROUTES
 
 DAYS = 90
@@ -98,10 +92,9 @@ def test_service_throughput(dataset, emit_json, tmp_path):
     assert code == 0
 
     # -- full recompute vs incremental ingest ------------------------------
-    # Both sides run on a warm scenario context: an ingest never builds the
-    # busy-mask grid, so the full recompute it is compared with must not
-    # either.
-    scenario_context("default", DAYS).schedule.mask_table()
+    # Both sides run on a warm scenario context: the context builds the
+    # whole busy-mask grid when it is created, so neither an ingest nor the
+    # full recompute it is compared with builds masks.
     config = ServiceConfig(trace=str(full_dir), scenario="default", days=DAYS)
     state_full = ServiceState(config)
     t0 = time.perf_counter()

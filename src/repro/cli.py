@@ -647,10 +647,12 @@ def cmd_fota(args: argparse.Namespace) -> int:
     load_model = CellLoadModel(topology, clock, seed=config.load_seed)
     batch = load_trace(args.trace)
     pre = preprocess(batch)
+    # Campaigns read masks record by record over most of the calendar: one
+    # bulk build costs less than building each cell on its first record.
+    schedule = BusySchedule.from_load_model(load_model)
+    schedule.mask_table()
     simulator = CampaignSimulator(
-        pre.truncated,
-        BusySchedule.from_load_model(load_model),
-        days_on_network(pre.full, clock),
+        pre.truncated, schedule, days_on_network(pre.full, clock)
     )
     campaign = CampaignConfig(
         update_bytes=args.update_mb * 1e6, window_days=args.days

@@ -5,11 +5,16 @@ utilization exceeds 80% in that bin.  For every car it then measures the
 share of its connected time spent in busy cells: most cars spend little time
 there, but ~2.4% spend over half their connected time and ~1% spend all of it
 on busy radios — the cars whose FOTA downloads would pour oil onto the fire.
+
+Synthetic masks come from the load model one (cell, study day) pair at a
+time and only when read: a cold ``analyze`` pays for the cell-days its
+trace touches, not for every topology cell on every study day.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 import numpy.typing as npt
@@ -22,12 +27,12 @@ from repro.network.load import CellLoadModel
 #: The paper's busy threshold on U_PRB per 15-minute bin.
 BUSY_THRESHOLD = 0.80
 
-#: Cells synthesized per :meth:`CellLoadModel.series_block` call while
-#: :meth:`BusySchedule.mask_table` fills its grid: enough to amortize the
-#: bulk seeding's fixed cost per call, few enough that the block's float
-#: series (48 KiB per study day) stays well under the whole grid's
-#: boolean masks (150 KiB per study day on the default topology).
-MASK_BLOCK_CELLS = 64
+#: (cell, day) pairs built per :meth:`CellLoadModel.series_block` call:
+#: enough to amortize the bulk seeding's fixed cost per call (~0.2 ms, ~3%
+#: of a block), few enough that the block's float series (768 KiB) stays
+#: bounded at any study length and off an ``analyze``'s peak memory
+#: (2,048-pair blocks raised a 400-car, 14-day run's 66.5 MB peak by 1 MB).
+MASK_BLOCK_PAIRS = 1024
 
 _MaskTable = tuple[
     npt.NDArray[np.int64], npt.NDArray[np.int64], npt.NDArray[np.bool_]
@@ -45,18 +50,6 @@ def _pad(masks: dict[int, npt.NDArray[np.bool_]]) -> _MaskTable:
     return cell_ids, lens, grid
 
 
-def _synthesize(model: CellLoadModel, threshold: float) -> _MaskTable:
-    """Every topology cell's busy mask over the model's whole calendar."""
-    cells = sorted(model.topology.cells)
-    width = model.clock.n_days * BINS_PER_DAY
-    grid = np.empty((len(cells), width), dtype=np.bool_)
-    for lo in range(0, len(cells), MASK_BLOCK_CELLS):
-        block = cells[lo : lo + MASK_BLOCK_CELLS]
-        np.greater(model.series_block(block), threshold, out=grid[lo : lo + len(block)])
-    cell_ids = np.asarray(cells, dtype=np.int64)
-    return cell_ids, np.full(len(cells), width, dtype=np.int64), grid
-
-
 class BusySchedule:
     """Per-cell boolean busy masks over the study's 15-minute bins.
 
@@ -64,8 +57,15 @@ class BusySchedule:
     :class:`CellLoadModel` (the synthetic network's counters), and answers
     "was this cell busy during this bin".  Cells with no known series are
     treated as never busy, matching how an operator handles cells missing
-    counters.  A model-backed schedule keeps its masks in one place, the
-    :meth:`mask_table` grid, built in full on first use.
+    counters.
+
+    A model-backed schedule keeps its masks in one place, the
+    :meth:`mask_table` grid, and builds them one (cell, study day) pair at
+    a time, only when asked: a trace that touches a quarter of the
+    calendar pays for a quarter of it.  Building mutates the schedule, so
+    a schedule shared between threads must be complete (``mask_table()``)
+    before they read it; the analysis service builds its whole calendar
+    before it serves or forks, and its request threads only read.
     """
 
     def __init__(
@@ -82,12 +82,16 @@ class BusySchedule:
         self.threshold = threshold
         self._model = model
         self._table: _MaskTable | None = None
+        #: Model-backed: ``(n_cells, n_days)`` flags of the built pairs.
+        self._built: npt.NDArray[np.bool_] | None = None
+        #: Model-backed: each topology cell's row in the grid.
+        self._rows: dict[int, int] = {}
 
     @classmethod
     def from_load_model(
         cls, model: CellLoadModel, threshold: float = BUSY_THRESHOLD
     ) -> "BusySchedule":
-        """Schedule backed by a load model, synthesized on first use."""
+        """Schedule backed by a load model, synthesized on demand."""
         return cls({}, threshold, model=model)
 
     @classmethod
@@ -104,36 +108,90 @@ class BusySchedule:
     def busy_mask(self, cell_id: int) -> npt.NDArray[np.bool_] | None:
         """Boolean per-bin busy mask for a cell, or ``None`` when unknown.
 
-        For a model-backed schedule this builds :meth:`mask_table` on first
-        use and returns the cell's row of its grid, a view that must not be
-        written to.
+        For a model-backed schedule the first call for a cell builds its
+        missing days; every call returns the cell's row of the
+        :meth:`mask_table` grid, a view that must not be written to.
         """
-        if self._model is not None and self._table is None:
-            self.mask_table()
-        return self._masks.get(cell_id)
+        mask = self._masks.get(cell_id)
+        if mask is None and self._model is not None:
+            _, _, grid = self._layout()
+            row = self._rows.get(cell_id)
+            if row is None:
+                return None
+            days = np.arange(grid.shape[1] // BINS_PER_DAY)
+            self.mask_table(np.full(days.size, row), days)
+            mask = self._masks[cell_id] = grid[row]
+        return mask
 
-    def mask_table(self) -> _MaskTable:
-        """Every known cell's mask as one padded grid, built once.
+    def directory(self) -> tuple[npt.NDArray[np.int64], npt.NDArray[np.int64]]:
+        """``(cell_ids, lens)`` of :meth:`mask_table`, without building a mask."""
+        cell_ids, lens, _ = self._layout()
+        return cell_ids, lens
+
+    def mask_table(
+        self,
+        positions: npt.NDArray[np.integer[Any]] | None = None,
+        days: npt.NDArray[np.integer[Any]] | None = None,
+    ) -> _MaskTable:
+        """Every known cell's mask as one padded grid.
 
         Returns ``(cell_ids, lens, grid)``: sorted cell ids, each mask's
         bin count, and a ``(n_cells, max_bins)`` boolean grid padded with
-        ``False``.  The fused busy kernel gathers straight from this layout
-        instead of re-assembling a per-chunk table.  A model-backed grid is
-        filled :data:`MASK_BLOCK_CELLS` cells at a time from
-        :meth:`CellLoadModel.series_block` and is then the only store of
-        the masks: :meth:`busy_mask` looks up views of its rows.  The masks
-        are a pure function of the load model, so the grid lives as long as
-        the schedule — in the analysis service, as long as the process,
-        shared by every query for the same (scenario, days) key.
+        ``False``, which the fused busy kernel gathers from directly.
+
+        A model-backed grid starts all ``False`` and builds (cell, study
+        day) pairs on request, :data:`MASK_BLOCK_PAIRS` at a time through
+        :meth:`CellLoadModel.series_block`: with no arguments every missing
+        pair, given equal-length arrays of directory positions (rows of
+        ``grid``) and study days only the missing pairs among them.  A pair
+        not yet built reads ``False``.  The grid is the only store of the
+        masks (:meth:`busy_mask` returns views of its rows) and lives as
+        long as the schedule — in the analysis service, as long as the
+        process, shared by every query for the same (scenario, days) key.
         """
+        if (positions is None) != (days is None):
+            raise ValueError("give positions and days together, or neither")
+        table = self._layout()
+        model, built = self._model, self._built
+        if model is None or built is None or built.all():
+            return table
+        n_days = built.shape[1]
+        if positions is None or days is None:
+            missing = np.flatnonzero(~built)
+        else:
+            if days.size and not (days.min() >= 0 and days.max() < n_days):
+                raise ValueError(f"study days must lie in [0, {n_days})")
+            # Flat flags dedupe the request in O(request + calendar).
+            wanted = np.zeros(built.size, dtype=np.bool_)
+            wanted[positions * n_days + days] = True
+            wanted &= ~built.reshape(-1)
+            missing = np.flatnonzero(wanted)
+        rows, cols = np.divmod(missing, n_days)
+        cell_ids, _, grid = table
+        by_day = grid.reshape(len(cell_ids), -1, BINS_PER_DAY)
+        for lo in range(0, rows.size, MASK_BLOCK_PAIRS):
+            r, d = rows[lo : lo + MASK_BLOCK_PAIRS], cols[lo : lo + MASK_BLOCK_PAIRS]
+            by_day[r, d] = model.series_block(cell_ids[r], d) > self.threshold
+        built[rows, cols] = True
+        return table
+
+    def _layout(self) -> _MaskTable:
+        """The table, allocated once; a model-backed grid starts unbuilt."""
         table = self._table
         if table is None:
             if self._model is None:
                 table = _pad(self._masks)
             else:
-                table = _synthesize(self._model, self.threshold)
-                cell_ids, _, grid = table
-                self._masks = dict(zip(cell_ids.tolist(), grid))
+                cells = sorted(self._model.topology.cells)
+                n_days = self._model.clock.n_days
+                width = n_days * BINS_PER_DAY
+                table = (
+                    np.asarray(cells, dtype=np.int64),
+                    np.full(len(cells), width, dtype=np.int64),
+                    np.zeros((len(cells), width), dtype=np.bool_),
+                )
+                self._built = np.zeros((len(cells), n_days), dtype=np.bool_)
+                self._rows = {cell_id: row for row, cell_id in enumerate(cells)}
             self._table = table
         return table
 

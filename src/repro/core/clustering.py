@@ -48,9 +48,15 @@ class BusyCellClusters:
         return [cid for cid, lab in zip(self.cell_ids, self.result.labels) if lab == label]
 
     def cluster_mean_vector(self, rank: int) -> npt.NDArray[np.float64]:
-        """Mean weekly concurrency vector of the ``rank``-th cluster."""
+        """Mean weekly concurrency vector of the ``rank``-th cluster.
+
+        All zeros for a cluster k-means left empty, whose level
+        :func:`cluster_vectors` also scores as 0.
+        """
         label = self.ordering[rank]
         members = self.vectors[self.result.labels == label]
+        if not len(members):
+            return np.zeros(self.vectors.shape[1])
         out: npt.NDArray[np.float64] = members.mean(axis=0)
         return out
 

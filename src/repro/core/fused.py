@@ -60,7 +60,13 @@ import numpy.typing as npt
 
 from repro.algorithms.segments import ragged_ranges, segment_ids, segmented_cummax
 from repro.algorithms.stats import binned_order_statistic
-from repro.algorithms.timebins import BIN_SECONDS, DAY, StudyClock, straddled_bin_span
+from repro.algorithms.timebins import (
+    BIN_SECONDS,
+    BINS_PER_DAY,
+    DAY,
+    StudyClock,
+    straddled_bin_span,
+)
 from repro.cdr.columnar import ColumnarCDRBatch
 from repro.cdr.store import keys_in_record_order
 from repro.core.busy import BusyExposure, BusySchedule, _shares
@@ -792,6 +798,31 @@ class BusyPartial:
         self.seen = seen
 
 
+def _request_read_pairs(
+    schedule: BusySchedule,
+    pos: npt.NDArray[np.intp],
+    first: npt.NDArray[np.int64],
+    last: npt.NDArray[np.int64],
+    lens: npt.NDArray[np.int64],
+) -> npt.NDArray[np.bool_]:
+    """Build the (cell, study day) pairs rows read, and return the grid.
+
+    A row on directory position ``pos`` straddling bins ``first`` to
+    ``last`` reads the bins of that range inside its cell's mask of
+    ``lens`` bins (none when ``lens`` is 0, an unknown cell), so it needs
+    the study days from the first to the last of them.  Kept in its own
+    frame so the per-row temporaries are gone before the caller allocates
+    its fragment arrays.
+    """
+    lo = np.maximum(first, 0)
+    hi = np.minimum(last, lens - 1)
+    reads = lo <= hi
+    first_day = lo[reads] // BINS_PER_DAY
+    owner, offset = ragged_ranges(hi[reads] // BINS_PER_DAY - first_day + 1)
+    _, _, grid = schedule.mask_table(pos[reads][owner], first_day[owner] + offset)
+    return grid
+
+
 class BusyKernel:
     """Figure 7: per-car seconds in busy vs all cells.
 
@@ -801,9 +832,10 @@ class BusyKernel:
     stay whole), fragment seconds accumulate with the unbuffered
     ``np.add.at`` in record-major bin-minor order — the reference's add
     order — so a single-engine pass is bit-identical at any chunk size.
-    Busy bits gather from the schedule's cached whole-directory mask grid
+    Busy bits gather from the schedule's whole-directory mask grid
     (:meth:`BusySchedule.mask_table`) instead of re-assembling a per-chunk
-    table.
+    table; before any fragment array exists, the chunk asks the schedule
+    for just the (cell, study day) pairs its fragments read.
     """
 
     def __init__(self, schedule: BusySchedule, car_ids: tuple[str, ...]) -> None:
@@ -818,7 +850,7 @@ class BusyKernel:
             return
         self._seen[inter.present_codes] = True
         cells, cell_row = inter.cell_groups
-        dir_cells, dir_lens, grid = self._schedule.mask_table()
+        dir_cells, dir_lens = self._schedule.directory()
         if dir_cells.size:
             pos = np.searchsorted(dir_cells, cells)
             pos_c = np.minimum(pos, dir_cells.size - 1)
@@ -830,10 +862,14 @@ class BusyKernel:
             pos_c = np.zeros(len(cells), dtype=np.intp)
             lens = np.zeros(len(cells), dtype=np.int64)
 
+        first, last = inter.bin_span
+        grid = _request_read_pairs(
+            self._schedule, pos_c[cell_row], first, last, lens[cell_row]
+        )
+
         start = inter.start
         duration = inter.trunc_duration
         end = start + duration
-        first, last = inter.bin_span
         known_row = known_cell[cell_row]
         counts = np.where(known_row, last - first + 1, 1)
 

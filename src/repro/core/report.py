@@ -6,6 +6,8 @@ these helpers keep that formatting in one place.
 
 from __future__ import annotations
 
+import math
+
 from repro.core.carriers import CARRIER_ORDER, CarrierUsage
 from repro.core.connect_time import DurationStats
 from repro.core.fused import AnalysisReport
@@ -86,6 +88,15 @@ def format_durations(stats: DurationStats) -> str:
     )
 
 
+def format_ratio(value: float, suffix: str) -> str:
+    """A Figure 11 cluster ratio to one decimal, ``n/a`` when not finite.
+
+    A ratio over an empty or all-idle cluster is infinite, which says only
+    that the clusters are degenerate.
+    """
+    return f"{value:.1f}{suffix}" if math.isfinite(value) else "n/a"
+
+
 def format_report(report: AnalysisReport) -> str:
     """Full multi-section text report of an analysis run."""
     sections = [
@@ -121,8 +132,8 @@ def format_report(report: AnalysisReport) -> str:
             "",
             "== Busy-cell clusters (Fig 11) ==",
             f"{report.clusters.k} clusters over {len(report.clusters.cell_ids)} busy cells; "
-            f"level ratio {report.clusters.level_ratio():.1f}x, "
-            f"size ratio {report.clusters.size_ratio():.1f}x, "
+            f"level ratio {format_ratio(report.clusters.level_ratio(), 'x')}, "
+            f"size ratio {format_ratio(report.clusters.size_ratio(), 'x')}, "
             f"shape correlation {report.clusters.shape_correlation():.2f}",
         ]
     if report.notes:
@@ -201,7 +212,8 @@ def format_report_markdown(report: AnalysisReport) -> str:
             "### Busy-cell clusters (Figure 11)",
             "",
             f"{c.k} clusters over {len(c.cell_ids)} busy cells — level ratio "
-            f"**{c.level_ratio():.1f}×**, size ratio **{c.size_ratio():.1f}×**, "
+            f"**{format_ratio(c.level_ratio(), '×')}**, "
+            f"size ratio **{format_ratio(c.size_ratio(), '×')}**, "
             f"shape correlation **{c.shape_correlation():.2f}**",
         ]
     return "\n".join(lines)

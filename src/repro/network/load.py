@@ -17,9 +17,10 @@ without storing the full 90-day series.
 
 :meth:`CellLoadModel.day_series` is the definition: one fresh
 ``np.random.default_rng`` per (cell, day).  :meth:`CellLoadModel.series_block`
-builds whole calendars for a block of cells with the same draws, seeding one
+builds any block of (cell, day) pairs with the same draws, seeding one
 reused generator from :func:`repro.algorithms.rng.pcg64_states` instead of
-constructing a generator per day, which is most of a day's cost.
+constructing a generator per pair, which is most of a pair's cost.  Pairs
+are independent, so a caller can build just the cell-days it reads.
 """
 
 from __future__ import annotations
@@ -235,28 +236,45 @@ class CellLoadModel:
         day = self.clock.day_index(t)
         return float(self.day_series(cell_id, day)[self.clock.bin15_of_day(t)])
 
-    def series_block(self, cell_ids: Sequence[int]) -> npt.NDArray[np.float64]:
-        """Series of several cells over the whole study, ``(len(cell_ids), n_days * 96)``.
+    def series_block(
+        self, cell_ids: npt.NDArray[np.int64], days: npt.NDArray[np.int64]
+    ) -> npt.NDArray[np.float64]:
+        """Series of (cell, day) pairs, ``(len(cell_ids), 96)``.
 
-        Row ``i`` equals the concatenated :meth:`day_series` of
-        ``cell_ids[i]`` bit for bit: each day's noise comes from the PCG64
-        state ``default_rng`` would start from, set on one reused generator,
-        and the floor, ceiling, weekday shape and clip are the same float
-        operations applied to every calendar at once.
+        Row ``i`` equals :meth:`day_series` of ``(cell_ids[i], days[i])``
+        bit for bit: each pair's noise comes from the PCG64 state
+        ``default_rng`` would start from, set on one reused generator, and
+        the floor, ceiling, weekday shape and clip are the same float
+        operations applied to every pair at once.  Profiles are looked up
+        once per run of equal cell ids, so cell-major pairs pay for them
+        once per cell.
         """
-        days = self.clock.n_days
-        weekend = (np.arange(days) + self.clock.start_weekday) % 7 >= 5
-        shapes = np.where(weekend[:, None], self._we_shape, self._wd_shape)
-        profiles = [self._profiles[cell_id] for cell_id in cell_ids]
-        floors = np.asarray([p.floor for p in profiles])[:, None, None]
-        ceilings = np.asarray([p.ceiling for p in profiles])[:, None, None]
-        series: npt.NDArray[np.float64] = floors + (ceilings - floors) * shapes
+        cells = np.asarray(cell_ids, dtype=np.int64)
+        days = np.asarray(days, dtype=np.int64)
+        if cells.shape != days.shape or cells.ndim != 1:
+            raise ValueError(
+                f"need two equal-length 1-d arrays, got {cells.shape} and {days.shape}"
+            )
+        starts = np.flatnonzero(np.diff(cells, prepend=cells[:1] - 1))
+        runs = np.diff(starts, append=cells.size)
+        profiles = [self._profiles[cell_id] for cell_id in cells[starts].tolist()]
+        floors = np.repeat([p.floor for p in profiles], runs)[:, None]
+        ceilings = np.repeat([p.ceiling for p in profiles], runs)[:, None]
+        weekend = (days + self.clock.start_weekday) % 7 >= 5
+        series: npt.NDArray[np.float64] = np.where(
+            weekend[:, None], self._we_shape, self._wd_shape
+        )
+        series *= ceilings - floors
+        series += floors
         states = pcg64_states(
-            [self._entropy(cell_id, day) for cell_id in cell_ids for day in range(days)]
+            [
+                self._entropy(cell_id, day)
+                for cell_id, day in zip(cells.tolist(), days.tolist())
+            ]
         )
         bitgen = np.random.PCG64(0)
         day_rng = np.random.Generator(bitgen)
-        for row, (state, inc) in zip(series.reshape(-1, BINS_PER_DAY), states):
+        for row, (state, inc) in zip(series, states):
             bitgen.state = {
                 "bit_generator": "PCG64",
                 "state": {"state": state, "inc": inc},
@@ -265,7 +283,7 @@ class CellLoadModel:
             }
             row += day_rng.normal(0.0, self.noise_std, size=BINS_PER_DAY)
         np.clip(series, 0.01, 1.0, out=series)
-        return series.reshape(len(profiles), days * BINS_PER_DAY)
+        return series
 
     def mean_weekly_utilization(self, cell_id: int) -> float:
         """Mean of the cell's noise-free weekly template.

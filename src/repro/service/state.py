@@ -19,9 +19,10 @@ a cold full run no matter how many ingests it took to get there — the
 parity suite in ``tests/service/`` asserts exactly that.
 
 Scenario context (topology + load model + schedule) is shared process-wide
-per ``(scenario, days)`` key: the busy-mask grid is the largest part of a
-cold start, and the masks are a pure function of the scenario, so two
-states over the same scenario must not pay for it twice.
+per ``(scenario, days)`` key: the busy-mask grid, built whole before the
+first refresh, is the largest part of a cold start, and the masks are a
+pure function of the scenario, so two states over the same scenario must
+not pay for it twice.
 """
 
 from __future__ import annotations
@@ -132,10 +133,13 @@ _CONTEXTS_LOCK = threading.Lock()
 def scenario_context(scenario_name: str, days: int) -> ScenarioContext:
     """The shared context for a ``(scenario, days)`` key, built once.
 
-    The :class:`BusySchedule` inside is the expensive part — its lazy
-    per-cell masks and padded grid survive for the process lifetime, so
-    every service query (and every state) over the same key reuses one
-    schedule instance instead of re-deriving masks per request.
+    The :class:`BusySchedule` inside is the expensive part.  Its whole
+    calendar is built here, before the first refresh and so before any
+    map pool forks: children inherit the grid instead of each building
+    their shards' pairs, an ingest builds no masks, and request threads
+    only ever read the schedule.  The grid survives for the process
+    lifetime, so every service query (and every state) over the same key
+    reuses one schedule instance instead of re-deriving masks per request.
     """
     key = (scenario_name, days)
     with _CONTEXTS_LOCK:
@@ -145,11 +149,13 @@ def scenario_context(scenario_name: str, days: int) -> ScenarioContext:
             clock = StudyClock(n_days=days)
             topology = build_topology(config.topology)
             load_model = CellLoadModel(topology, clock, seed=config.load_seed)
+            schedule = BusySchedule.from_load_model(load_model)
+            schedule.mask_table()
             context = ScenarioContext(
                 clock=clock,
                 topology=topology,
                 load_model=load_model,
-                schedule=BusySchedule.from_load_model(load_model),
+                schedule=schedule,
             )
             _CONTEXTS[key] = context
         return context

@@ -1,11 +1,19 @@
 """Unit tests for busy-cell exposure (Figure 7)."""
 
+from unittest.mock import patch
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.algorithms.timebins import BIN_SECONDS, BINS_PER_DAY, StudyClock
+import repro.core.busy as busy_module
+from repro.algorithms.timebins import BIN_SECONDS, BINS_PER_DAY, DAY, StudyClock
 from repro.cdr.records import CDRBatch, ConnectionRecord
 from repro.core.busy import BUSY_THRESHOLD, BusyExposure, BusySchedule, busy_exposure
+from repro.core.fused import FusedEngine, busy_exposure_fused
+from repro.core.preprocess import preprocess
+from repro.core.report import format_report
 from repro.network.load import CellLoadModel
 from repro.network.topology import TopologyConfig, build_topology
 
@@ -67,7 +75,7 @@ class TestBusySchedule:
 
 @pytest.fixture(scope="module")
 def small_topology():
-    """114 cells: two synthesis blocks, hot district included."""
+    """114 cells, hot district included."""
     return build_topology(
         TopologyConfig(
             width_km=12.0, height_km=12.0, urban_radius_km=3.0, suburban_radius_km=5.0
@@ -119,9 +127,164 @@ class TestModelMaskTable:
         sched = BusySchedule.from_load_model(model)
         cell_id = min(small_topology.cells)
         mask = sched.busy_mask(cell_id)
+        # Only the asked cell's calendar is built...
+        assert sched._built[0].all() and not sched._built[1:].any()
+        assert sched.busy_mask(cell_id) is mask
+        # ...into the row of the one grid the rest is later built into.
         _, _, grid = sched.mask_table()
+        assert sched._built.all()
         assert np.shares_memory(mask, grid)
         assert np.array_equal(mask, oracle_masks(model, [cell_id], 2)[0])
+
+
+DEMAND_DAYS = 9
+
+
+@pytest.fixture(scope="module")
+def demand_model(small_topology):
+    """A study that starts on a Friday, with three-word noise entropies."""
+    clock = StudyClock(start_weekday=4, n_days=DEMAND_DAYS)
+    return CellLoadModel(small_topology, clock, seed=2**40)
+
+
+@pytest.fixture(scope="module")
+def demand_oracle(demand_model):
+    """``(n_cells, n_days, 96)`` masks from ``day_series``, directory order."""
+    cells = sorted(demand_model.topology.cells)
+    masks = oracle_masks(demand_model, cells, DEMAND_DAYS)
+    return masks.reshape(len(cells), DEMAND_DAYS, BINS_PER_DAY)
+
+
+def demand_batch(cells, seed, n_rows=160):
+    """Rows around day boundaries on known and unknown cells, inside and
+    outside the study, ghosts and over-cap durations included."""
+    rng = np.random.default_rng(seed)
+    pool = sorted(cells) + [10**6, 10**6 + 1]
+    day = rng.integers(-1, DEMAND_DAYS + 1, n_rows)
+    offset = np.where(
+        rng.random(n_rows) < 0.3,
+        DAY - rng.uniform(0.0, 700.0, n_rows),
+        rng.uniform(0.0, DAY, n_rows),
+    )
+    duration = rng.choice([0.0, 30.0, 450.0, 900.0, 2000.0, 3600.0], n_rows)
+    return CDRBatch(
+        [
+            ConnectionRecord(
+                start=float(d * DAY + o),
+                car_id=f"car-{i % 7}",
+                cell_id=int(pool[rng.integers(len(pool))]),
+                carrier="C3",
+                technology="4G",
+                duration=float(dur),
+            )
+            for i, (d, o, dur) in enumerate(zip(day, offset, duration))
+        ]
+    )
+
+
+def pairs_read(batch, cells):
+    """(directory position, study day) of every mask bin the reference
+    ``busy_exposure`` reads for the batch's cleaned, truncated records."""
+    rows = {cell_id: row for row, cell_id in enumerate(sorted(cells))}
+    pairs = set()
+    for rec in preprocess(batch).truncated:
+        if rec.cell_id in rows:
+            for b in rec.interval.bins_straddled(BIN_SECONDS):
+                if 0 <= b < DEMAND_DAYS * BINS_PER_DAY:
+                    pairs.add((rows[rec.cell_id], b // BINS_PER_DAY))
+    return pairs
+
+
+def built_pairs(sched):
+    return set(zip(*(axis.tolist() for axis in np.nonzero(sched._built))))
+
+
+class TestOnDemandMasks:
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_random_requests_build_exactly_the_oracle_pairs(
+        self, demand_model, demand_oracle, data
+    ):
+        n_cells = demand_oracle.shape[0]
+        pair = st.tuples(
+            st.integers(0, n_cells - 1), st.integers(0, DEMAND_DAYS - 1)
+        )
+        batches = data.draw(st.lists(st.lists(pair, max_size=60), max_size=6))
+        block = data.draw(st.integers(1, 50))
+        sched = BusySchedule.from_load_model(demand_model)
+        requested = np.zeros((n_cells, DEMAND_DAYS), dtype=bool)
+        with patch.object(busy_module, "MASK_BLOCK_PAIRS", block):
+            for batch in batches:
+                positions = np.asarray([p for p, _ in batch], dtype=np.int64)
+                days = np.asarray([d for _, d in batch], dtype=np.int64)
+                _, _, grid = sched.mask_table(positions, days)
+                requested[positions, days] = True
+                by_day = grid.reshape(n_cells, DEMAND_DAYS, BINS_PER_DAY)
+                assert np.array_equal(sched._built, requested)
+                assert by_day[requested].tobytes() == demand_oracle[requested].tobytes()
+                assert not by_day[~requested].any()
+            _, _, grid = sched.mask_table()
+        assert sched._built.all()
+        assert grid.tobytes() == demand_oracle.tobytes()
+
+    def test_days_outside_the_study_are_rejected(self, demand_model):
+        sched = BusySchedule.from_load_model(demand_model)
+        for day in (-1, DEMAND_DAYS):
+            with pytest.raises(ValueError, match="study days"):
+                sched.mask_table(np.asarray([0]), np.asarray([day]))
+        with pytest.raises(ValueError, match="together"):
+            sched.mask_table(np.asarray([0]))
+        assert not sched._built.any()
+
+    def test_directory_builds_nothing(self, demand_model, small_topology):
+        sched = BusySchedule.from_load_model(demand_model)
+        cell_ids, lens = sched.directory()
+        assert cell_ids.tolist() == sorted(small_topology.cells)
+        assert lens.tolist() == [DEMAND_DAYS * BINS_PER_DAY] * len(cell_ids)
+        assert not sched._built.any()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_kernel_builds_exactly_the_pairs_its_fragments_read(
+        self, demand_model, small_topology, seed
+    ):
+        batch = demand_batch(small_topology.cells, seed)
+        sched = BusySchedule.from_load_model(demand_model)
+        busy_exposure_fused(preprocess(batch).full.columnar(), sched)
+        expected = pairs_read(batch, small_topology.cells)
+        assert 0 < len(expected) < sched._built.size
+        assert built_pairs(sched) == expected
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_fresh_and_warm_schedules_give_identical_results(
+        self, demand_model, small_topology, seed
+    ):
+        batch = demand_batch(small_topology.cells, seed)
+        pre = preprocess(batch)
+        warm = BusySchedule.from_load_model(demand_model)
+        warm.mask_table()
+        want = busy_exposure_fused(pre.full.columnar(), warm)
+        got = busy_exposure_fused(pre.full.columnar(), BusySchedule.from_load_model(demand_model))
+        assert got.car_ids == want.car_ids
+        assert got.busy_share.tobytes() == want.busy_share.tobytes()
+        assert got.nonbusy_share.tobytes() == want.nonbusy_share.tobytes()
+        ref = busy_exposure(pre.truncated, warm)
+        assert got.busy_share.tobytes() == ref.busy_share.tobytes()
+
+        raw = batch.columnar()
+        clock = demand_model.clock
+        for size in (1, 7, len(raw)):
+            reports = []
+            for sched in (BusySchedule.from_load_model(demand_model), warm):
+                engine = FusedEngine(clock, schedule=sched, cells=small_topology.cells)
+                for lo in range(0, len(raw), size):
+                    engine.consume(raw.rows(lo, min(lo + size, len(raw))))
+                reports.append(engine.finalize())
+            fresh, warmed = reports
+            assert format_report(fresh) == format_report(warmed)
+            assert fresh.exposure.busy_share.tobytes() == warmed.exposure.busy_share.tobytes()
+            assert fresh.exposure.nonbusy_share.tobytes() == (
+                warmed.exposure.nonbusy_share.tobytes()
+            )
 
 
 class TestBusyExposure:

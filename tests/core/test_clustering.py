@@ -1,10 +1,15 @@
 """Unit tests for busy-radio clustering (Figure 11)."""
 
+import math
+import warnings
+
+import numpy as np
 import pytest
 
 from repro.algorithms.timebins import DAY
 from repro.cdr.records import CDRBatch, ConnectionRecord
-from repro.core.clustering import cluster_busy_cells, select_busy_cells
+from repro.core.clustering import cluster_busy_cells, cluster_vectors, select_busy_cells
+from repro.core.report import format_ratio
 
 
 def rec(start, car, cell, dur=120.0):
@@ -91,3 +96,32 @@ class TestClusterBusyCells:
         clusters = cluster_busy_cells(batch, load_model, clock, k=2)
         # Same diurnal placement, different level -> near-perfect correlation.
         assert clusters.shape_correlation() > 0.99
+
+
+class TestEmptyCluster:
+    """Identical vectors (no rows on any busy cell) leave one cluster empty."""
+
+    @pytest.fixture()
+    def clusters(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return cluster_vectors([1, 2, 3], np.zeros((3, 672)), k=2)
+
+    def test_one_cluster_is_empty(self, clusters):
+        assert sorted(clusters.size(rank) for rank in range(2)) == [0, 3]
+
+    def test_statistics_are_quiet_and_scored_like_cluster_vectors(self, clusters):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for rank in range(2):
+                assert clusters.cluster_mean_vector(rank).tolist() == [0.0] * 672
+                assert clusters.level(rank) == 0.0
+            assert clusters.shape_correlation() == 0.0
+            # Callers compare the raw ratios; only their rendering changes.
+            assert clusters.level_ratio() == math.inf
+            assert clusters.size_ratio() == math.inf
+
+    def test_non_finite_ratios_render_as_not_available(self):
+        assert format_ratio(math.inf, "x") == "n/a"
+        assert format_ratio(math.nan, "×") == "n/a"
+        assert format_ratio(4.96, "x") == "5.0x"

@@ -357,3 +357,68 @@ class TestAnalyzeBuildsNoRecords:
         assert code == 0
         assert counter.count == 0
         assert "clusters over" in out
+
+    @pytest.mark.parametrize("fmt", ["shards", "csv"])
+    def test_busy_masks_built_are_exactly_the_pairs_read(
+        self, traces, capsys, monkeypatch, fmt
+    ):
+        """Each (cell, study day) mask the trace reads is built once; the
+        rest of the calendar is never synthesized."""
+        from repro.algorithms.timebins import BIN_SECONDS, BINS_PER_DAY
+        from repro.cdr.io import load_trace
+        from repro.core.preprocess import preprocess
+        from repro.network.load import CellLoadModel
+        from repro.network.topology import build_topology
+        from repro.simulate.scenarios import scenario
+
+        built = []
+        series_block = CellLoadModel.series_block
+
+        def spy(model, cell_ids, days):
+            built.extend(zip(cell_ids.tolist(), days.tolist()))
+            return series_block(model, cell_ids, days)
+
+        monkeypatch.setattr(CellLoadModel, "series_block", spy)
+        argv = ["analyze", "--trace", str(traces[fmt]), "--scenario", "smoke",
+                "--days", "7"]
+        assert main(argv) == 0
+        capsys.readouterr()
+
+        cells = build_topology(scenario("smoke", n_cars=1, n_days=7).topology).cells
+        read = {
+            (rec.cell_id, b // BINS_PER_DAY)
+            for rec in preprocess(load_trace(str(traces["csv"]))).truncated
+            if rec.cell_id in cells
+            for b in rec.interval.bins_straddled(BIN_SECONDS)
+            if 0 <= b < 7 * BINS_PER_DAY
+        }
+        assert len(built) == len(set(built))
+        assert set(built) == read
+        assert len(read) < len(cells) * 7
+
+
+class TestDegenerateClusters:
+    """Figure 11 over a trace with no rows on busy cells: one k-means
+    cluster is empty, and the report says so instead of printing ``inf``."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_empty_cluster_ratios_print_na_without_warnings(
+        self, tmp_path, capsys, workers
+    ):
+        import warnings
+
+        from repro.cdr.columnar import ColumnarCDRBatch
+        from repro.cdr.records import ConnectionRecord
+        from repro.cdr.store import write_sharded_cdrz
+
+        records = [
+            ConnectionRecord(50_000.0 + 4000.0 * i, f"car-{i % 4}", i % 9, "C2", "4G", 120.0)
+            for i in range(60)
+        ]
+        shards = tmp_path / "shards"
+        write_sharded_cdrz(shards, ColumnarCDRBatch.from_records(records), shard_rows=20)
+        argv = ["analyze", "--trace", str(shards), "--scenario", "smoke", "--days", "7"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--workers", str(workers)]) == 0
+        assert "level ratio n/a, size ratio n/a" in capsys.readouterr().out

@@ -85,10 +85,26 @@ class TestCellLoadModel:
         clock = StudyClock(start_weekday=start_weekday, n_days=9)
         model = CellLoadModel(topology, clock, seed=2**40)
         cells = sorted(topology.cells)[::97]
+        # Whole calendars, cell-major, as a full mask build asks for them...
+        cell_ids = np.repeat(cells, 9)
+        days = np.tile(np.arange(9), len(cells))
         expected = np.stack(
-            [np.concatenate([model.day_series(c, d) for d in range(9)]) for c in cells]
+            [model.day_series(c, d) for c, d in zip(cell_ids.tolist(), days.tolist())]
         )
-        assert model.series_block(cells).tobytes() == expected.tobytes()
+        assert model.series_block(cell_ids, days).tobytes() == expected.tobytes()
+        # ...and the same pairs shuffled, as scattered requests arrive.
+        order = np.random.default_rng(start_weekday).permutation(cell_ids.size)
+        shuffled = model.series_block(cell_ids[order], days[order])
+        assert shuffled.tobytes() == expected[order].tobytes()
+
+    def test_series_block_of_no_pairs_is_empty(self, load_model):
+        empty = np.zeros(0, dtype=np.int64)
+        assert load_model.series_block(empty, empty).shape == (0, BINS_PER_DAY)
+
+    def test_series_block_rejects_unpaired_arrays(self, load_model, topology):
+        cell = min(topology.cells)
+        with pytest.raises(ValueError, match="equal-length"):
+            load_model.series_block(np.asarray([cell, cell]), np.asarray([0]))
 
     @pytest.mark.parametrize("seed", [-1, 2**110])
     def test_seed_outside_bulk_seeding_range_rejected(self, topology, clock, seed):

@@ -28,6 +28,7 @@ import pytest
 from repro.algorithms.timebins import DAY
 from repro.cdr.store import write_batch_cdrz
 from repro.core.fused import FusedPartial
+from repro.network.load import CellLoadModel
 from repro.service import (
     ServiceClient,
     ServiceClientError,
@@ -306,6 +307,29 @@ class TestSharedScenarioContext:
         assert a.context.schedule is b.context.schedule
         assert scenario_context(SCENARIO, DAYS) is a.context
         assert scenario_context(SCENARIO, DAYS + 1) is not a.context
+
+    def test_context_builds_every_mask_before_the_first_fork(
+        self, tmp_path, chunks, monkeypatch
+    ):
+        """A pooled cold refresh forks after the whole calendar exists, so
+        neither the children nor a later in-process ingest build masks."""
+        monkeypatch.setattr("repro.service.state._CONTEXTS", {})
+        trace = tmp_path / "trace"
+        write_chunks(trace, chunks, range(N_SHARDS - 1))
+        state = ServiceState(service_config(trace, workers=2))
+        assert state.refresh().n_added == N_SHARDS - 1
+
+        calls = []
+        series_block = CellLoadModel.series_block
+
+        def spy(model, cell_ids, days):
+            calls.append(len(cell_ids))
+            return series_block(model, cell_ids, days)
+
+        monkeypatch.setattr(CellLoadModel, "series_block", spy)
+        write_chunks(trace, chunks, [N_SHARDS - 1])
+        assert state.refresh().n_added == 1
+        assert calls == []
 
 
 class TestTwinRoute:
