@@ -59,7 +59,10 @@ def test_analysis_throughput(emit, emit_json):
     schedule = BusySchedule.from_load_model(dataset.load_model)
     cells = dataset.topology.cells
     pre = preprocess(dataset.batch)
+    # Both record views are built on first access: build them here, so no
+    # reference stage's time includes their construction.
     n = len(pre.full)
+    assert len(pre.truncated) == n
     full_col = pre.full.columnar()
     # Build every busy mask up front so no engine pays the load model's
     # on-demand series synthesis inside its timed region.

@@ -2,9 +2,9 @@
 
 The generator is the substrate every experiment stands on; this bench pins
 its throughput (records generated per second of wall clock) so regressions
-in the routing/edge-index/burst pipeline are visible, and measures how the
-sharded :class:`ParallelTraceGenerator` scales with worker count.  All
-numbers land in ``benchmarks/out/BENCH_generator.json`` for trend tracking.
+in the routing/edge-index/burst pipeline are visible, and measures how
+``TraceGenerator(workers=N)`` scales with worker count.  All numbers land
+in ``benchmarks/out/BENCH_generator.json`` for trend tracking.
 
 Measured at a reduced scale (100 cars x 14 days) so the benchmark itself
 stays fast.
@@ -18,7 +18,6 @@ import time
 from repro.algorithms.timebins import StudyClock
 from repro.simulate.config import SimulationConfig
 from repro.simulate.generator import TraceGenerator
-from repro.simulate.parallel import ParallelTraceGenerator
 
 #: The vectorized serial pipeline sustains ~2x the rate the original
 #: per-record path did on the same hardware (where the old floor was 10k).
@@ -82,7 +81,7 @@ def test_parallel_worker_scaling(emit, emit_json):
     n_records = None
     for n_workers in worker_counts:
         t0 = time.perf_counter()
-        dataset = ParallelTraceGenerator(cfg, n_workers=n_workers).generate()
+        dataset = TraceGenerator(cfg, workers=n_workers).generate()
         wall = time.perf_counter() - t0
         if n_records is None:
             n_records = dataset.n_records

@@ -17,8 +17,7 @@ from pathlib import Path
 
 from repro import AnalysisPipeline, SimulationConfig, StudyClock, TraceGenerator
 from repro.cdr.anonymize import Anonymizer
-from repro.cdr.io import read_records_csv, write_records_csv
-from repro.cdr.records import CDRBatch
+from repro.cdr.io import read_columnar_csv, write_records_csv
 
 
 def main() -> None:
@@ -41,7 +40,7 @@ def main() -> None:
     print(f"Wrote {n:,} records to {out} ({out.stat().st_size / 1e6:.1f} MB)")
 
     print("Reloading and re-running the pipeline on the exported CSV ...")
-    reloaded = CDRBatch(read_records_csv(out))
+    reloaded = read_columnar_csv(out)
     pipeline = AnalysisPipeline(dataset.clock, dataset.load_model)
     report = pipeline.run(reloaded, with_clustering=False)
 

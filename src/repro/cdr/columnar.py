@@ -148,11 +148,6 @@ class ColumnarCDRBatch:
         )
 
     @classmethod
-    def from_batch(cls, batch: CDRBatch) -> "ColumnarCDRBatch":
-        """Columnar view of a batch (same row order: time-sorted)."""
-        return batch.columnar()
-
-    @classmethod
     def concatenate(
         cls, shards: Sequence["ColumnarCDRBatch"]
     ) -> "ColumnarCDRBatch":
@@ -332,30 +327,6 @@ class ColumnarCDRBatch:
         boundaries = np.flatnonzero(np.diff(ids)) + 1
         groups = np.split(order, boundaries)
         return {int(self.cell_id[g[0]]): g for g in groups}
-
-    def car_spans(self) -> tuple[npt.NDArray[np.intp], npt.NDArray[np.intp]]:
-        """Car-major row permutation plus group-start offsets.
-
-        Returns ``(order, starts)``: ``order`` is the stable permutation
-        grouping rows by car code (row order — chronology for a time-sorted
-        batch — preserved inside each group), and ``starts[k]`` is the
-        offset in ``order`` where the k-th distinct car's run begins.  The
-        k-th car's code is ``car_code[order[starts[k]]]``.  This is the
-        flat-array form of :meth:`group_rows_by_car` that the vectorized
-        analyses consume: no per-car dict, just contiguous segments.
-        """
-        if len(self) == 0:
-            empty = np.empty(0, dtype=np.intp)
-            return empty, empty
-        order = np.argsort(self.car_code, kind="stable").astype(np.intp)
-        codes = self.car_code[order]
-        starts: npt.NDArray[np.intp] = np.concatenate(
-            (
-                np.zeros(1, dtype=np.intp),
-                (np.flatnonzero(np.diff(codes)) + 1).astype(np.intp),
-            )
-        )
-        return order, starts
 
     def present_car_codes(self) -> npt.NDArray[np.int32]:
         """Sorted car codes that actually occur in the rows.

@@ -1,19 +1,14 @@
 """CSV and JSONL round-trip for connection records.
 
-Traces at the default experiment scale run to a few million records, so the
-readers stream line by line instead of loading whole files eagerly.  Paths
-ending in ``.gz`` are compressed/decompressed transparently — month-scale
-CDR archives are always shipped gzipped.
-
-Two reading tiers share each text format:
-
-* ``read_records_*`` yield one :class:`ConnectionRecord` per line — the
-  legacy path, kept for record-at-a-time consumers.
-* ``read_columnar_*`` parse in line blocks straight into a
-  :class:`~repro.cdr.columnar.ColumnarCDRBatch` — no record objects, one
-  vectorized numeric parse per block.  This is the fallback ingest path
-  for legacy text traces; freshly generated traces skip text entirely via
-  the binary ``.cdrz`` store (:mod:`repro.cdr.store`).
+The writers take records; each text format has one reader,
+``read_columnar_*``, which parses in line blocks straight into a
+:class:`~repro.cdr.columnar.ColumnarCDRBatch` — no record objects, one
+vectorized numeric parse per block, so peak memory is bounded by the block
+and the columns.  Paths ending in ``.gz`` are compressed/decompressed
+transparently — month-scale CDR archives are always shipped gzipped.
+Freshly generated traces can skip text entirely via the binary ``.cdrz``
+store (:mod:`repro.cdr.store`); :func:`read_columnar_auto` reads any of
+the three.
 """
 
 from __future__ import annotations
@@ -21,9 +16,9 @@ from __future__ import annotations
 import csv
 import gzip
 import json
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterable
 from pathlib import Path
-from typing import IO, Any, cast
+from typing import IO, cast
 
 import numpy as np
 
@@ -74,18 +69,6 @@ def write_records_csv(path: str | Path, records: Iterable[ConnectionRecord]) -> 
     return count
 
 
-def read_records_csv(path: str | Path) -> Iterator[ConnectionRecord]:
-    """Stream records from a CSV file written by :func:`write_records_csv`."""
-    with _open_text(path, "r") as f:
-        reader = csv.DictReader(f)
-        if reader.fieldnames is None or set(_CSV_FIELDS) - set(reader.fieldnames):
-            raise CDRValidationError(
-                f"CSV at {path} is missing required columns {_CSV_FIELDS}"
-            )
-        for row in reader:
-            yield _record_from_mapping(row, source=str(path))
-
-
 def write_records_jsonl(path: str | Path, records: Iterable[ConnectionRecord]) -> int:
     """Write records as one JSON object per line; returns the row count."""
     count = 0
@@ -106,36 +89,6 @@ def write_records_jsonl(path: str | Path, records: Iterable[ConnectionRecord]) -
             f.write("\n")
             count += 1
     return count
-
-
-def read_records_jsonl(path: str | Path) -> Iterator[ConnectionRecord]:
-    """Stream records from a JSONL file written by :func:`write_records_jsonl`."""
-    with _open_text(path, "r") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise CDRValidationError(
-                    f"{path}:{line_no}: invalid JSON: {exc}"
-                ) from exc
-            yield _record_from_mapping(obj, source=f"{path}:{line_no}")
-
-
-def _record_from_mapping(obj: Mapping[str, Any], source: str) -> ConnectionRecord:
-    try:
-        return ConnectionRecord(
-            start=float(obj["start"]),
-            car_id=str(obj["car_id"]),
-            cell_id=int(obj["cell_id"]),
-            carrier=str(obj["carrier"]),
-            technology=str(obj["technology"]),
-            duration=float(obj["duration"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CDRValidationError(f"{source}: malformed record: {exc}") from exc
 
 
 def _columns_from_text(
@@ -203,11 +156,11 @@ def _csv_rows_fast(
 def read_columnar_csv(path: str | Path) -> ColumnarCDRBatch:
     """Load a CSV trace block-wise into a columnar batch — no record objects.
 
-    Requires the column order :func:`write_records_csv` produces; the
-    line-oriented fast split falls back to the :mod:`csv` parser for
-    quoted lines, so anything the writer can emit reads back.  Raises
-    :class:`CDRValidationError` on malformed input, like the record
-    reader.
+    The fast path splits lines in the column order
+    :func:`write_records_csv` produces and falls back to the :mod:`csv`
+    parser for quoted lines, so anything the writer can emit reads back; a
+    header with reordered or extra columns takes a mapped path.  Raises
+    :class:`CDRValidationError` on malformed input.
     """
     blocks: list[ColumnarCDRBatch] = []
     with _open_text(path, "r") as f:
@@ -357,59 +310,10 @@ def read_columnar_auto(path: str | Path) -> ColumnarCDRBatch:
 def load_trace(path: str | Path) -> CDRBatch:
     """Load any supported trace into a record-level :class:`CDRBatch`.
 
-    The entry point of the CLI commands that consume records (``quality``,
-    ``fota``, ``journeys``; ``analyze`` reads columns with
-    :func:`read_columnar_auto`): ``.cdrz`` files (or shard directories)
-    load through the binary store — single files honoring their
-    sortedness flag — and text formats through the columnar block
-    parsers; either way ingest is vectorized and the batch arrives with
-    its columnar view attached for the array engine.
+    For the record-walking diagnostics of ``quality``, which inspects raw
+    rows, ghosts included: :func:`read_columnar_auto`, then one record per
+    row, in record order, with the columnar view attached.  Analyses
+    preprocess the columns instead (:func:`repro.core.preprocess.
+    preprocess`), which builds records only for the rows it keeps.
     """
-    if not Path(path).is_dir() and trace_format(path) == "cdrz":
-        from repro.cdr.store import read_cdr_batch
-
-        return read_cdr_batch(path)
     return read_columnar_auto(path).to_batch()
-
-
-def write_records_daily(
-    directory: str | Path,
-    records: Iterable[ConnectionRecord],
-    compress: bool = True,
-) -> dict[int, int]:
-    """Partition a trace into one CSV per study day, as CDR feeds arrive.
-
-    Records land in ``<directory>/day-<NNN>.csv[.gz]`` keyed by the day
-    their connection *started*.  Returns ``{day: rows written}``.  Input
-    order within a day is preserved; days are written in ascending order.
-    """
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    per_day: dict[int, list[ConnectionRecord]] = {}
-    for rec in records:
-        per_day.setdefault(int(rec.start // 86_400), []).append(rec)
-    suffix = ".csv.gz" if compress else ".csv"
-    counts: dict[int, int] = {}
-    for day in sorted(per_day):
-        path = directory / f"day-{day:03d}{suffix}"
-        counts[day] = write_records_csv(path, per_day[day])
-    return counts
-
-
-def read_records_daily(directory: str | Path) -> Iterator[ConnectionRecord]:
-    """Stream a daily-partitioned trace back in day order.
-
-    Reads every ``day-*.csv``/``day-*.csv.gz`` under ``directory`` sorted by
-    filename, yielding records in the same global order
-    :func:`write_records_daily` received them (given per-day sorted input).
-    """
-    directory = Path(directory)
-    paths = sorted(
-        p
-        for p in directory.iterdir()
-        if p.name.startswith("day-") and (p.suffix == ".csv" or p.name.endswith(".csv.gz"))
-    )
-    if not paths:
-        raise CDRValidationError(f"no day-*.csv[.gz] files under {directory}")
-    for path in paths:
-        yield from read_records_csv(path)

@@ -9,7 +9,7 @@ deliberately carries no data volume, which the paper's data set lacks.
 from __future__ import annotations
 
 from collections import defaultdict
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass
 from operator import attrgetter
@@ -212,26 +212,3 @@ class CDRBatch:
     def cell_ids(self) -> list[int]:
         """Distinct cell ids, sorted."""
         return sorted(self.by_cell())
-
-    def filtered(self, predicate: Callable[[ConnectionRecord], bool]) -> "CDRBatch":
-        """New batch keeping records for which ``predicate(record)`` is true."""
-        # Filtering a sorted list preserves its order, so the copy need not
-        # re-sort.
-        return CDRBatch(
-            [rec for rec in self._records if predicate(rec)], assume_sorted=True
-        )
-
-    def validate(self, study_duration: float | None = None) -> None:
-        """Raise :class:`CDRValidationError` on ill-formed batches.
-
-        Checks chronological consistency per construction and, when
-        ``study_duration`` is given, that every record starts inside the
-        study window.
-        """
-        if study_duration is not None:
-            for rec in self._records:
-                if not 0 <= rec.start < study_duration:
-                    raise CDRValidationError(
-                        f"record at t={rec.start} outside study of "
-                        f"{study_duration} s"
-                    )

@@ -40,7 +40,6 @@ import numpy.typing as npt
 
 from repro.cdr.columnar import ColumnarCDRBatch
 from repro.cdr.errors import CDRValidationError
-from repro.cdr.records import CDRBatch
 
 #: Current ``.cdrz`` schema version; bump on any layout change.
 SCHEMA_VERSION = 1
@@ -421,23 +420,6 @@ def read_cdrz(
 def read_batch_cdrz(path: str | Path, *, mmap: bool = True) -> ColumnarCDRBatch:
     """Load just the columnar batch from a ``.cdrz`` container."""
     batch, _ = read_cdrz(path, mmap=mmap)
-    return batch
-
-
-def read_cdr_batch(path: str | Path, *, mmap: bool = True) -> CDRBatch:
-    """Load a ``.cdrz`` trace as a record-level :class:`CDRBatch`.
-
-    This is the bridge to the record-based pipeline: records *are*
-    materialized here (the pipeline consumes objects), but the header's
-    sortedness flag lets an already-ordered trace skip the construction
-    sort, and the batch keeps its columnar view so the fused engine never
-    re-encodes.
-    """
-    col, header = read_cdrz(path, mmap=mmap)
-    if not header.sorted:
-        return col.to_batch()
-    batch = CDRBatch(col.to_records(), assume_sorted=True)
-    batch._columnar = col
     return batch
 
 

@@ -431,15 +431,9 @@ def cmd_generate(args: argparse.Namespace) -> int:
         from dataclasses import replace
 
         config = replace(config, seed=args.seed)
-    if args.workers == 1:
-        from repro.simulate.generator import TraceGenerator
+    from repro.simulate.generator import TraceGenerator
 
-        dataset = TraceGenerator(config).generate()
-    else:
-        from repro.simulate.parallel import ParallelTraceGenerator
-
-        n_workers = args.workers if args.workers > 0 else None
-        dataset = ParallelTraceGenerator(config, n_workers=n_workers).generate()
+    dataset = TraceGenerator(config, workers=args.workers).generate()
     records = dataset.batch.records
     columnar = None
     if args.anonymize_key:
@@ -599,18 +593,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     fold = args.workers != 1 and (
         Path(args.trace).is_dir() or trace_format(args.trace) == "cdrz"
     )
-    try:
-        report = _fold_report(args, clock, topology, load_model) if fold else None
-        if report is None:
-            # Columns only: the pipeline puts them in record order if they
-            # are not already, and builds no ConnectionRecord objects.
-            batch = read_columnar_auto(args.trace)
-            pipeline = AnalysisPipeline(clock, load_model, topology.cells)
-            report = pipeline.run(batch, with_clustering=not args.no_clustering)
-    except (ReproError, OSError) as exc:
-        # No usable rows, an unreadable or missing trace: one line, exit 2.
-        print(f"analyze: {args.trace}: {exc}", file=sys.stderr)
-        return 2
+    report = _fold_report(args, clock, topology, load_model) if fold else None
+    if report is None:
+        # Columns only: the pipeline puts them in record order if they are
+        # not already, and builds no ConnectionRecord objects.
+        batch = read_columnar_auto(args.trace)
+        pipeline = AnalysisPipeline(clock, load_model, topology.cells)
+        report = pipeline.run(batch, with_clustering=not args.no_clustering)
     if args.markdown:
         print(format_report_markdown(report))
     else:
@@ -645,14 +634,11 @@ def cmd_fota(args: argparse.Namespace) -> int:
     clock = StudyClock(n_days=args.days)
     topology = build_topology(config.topology)
     load_model = CellLoadModel(topology, clock, seed=config.load_seed)
-    batch = load_trace(args.trace)
-    pre = preprocess(batch)
-    # Campaigns read masks record by record over most of the calendar: one
-    # bulk build costs less than building each cell on its first record.
-    schedule = BusySchedule.from_load_model(load_model)
-    schedule.mask_table()
+    pre = preprocess(read_columnar_auto(args.trace))
     simulator = CampaignSimulator(
-        pre.truncated, schedule, days_on_network(pre.full, clock)
+        pre.truncated,
+        BusySchedule.from_load_model(load_model),
+        days_on_network(pre.full, clock),
     )
     campaign = CampaignConfig(
         update_bytes=args.update_mb * 1e6, window_days=args.days
@@ -680,8 +666,7 @@ def cmd_journeys(args: argparse.Namespace) -> int:
     config = scenario(args.scenario, n_cars=1, n_days=args.days)
     clock = StudyClock(n_days=args.days)
     topology = build_topology(config.topology)
-    batch = load_trace(args.trace)
-    pre = preprocess(batch)
+    pre = preprocess(read_columnar_auto(args.trace))
     stats = reconstruct_journeys(pre, topology.cells)
     print(
         f"journeys: {stats.n_journeys:,}; stationary sessions: "
@@ -866,6 +851,19 @@ def cmd_saturate(args: argparse.Namespace) -> int:
     return 0
 
 
+#: Commands that read a trace, and the argument naming it.  A missing,
+#: unreadable or unusable trace is one stderr line and exit 2, never a
+#: traceback; ``serve``, ``query`` and ``twin`` word their own failures.
+_TRACE_ARGS = {
+    "convert": "src",
+    "inspect": "path",
+    "analyze": "trace",
+    "quality": "trace",
+    "fota": "trace",
+    "journeys": "trace",
+}
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     args = build_parser().parse_args(argv)
@@ -882,7 +880,14 @@ def main(argv: list[str] | None = None) -> int:
         "twin": cmd_twin,
         "saturate": cmd_saturate,
     }
-    return handlers[args.command](args)
+    try:
+        return handlers[args.command](args)
+    except (ReproError, OSError) as exc:
+        trace_arg = _TRACE_ARGS.get(args.command)
+        if trace_arg is None:
+            raise
+        print(f"{args.command}: {getattr(args, trace_arg)}: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

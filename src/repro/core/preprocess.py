@@ -72,11 +72,10 @@ class PreprocessResult:
     at ``config.truncate_s``; ``n_dropped_ghosts`` counts the removed rows.
 
     The columnar views (:meth:`columnar_full` / :meth:`columnar_truncated`)
-    are always available.  When built by :func:`preprocess_lazy` the
-    :class:`~repro.cdr.records.CDRBatch` record lists are built from the
-    kept columns only when a caller first asks for them: the fused engine
-    and Figure 11's vectors run on the columns alone, so a fused pipeline
-    run builds no record objects.
+    are always available.  The :class:`~repro.cdr.records.CDRBatch` record
+    lists are built from the kept columns only when a caller first asks for
+    them: the fused engine and Figure 11's vectors run on the columns
+    alone, so a fused pipeline run builds no record objects.
     """
 
     def __init__(
@@ -84,14 +83,11 @@ class PreprocessResult:
         config: PreprocessConfig,
         n_dropped_ghosts: int,
         kept_col: ColumnarCDRBatch,
-        *,
-        full: CDRBatch | None = None,
-        truncated: CDRBatch | None = None,
     ) -> None:
         self.config = config
         self.n_dropped_ghosts = n_dropped_ghosts
-        self._full = full
-        self._truncated = truncated
+        self._full: CDRBatch | None = None
+        self._truncated: CDRBatch | None = None
         self._kept_col = kept_col
         self._trunc_col: ColumnarCDRBatch | None = None
         self._sessions: dict[str, list[Interval]] = {}
@@ -116,8 +112,8 @@ class PreprocessResult:
     def full(self) -> CDRBatch:
         """Ghost-free records, durations as reported (built on demand)."""
         if self._full is None:
-            # The kept columns are in record order (preprocess_lazy sorts
-            # them if they were not), so the batch skips its sort.
+            # The kept columns are in record order (preprocess sorts them
+            # if they were not), so the batch skips its sort.
             batch = CDRBatch(self._kept_col.to_records(), assume_sorted=True)
             batch._columnar = self._kept_col
             self._full = batch
@@ -174,63 +170,19 @@ def is_ghost_record(record: ConnectionRecord) -> bool:
 
 
 def preprocess(
-    batch: CDRBatch, config: PreprocessConfig | None = None
-) -> PreprocessResult:
-    """Apply the Section 3 cleaning rules to a raw batch.
-
-    Both rules run on the batch's columnar view: the ghost mask and the
-    truncation are single vectorized array operations, and because dropping
-    or capping rows of a time-sorted batch never reorders it, the cleaned
-    batches are built with ``assume_sorted=True`` — no re-sort, no
-    per-record Python predicates.
-    """
-    cfg = config or PreprocessConfig()
-    records = batch.records
-    col = batch.columnar()
-    ghost_mask = np.abs(col.duration - GHOST_DURATION_S) <= GHOST_TOLERANCE_S
-    n_ghosts = int(np.count_nonzero(ghost_mask))
-    if n_ghosts:
-        keep_idx = np.flatnonzero(~ghost_mask)
-        kept = [records[i] for i in keep_idx.tolist()]
-        kept_col = col.take(keep_idx)
-    else:
-        kept = records
-        kept_col = col
-
-    # Only the over-cap records need a fresh object; the rest are shared
-    # with ``full``.  Capping durations cannot break the sort order because
-    # min(d, cap) is monotone in d and duration is the last sort key.
-    over_idx = np.flatnonzero(kept_col.duration > cfg.truncate_s)
-    truncated = list(kept)
-    for i in over_idx.tolist():
-        truncated[i] = kept[i].truncated(cfg.truncate_s)
-
-    full = CDRBatch(kept, assume_sorted=True)
-    full._columnar = kept_col
-    truncated_batch = CDRBatch(truncated, assume_sorted=True)
-    trunc_col = kept_col.truncated(cfg.truncate_s)
-    truncated_batch._columnar = trunc_col
-    result = PreprocessResult(
-        cfg, n_ghosts, kept_col, full=full, truncated=truncated_batch
-    )
-    result._trunc_col = trunc_col
-    return result
-
-
-def preprocess_lazy(
     batch: CDRBatch | ColumnarCDRBatch, config: PreprocessConfig | None = None
 ) -> PreprocessResult:
-    """Section 3 cleaning on the columns, deferring record materialization.
+    """Apply the Section 3 cleaning rules to a raw batch, on its columns.
 
-    Same rules and results as :func:`preprocess`, but only the columnar
-    views are built up front; the ``full`` / ``truncated`` record lists are
-    built from the kept columns on first attribute access.  A
+    The ghost drop is one vectorized mask over the duration column, and
+    the ``full`` / ``truncated`` record lists are built from the kept
+    columns on first attribute access, so records exist only for kept rows
+    and only when a record-walking analysis asks for them.  A
     :class:`CDRBatch` contributes its :meth:`~CDRBatch.columnar` view; a
     :class:`ColumnarCDRBatch` is used as it is when its rows are already in
     record order (every trace this repository writes) and sorted into it
     otherwise, so either input yields the rows a :class:`CDRBatch` would
-    hold.  The fused engine (:mod:`repro.core.fused`) consumes the columnar
-    views exclusively, so a fused pipeline run builds no record objects.
+    hold.
     """
     cfg = config or PreprocessConfig()
     if isinstance(batch, CDRBatch):
@@ -243,6 +195,11 @@ def preprocess_lazy(
     n_ghosts = int(np.count_nonzero(ghost_mask))
     kept_col = col.take(np.flatnonzero(~ghost_mask)) if n_ghosts else col
     return PreprocessResult(cfg, n_ghosts, kept_col)
+
+
+#: The same function; :class:`~repro.core.pipeline.AnalysisPipeline` calls
+#: it by this name.
+preprocess_lazy = preprocess
 
 
 def sessions_for(

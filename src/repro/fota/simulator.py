@@ -28,7 +28,10 @@ class CampaignSimulator:
         Cleaned, truncated records (``PreprocessResult.truncated``).
     schedule:
         Per-cell busy masks used both for the policy's busy signal and for
-        accounting bytes delivered through busy cells.
+        accounting bytes delivered through busy cells.  Campaigns read them
+        record by record over most of the calendar, so the whole grid is
+        built here in one bulk pass (cheaper than building each cell on its
+        first record).
     days_on_network:
         Per-car distinct-day counts (for rare/common wave policies).
     seed:
@@ -44,6 +47,7 @@ class CampaignSimulator:
     ) -> None:
         self.batch = batch
         self.schedule = schedule
+        schedule.mask_table()
         self.days_on_network = days_on_network
         self.seed = seed
 

@@ -8,21 +8,23 @@ reproduction's stand-in for the paper's proprietary data set and is what
 every analysis and benchmark consumes.
 
 The per-car pipeline is factored into :func:`build_substrates` and
-:func:`records_for_cars` so that :class:`repro.simulate.parallel.
-ParallelTraceGenerator` can run the identical code over fleet shards in
-worker processes: every car's records depend only on the config-derived
+:func:`records_for_cars` so that :func:`repro.simulate.parallel.
+parallel_records` can run the identical code over fleet shards in worker
+processes: every car's records depend only on the config-derived
 substrates and that car's child seed, which is what makes sharding safe.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import numpy.typing as npt
 
 from repro.algorithms.timebins import StudyClock
+from repro.cdr.errors import TraceGenerationError
 from repro.cdr.records import CDRBatch, ConnectionRecord
+from repro.cpus import available_cpus
 from repro.mobility.movement import EdgeCellIndex, route_span_arrays
 from repro.mobility.profiles import DailyTripPlanner
 from repro.mobility.roads import RoadNetwork, build_road_network
@@ -57,8 +59,6 @@ class TraceDataset:
     roads: RoadNetwork
     cars: list[Car]
     batch: CDRBatch
-    #: Records before artifact injection, kept for preprocessing tests.
-    clean_records: list[ConnectionRecord] = field(repr=False, default_factory=list)
 
     @property
     def n_records(self) -> int:
@@ -228,7 +228,6 @@ def finalize_dataset(
         roads=substrates.roads,
         cars=cars,
         batch=CDRBatch(dirty),
-        clean_records=clean,
     )
 
 
@@ -238,10 +237,21 @@ class TraceGenerator:
     Generation is deterministic in the config's seeds: per-car child RNGs
     are spawned from the root seed, so fleets of different sizes share the
     behaviour of their common prefix of cars.
+
+    ``workers`` shards the fleet across that many processes (0 = one per
+    CPU this process may use); :mod:`repro.simulate.parallel` says when
+    the dataset is record-for-record the serial one.
     """
 
-    def __init__(self, config: SimulationConfig | None = None) -> None:
+    def __init__(
+        self, config: SimulationConfig | None = None, workers: int = 1
+    ) -> None:
+        if workers < 0:
+            raise TraceGenerationError(
+                f"workers must be 0 (one per CPU) or a positive count, got {workers}"
+            )
         self.config = config or SimulationConfig()
+        self.workers = workers or available_cpus()
 
     def generate(self) -> TraceDataset:
         """Run the full generation pipeline."""
@@ -263,7 +273,13 @@ class TraceGenerator:
         )
 
         car_seeds = root.integers(2**63, size=len(cars))
-        clean = records_for_cars(cfg, substrates, cars, car_seeds)
+        if min(self.workers, len(cars)) <= 1:
+            clean = records_for_cars(cfg, substrates, cars, car_seeds)
+        else:
+            # Imported here: the pool module imports this one.
+            from repro.simulate.parallel import parallel_records
+
+            clean = parallel_records(cfg, substrates, cars, car_seeds, self.workers)
 
         artifact_rng = np.random.default_rng(root.integers(2**63))
         return finalize_dataset(

@@ -1,13 +1,20 @@
 """Parallel sharded trace generation.
 
-:class:`ParallelTraceGenerator` produces the *identical* dataset as
-:class:`repro.simulate.generator.TraceGenerator` — record for record, byte
-for byte — by exploiting how the serial pipeline already seeds its RNGs:
-every car gets a child seed drawn up front (``root.integers(2**63,
-size=len(cars))``) and its records depend only on that seed and the
-config-derived substrates.  Any contiguous partition of the fleet therefore
-concatenates back to exactly the serial record list, which is what makes
-sharding across worker processes safe.
+``TraceGenerator(config, workers=N)`` aims at the *identical* dataset at
+any worker count — record for record, byte for byte — by exploiting how
+the serial pipeline already seeds its RNGs: every car gets a child seed
+drawn up front (``root.integers(2**63, size=len(cars))``) and its records
+depend only on that seed and the config-derived substrates.  Any
+contiguous partition of the fleet therefore concatenates back to the
+serial record list, which is what makes sharding across worker processes
+safe.  :func:`parallel_records` is that fan-out.
+
+One known break: :meth:`repro.mobility.routing.Router.route` answers a
+pair by reversing the cached opposite direction, and where two fastest
+paths tie the reversal can differ from a forward search.  A route then
+depends on which pairs the process routed before it, and on large fleets
+(the 400-car, 14-day ``default`` trace) a worker's shard differs from the
+serial run; ``tests/mobility/test_routing.py`` pins the cause.
 
 Workers build the topology / road network / edge index once each (or, under
 the fork start method, inherit the parent's fully-built substrates for
@@ -30,17 +37,13 @@ import numpy.typing as npt
 from repro.cdr.columnar import ColumnarCDRBatch
 from repro.cdr.errors import TraceGenerationError
 from repro.cdr.records import ConnectionRecord
-from repro.cpus import available_cpus
-from repro.network.load import CellLoadModel
 from repro.simulate.config import SimulationConfig
 from repro.simulate.generator import (
     GenerationSubstrates,
-    TraceDataset,
     build_substrates,
-    finalize_dataset,
     records_for_cars,
 )
-from repro.simulate.population import Car, build_population
+from repro.simulate.population import Car
 
 #: Shared per-process generation state.  Under fork the parent fills it
 #: before the pool starts and children inherit the already-built substrates;
@@ -97,116 +100,41 @@ def shard_fleet(
     ]
 
 
-class ParallelTraceGenerator:
-    """Drop-in :class:`TraceGenerator` that shards the fleet across processes.
+def parallel_records(
+    cfg: SimulationConfig,
+    substrates: GenerationSubstrates,
+    cars: list[Car],
+    car_seeds: npt.NDArray[np.int64],
+    workers: int,
+) -> list[ConnectionRecord]:
+    """:func:`records_for_cars` fanned out over ``workers`` processes.
 
-    Parameters
-    ----------
-    config:
-        Simulation config; defaults match :class:`TraceGenerator`.
-    n_workers:
-        Worker process count.  ``None`` uses one per usable CPU; ``1`` runs
-        the serial path inline (no pool, no pickling) and is exactly
-        :class:`TraceGenerator`.
-
-    With any worker count the generated dataset is record-for-record
-    identical to the serial generator's — see the module docstring for why.
+    The fleet is split by :func:`shard_fleet` and the workers' columnar
+    payloads are decoded in fleet order, so the list equals the serial one
+    record for record.
     """
-
-    def __init__(
-        self,
-        config: SimulationConfig | None = None,
-        n_workers: int | None = None,
-    ) -> None:
-        self.config = config or SimulationConfig()
-        if n_workers is not None and n_workers < 1:
-            raise TraceGenerationError(
-                f"n_workers must be >= 1, got {n_workers}"
-            )
-        self.n_workers = n_workers or available_cpus()
-
-    def generate(self) -> TraceDataset:
-        """Run the full generation pipeline, sharded across workers."""
-        cfg = self.config
-        substrates = build_substrates(cfg)
-        load_model = CellLoadModel(
-            substrates.topology, substrates.clock, seed=cfg.load_seed
-        )
-
-        # Root-RNG draw order is identical to TraceGenerator.generate().
-        root = np.random.default_rng(cfg.seed)
-        population_rng = np.random.default_rng(root.integers(2**63))
-        cars = build_population(
-            cfg.n_cars,
-            substrates.roads,
-            substrates.clock,
-            population_rng,
-            c5_capable_fraction=cfg.c5_capable_fraction,
-            fleet_growth_fraction=cfg.fleet_growth_fraction,
-        )
-
-        car_seeds = root.integers(2**63, size=len(cars))
-        n_workers = min(self.n_workers, max(len(cars), 1))
-        if n_workers <= 1:
-            clean = records_for_cars(cfg, substrates, cars, car_seeds)
-        else:
-            clean = self._parallel_records(cfg, substrates, cars, car_seeds, n_workers)
-
-        artifact_rng = np.random.default_rng(root.integers(2**63))
-        return finalize_dataset(
-            cfg, substrates, load_model, cars, clean, artifact_rng
-        )
-
-    @staticmethod
-    def _parallel_shards(
-        cfg: SimulationConfig,
-        substrates: GenerationSubstrates,
-        cars: list[Car],
-        car_seeds: npt.NDArray[np.int64],
-        n_workers: int,
-    ) -> list[ColumnarCDRBatch]:
-        """Fan the fleet out over a process pool; return the columnar shards.
-
-        The shard payloads stay columnar end to end — this is also what the
-        binary store consumes, so a cdrz-bound caller
-        (``repro generate --format cdrz``) never pays a per-record detour
-        on the worker side of the pipe.
-        """
-        shards = shard_fleet(cars, car_seeds, n_workers)
-        methods = multiprocessing.get_all_start_methods()
-        use_fork = "fork" in methods
-        ctx = multiprocessing.get_context("fork" if use_fork else "spawn")
-        initializer: Callable[[SimulationConfig], None] | None
-        initargs: tuple[SimulationConfig, ...]
-        if use_fork:
-            # Children inherit the parent's built substrates through fork;
-            # nothing is pickled and per-worker build time is zero.
-            _WORKER_STATE["cfg"] = cfg
-            _WORKER_STATE["substrates"] = substrates
-            initializer, initargs = None, ()
-        else:
-            initializer, initargs = _init_worker, (cfg,)
-        try:
-            with ctx.Pool(
-                processes=len(shards), initializer=initializer, initargs=initargs
-            ) as pool:
-                return pool.map(_generate_shard, shards, chunksize=1)
-        finally:
-            _WORKER_STATE.clear()
-
-    @classmethod
-    def _parallel_records(
-        cls,
-        cfg: SimulationConfig,
-        substrates: GenerationSubstrates,
-        cars: list[Car],
-        car_seeds: npt.NDArray[np.int64],
-        n_workers: int,
-    ) -> list[ConnectionRecord]:
-        """Shard records for the record-level pipeline, in fleet order."""
-        records: list[ConnectionRecord] = []
-        for payload in cls._parallel_shards(
-            cfg, substrates, cars, car_seeds, n_workers
-        ):
-            records.extend(payload.to_records())
-        return records
+    shards = shard_fleet(cars, car_seeds, workers)
+    methods = multiprocessing.get_all_start_methods()
+    use_fork = "fork" in methods
+    ctx = multiprocessing.get_context("fork" if use_fork else "spawn")
+    initializer: Callable[[SimulationConfig], None] | None
+    initargs: tuple[SimulationConfig, ...]
+    if use_fork:
+        # Children inherit the parent's built substrates through fork;
+        # nothing is pickled and per-worker build time is zero.
+        _WORKER_STATE["cfg"] = cfg
+        _WORKER_STATE["substrates"] = substrates
+        initializer, initargs = None, ()
+    else:
+        initializer, initargs = _init_worker, (cfg,)
+    try:
+        with ctx.Pool(
+            processes=len(shards), initializer=initializer, initargs=initargs
+        ) as pool:
+            payloads = pool.map(_generate_shard, shards, chunksize=1)
+    finally:
+        _WORKER_STATE.clear()
+    records: list[ConnectionRecord] = []
+    for payload in payloads:
+        records.extend(payload.to_records())
+    return records

@@ -6,10 +6,11 @@ order, try a step down and a step up (multiplicative, with an additive
 fallback when the value sits at zero or a bound), keep any candidate that
 strictly lowers the divergence score, and halve the step after a full
 sweep without improvement.  Every candidate trace is generated through
-:class:`~repro.simulate.parallel.ParallelTraceGenerator` from a fixed
-seed, so the whole search — candidates, scores, accepted moves — is a
-pure function of its arguments and reproduces bit-identically at any
-worker count.
+:class:`~repro.simulate.generator.TraceGenerator` from a fixed seed, so
+the whole search — candidates, scores, accepted moves — is a pure
+function of its arguments, worker count included, and reproduces
+bit-identically across worker counts wherever generation does (see
+:mod:`repro.simulate.parallel`).
 
 An evaluation cache keyed by the knob-value vector makes revisits free;
 the evaluation count reported in :class:`TwinResult` counts distinct
@@ -29,7 +30,7 @@ from repro.simulate.config import (
     apply_knobs,
     knob_values,
 )
-from repro.simulate.parallel import ParallelTraceGenerator
+from repro.simulate.generator import TraceGenerator
 from repro.simulate.scenarios import scenario
 from repro.twin.divergence import DivergenceReport, divergence
 from repro.twin.summary import TraceSummary, TwinContext, summarize_batch
@@ -141,8 +142,7 @@ def summarize_candidate(
     ``workers`` shards generation across processes (0 = one per CPU); the
     generated records — hence the summary — are identical at any count.
     """
-    n_workers = workers if workers > 0 else None
-    dataset = ParallelTraceGenerator(config.build(), n_workers).generate()
+    dataset = TraceGenerator(config.build(), workers=workers).generate()
     return summarize_batch(dataset.batch.columnar(), ctx)
 
 

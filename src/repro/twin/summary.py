@@ -2,8 +2,8 @@
 
 A trace — ours or foreign, a text file or a `.cdrz` shard directory — is
 reduced to the statistics the twinning loop calibrates against: the
-diurnal load shape, the session-duration CDF, inter-arrival quantiles
-(through :mod:`repro.prediction.interarrival`, Section 4.7's layer),
+diurnal load shape, the session-duration CDF, the quantiles of the gaps
+between a car's aggregate sessions (Section 4.7's inter-arrivals),
 handover rate, per-carrier shares, and the presence/connect-time/busy
 headline numbers of the remaining Section 4 analyses.
 
@@ -27,14 +27,20 @@ from collections.abc import Mapping
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from repro.algorithms.intervals import Interval
+import numpy as np
+
 from repro.algorithms.timebins import StudyClock
 from repro.cdr.columnar import ColumnarCDRBatch
 from repro.cdr.io import read_columnar_auto, trace_format
 from repro.cdr.store import is_record_sorted
 from repro.core.busy import BusySchedule
-from repro.core.fused import ConnectPartial, FusedEngine, FusedPartial, finalize_fused
-from repro.core.twinstats import aggregate_sessions, diurnal_shape, duration_quantile
+from repro.core.fused import FusedEngine, FusedPartial, finalize_fused
+from repro.core.twinstats import (
+    aggregate_sessions,
+    diurnal_shape,
+    duration_quantile,
+    session_gaps,
+)
 from repro.cpus import available_cpus
 from repro.network.cells import Cell
 from repro.network.load import CellLoadModel
@@ -204,22 +210,6 @@ def _share_map(obj: Mapping[str, object], key: str) -> dict[str, float]:
     return out
 
 
-def _sessions_by_car(sessions: ConnectPartial) -> dict[str, list[Interval]]:
-    """The aggregate-session table as per-car interval lists.
-
-    The table is grouped by car and chronological within car, so each
-    car's list arrives already sorted — exactly what
-    :func:`repro.prediction.interarrival.gaps_from_sessions` expects.
-    """
-    ids = sessions.car_ids
-    out: dict[str, list[Interval]] = {}
-    for code, start, end in zip(
-        sessions.car.tolist(), sessions.start.tolist(), sessions.cm.tolist()
-    ):
-        out.setdefault(ids[int(code)], []).append(Interval(start, end))
-    return out
-
-
 def summary_from_partial(partial: FusedPartial, clock: StudyClock) -> TraceSummary:
     """Close a fused partial into one summary.
 
@@ -229,13 +219,10 @@ def summary_from_partial(partial: FusedPartial, clock: StudyClock) -> TraceSumma
     from :func:`~repro.core.fused.finalize_fused`, the twin statistics
     from read-outs of the same partial.
     """
-    from repro.prediction.interarrival import fit_gap_models
-
     report = finalize_fused(partial, clock)
-    sessions = aggregate_sessions(partial.connect_trunc)
-    _per_car, fleet = fit_gap_models(_sessions_by_car(sessions))
-    if fleet.n_gaps:
-        gap_qs = tuple(fleet.quantile(q) for q in GAP_QS)
+    _cars, gaps = session_gaps(aggregate_sessions(partial.connect_trunc))
+    if gaps.size:
+        gap_qs = tuple(float(np.quantile(gaps, q)) for q in GAP_QS)
     else:
         gap_qs = tuple(0.0 for _ in GAP_QS)
     handovers = report.handovers
@@ -265,7 +252,7 @@ def summary_from_partial(partial: FusedPartial, clock: StudyClock) -> TraceSumma
             duration_quantile(partial.durations, q) for q in DURATION_QS
         ),
         interarrival_quantiles=gap_qs,
-        n_gaps=fleet.n_gaps,
+        n_gaps=int(gaps.size),
         handover_rate=handover_rate,
         carrier_time_share={
             c: float(v) for c, v in report.carriers.time_fraction.items()

@@ -39,7 +39,7 @@ class TestRoundTrip:
 
     def test_from_batch_matches_batch_order(self):
         batch = CDRBatch(sample_records())
-        col = ColumnarCDRBatch.from_batch(batch)
+        col = batch.columnar()
         assert col.to_records() == batch.records
 
     def test_to_batch_round_trips_through_sort(self):
@@ -157,23 +157,6 @@ class TestGroupingHelpers:
 
     def test_group_rows_by_cell_empty(self):
         assert ColumnarCDRBatch.from_records([]).group_rows_by_cell() == {}
-
-    def test_car_spans_orders_cars_then_time(self):
-        col = ColumnarCDRBatch.from_records(sorted(sample_records()))
-        order, starts = col.car_spans()
-        codes = col.car_code[order]
-        # Car-major: codes are non-decreasing; starts index each car's run.
-        assert (np.diff(codes) >= 0).all()
-        assert starts[0] == 0
-        assert (np.diff(col.car_code[order][starts]) > 0).all()
-        # Within a car, rows stay chronological (stable sort).
-        for lo, hi in zip(starts, list(starts[1:]) + [len(col)]):
-            rows = order[lo:hi]
-            assert (np.diff(col.start[rows]) >= 0).all()
-
-    def test_car_spans_empty(self):
-        order, starts = ColumnarCDRBatch.from_records([]).car_spans()
-        assert order.size == 0 and starts.size == 0
 
     def test_present_car_codes_after_take(self):
         col = ColumnarCDRBatch.from_records(sorted(sample_records()))

@@ -1,7 +1,5 @@
 """Tests for the columnar text fast path and trace format detection."""
 
-import gzip
-
 import numpy as np
 import pytest
 
@@ -12,8 +10,6 @@ from repro.cdr.io import (
     read_columnar_auto,
     read_columnar_csv,
     read_columnar_jsonl,
-    read_records_csv,
-    read_records_jsonl,
     trace_format,
     write_records_csv,
     write_records_jsonl,
@@ -56,7 +52,6 @@ class TestFormatDetection:
         path = directory / "trace.jsonl"
         assert trace_format(path) == "jsonl"
         write_records_jsonl(path, RECORDS)
-        assert list(read_records_jsonl(path)) == RECORDS
         assert read_columnar_jsonl(path) == ColumnarCDRBatch.from_records(RECORDS)
 
 
@@ -64,7 +59,8 @@ class TestColumnarCsv:
     def test_matches_record_reader(self, tmp_path):
         path = tmp_path / "t.csv.gz"
         write_records_csv(path, RECORDS)
-        expected = ColumnarCDRBatch.from_records(list(read_records_csv(path)))
+        # What a record-level read of the file holds: the records written.
+        expected = ColumnarCDRBatch.from_records(RECORDS)
         with count_record_constructions() as counter:
             got = read_columnar_csv(path)
         assert counter.count == 0
@@ -147,7 +143,8 @@ class TestColumnarJsonl:
     def test_matches_record_reader(self, tmp_path):
         path = tmp_path / "t.jsonl.gz"
         write_records_jsonl(path, RECORDS)
-        expected = ColumnarCDRBatch.from_records(list(read_records_jsonl(path)))
+        # What a record-level read of the file holds: the records written.
+        expected = ColumnarCDRBatch.from_records(RECORDS)
         with count_record_constructions() as counter:
             got = read_columnar_jsonl(path)
         assert counter.count == 0

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro.algorithms.timebins import StudyClock
 from repro.cdr.errors import CDRValidationError
 from repro.cdr.records import CDRBatch, ConnectionRecord
+from repro.cdr.validate import FindingKind, TraceValidator
+from repro.core.preprocess import preprocess
 
 
 def rec(start=0.0, car="car-a", cell=1, carrier="C3", tech="4G", dur=60.0):
@@ -75,16 +78,13 @@ class TestCDRBatch:
         assert batch.car_ids() == ["car-a", "car-b"]
         assert batch.cell_ids() == [1, 2]
 
-    def test_filtered(self):
-        batch = self._batch().filtered(lambda r: r.cell_id == 2)
-        assert len(batch) == 2
-        assert all(r.cell_id == 2 for r in batch)
-
     def test_validate_window(self):
-        batch = self._batch()
-        batch.validate(study_duration=100.0)  # fine
-        with pytest.raises(CDRValidationError):
-            batch.validate(study_duration=25.0)
+        # The study-window check of a batch is the validator's finding.
+        clock = StudyClock(n_days=1)
+        assert TraceValidator(clock).validate(self._batch()).ok
+        late = CDRBatch([*self._batch(), rec(start=clock.duration + 5.0)])
+        report = TraceValidator(clock).validate(late)
+        assert report.counts[FindingKind.OUT_OF_WINDOW] == 1
 
     def test_empty_batch(self):
         batch = CDRBatch([])
@@ -116,9 +116,12 @@ class TestAssumeSorted:
         assert fast.by_car().keys() == slow.by_car().keys()
 
     def test_filtered_batches_stay_sorted(self):
-        # filtered() uses the fast path: dropping rows keeps order.
-        batch = CDRBatch(self._sorted_records()).filtered(lambda r: r.cell_id == 2)
-        starts = [r.start for r in batch]
+        # Preprocessing drops the ghost rows of a sorted batch without a
+        # re-sort: the kept batch keeps record order.
+        records = [*self._sorted_records(), rec(start=15.0, dur=3600.0)]
+        kept = preprocess(CDRBatch(records)).full
+        assert kept.records == self._sorted_records()
+        starts = [r.start for r in kept]
         assert starts == sorted(starts)
 
     def test_columnar_view_matches_row_order(self):

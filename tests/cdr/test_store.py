@@ -7,6 +7,7 @@ import pytest
 
 from repro.cdr.columnar import ColumnarCDRBatch
 from repro.cdr.errors import CDRValidationError
+from repro.cdr.io import load_trace
 from repro.cdr.records import ConnectionRecord, count_record_constructions
 from repro.cdr.store import (
     SCHEMA_VERSION,
@@ -15,7 +16,6 @@ from repro.cdr.store import (
     is_record_sorted,
     iter_cdrz_chunks,
     read_batch_cdrz,
-    read_cdr_batch,
     read_cdrz,
     resolve_shards,
     shard_manifest,
@@ -126,11 +126,11 @@ class TestSortedness:
         _, header = read_cdrz(path)
         assert header.sorted
 
-    def test_read_cdr_batch_honors_flag(self, tmp_path, sorted_col, unsorted_col):
+    def test_load_trace_sorts_either_flag(self, tmp_path, sorted_col, unsorted_col):
         for name, col in (("s.cdrz", sorted_col), ("u.cdrz", unsorted_col)):
             path = tmp_path / name
             write_batch_cdrz(path, col)
-            batch = read_cdr_batch(path)
+            batch = load_trace(path)
             assert batch.records == sorted(RECORDS)
 
     def test_explicit_flag_overrides_detection(self, tmp_path, sorted_col):

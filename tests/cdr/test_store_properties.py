@@ -15,9 +15,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cdr.columnar import ColumnarCDRBatch
-from repro.cdr.io import read_columnar_csv, write_records_csv
+from repro.cdr.io import load_trace, read_columnar_csv, write_records_csv
 from repro.cdr.records import ConnectionRecord, count_record_constructions
-from repro.cdr.store import read_batch_cdrz, read_cdr_batch, read_cdrz, write_batch_cdrz
+from repro.cdr.store import read_batch_cdrz, read_cdrz, write_batch_cdrz
 
 _ids = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyz0123456789-_", min_size=1, max_size=8
@@ -68,7 +68,7 @@ def test_cdrz_records_cdrz_reproduces_bytes(col, tmp_path_factory):
     # Row order must be canonical for the detour to be lossless; records
     # come back sorted, so start from the sorted batch.
     write_batch_cdrz(first, col.sorted())
-    batch = read_cdr_batch(first)
+    batch = load_trace(first)
     write_batch_cdrz(second, ColumnarCDRBatch.from_records(batch.records))
     assert first.read_bytes() == second.read_bytes()
 

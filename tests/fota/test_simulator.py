@@ -11,6 +11,7 @@ from repro.core.segmentation import days_on_network
 from repro.fota.campaign import CampaignConfig
 from repro.fota.policy import BusyAwarePolicy, NaivePolicy, OffPeakPolicy
 from repro.fota.simulator import CampaignSimulator
+from repro.network.load import CellLoadModel
 
 
 def rec(start, dur, car="car-a", cell=1):
@@ -131,3 +132,27 @@ class TestOnGeneratedTrace:
         sim = CampaignSimulator(pre.truncated, sched, days)
         result = sim.run(NaivePolicy(), CampaignConfig(window_days=7))
         assert result.n_cars == len(pre.truncated.car_ids())
+
+    def test_construction_builds_every_mask_in_bulk(
+        self, sim_inputs, dataset, monkeypatch
+    ):
+        # Campaigns read masks record by record: the simulator builds the
+        # whole calendar up front, so neither campaign builds one.
+        pre, _, days = sim_inputs
+        built = []
+        series_block = CellLoadModel.series_block
+
+        def spy(model, cell_ids, study_days):
+            built.append(len(cell_ids))
+            return series_block(model, cell_ids, study_days)
+
+        monkeypatch.setattr(CellLoadModel, "series_block", spy)
+        schedule = BusySchedule.from_load_model(dataset.load_model)
+        sim = CampaignSimulator(pre.truncated, schedule, days)
+        n_cells = len(dataset.topology.cells)
+        assert sum(built) == n_cells * dataset.clock.n_days
+        built.clear()
+        cfg = CampaignConfig(update_bytes=150e6, window_days=dataset.clock.n_days)
+        sim.run(NaivePolicy(), cfg)
+        sim.run_throttled(NaivePolicy(), cfg, 5)
+        assert built == []

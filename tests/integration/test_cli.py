@@ -1,8 +1,31 @@
 """Integration tests for the command-line interface."""
 
+import numpy as np
 import pytest
 
 from repro.cli import build_parser, main
+
+#: argv of each trace-reading command besides ``analyze``, for a trace path
+#: and a temporary directory.
+TRACE_COMMANDS = {
+    "quality": lambda trace, tmp: ["quality", "--trace", trace, "--days", "7"],
+    "fota": lambda trace, tmp: ["fota", "--trace", trace, "--scenario", "smoke",
+                                "--days", "7"],
+    "journeys": lambda trace, tmp: ["journeys", "--trace", trace, "--scenario",
+                                    "smoke", "--days", "7"],
+    "inspect": lambda trace, tmp: ["inspect", trace],
+    "convert": lambda trace, tmp: ["convert", trace, str(tmp / "out.cdrz")],
+}
+
+
+def assert_missing_trace_line(code, captured, command, trace):
+    """Exit 2, nothing on stdout, one ``<command>: <trace>: ...`` line."""
+    assert code == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"{command}: {trace}: ")
+    assert "No such file or directory" in lines[0]
 
 
 class TestParser:
@@ -295,13 +318,50 @@ class TestWorkflows:
     def test_analyze_missing_trace_exits_cleanly(self, tmp_path, capsys, name, workers):
         trace = str(tmp_path / name)
         code = main(["analyze", "--trace", trace, "--days", "7", "--workers", workers])
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1
-        assert lines[0].startswith(f"analyze: {trace}: ")
-        assert "No such file or directory" in lines[0]
+        assert_missing_trace_line(code, capsys.readouterr(), "analyze", trace)
+
+    @pytest.mark.parametrize("name", ["missing.csv", "missing.cdrz", "missing/"])
+    @pytest.mark.parametrize("command", sorted(TRACE_COMMANDS))
+    def test_missing_trace_exits_cleanly(self, tmp_path, capsys, command, name):
+        trace = str(tmp_path / name)
+        code = main(TRACE_COMMANDS[command](trace, tmp_path))
+        assert_missing_trace_line(code, capsys.readouterr(), command, trace)
+
+    def test_generate_writes_the_same_shards_at_one_and_two_workers(
+        self, tmp_path, capsys
+    ):
+        # A small fleet: on large ones tied routes can differ by worker
+        # count (see test_routing's call-history xfail).
+        shards = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"workers-{workers}"
+            code = main(
+                ["generate", "--scenario", "smoke", "--cars", "12", "--days", "3",
+                 "--seed", "3", "--format", "cdrz", "--shard-rows", "500",
+                 "--workers", workers, "--out", str(out)]
+            )
+            assert code == 0
+            shards.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(shards[0]) > 1
+        assert shards[0] == shards[1]
+
+    @pytest.mark.parametrize("command", ["fota", "journeys"])
+    def test_records_are_built_for_kept_rows_only(self, shard_dir, capsys, command):
+        """One record per kept row plus one capped copy per row over 600 s:
+        ghost rows are dropped on the columns, before any record exists."""
+        from repro.cdr.io import read_columnar_auto
+        from repro.cdr.records import count_record_constructions
+
+        duration = read_columnar_auto(shard_dir).duration
+        ghost = np.abs(duration - 3600.0) <= 0.5
+        n_kept = int(np.count_nonzero(~ghost))
+        n_over = int(np.count_nonzero(duration[~ghost] > 600.0))
+        assert np.count_nonzero(ghost) and n_over
+        with count_record_constructions() as counter:
+            code = main(TRACE_COMMANDS[command](str(shard_dir), None))
+        capsys.readouterr()
+        assert code == 0
+        assert counter.count == n_kept + n_over
 
     def test_analyze_markdown(self, trace_path, capsys):
         code = main(

@@ -5,8 +5,8 @@ import pytest
 
 from repro.cdr.anonymize import Anonymizer
 from repro.cdr.io import (
-    read_records_csv,
-    read_records_jsonl,
+    read_columnar_csv,
+    read_columnar_jsonl,
     write_records_csv,
     write_records_jsonl,
 )
@@ -18,7 +18,7 @@ class TestTraceRoundtrip:
     def test_csv_roundtrip_preserves_analysis(self, dataset, tmp_path):
         path = tmp_path / "trace.csv"
         write_records_csv(path, dataset.batch)
-        reloaded = CDRBatch(read_records_csv(path))
+        reloaded = read_columnar_csv(path)
         assert len(reloaded) == len(dataset.batch)
         pipeline = AnalysisPipeline(dataset.clock, dataset.load_model)
         original = pipeline.run(dataset.batch, with_clustering=False)
@@ -34,7 +34,7 @@ class TestTraceRoundtrip:
         path = tmp_path / "trace.jsonl"
         subset = dataset.batch.records[:5000]
         write_records_jsonl(path, subset)
-        assert list(read_records_jsonl(path)) == subset
+        assert read_columnar_jsonl(path).to_records() == subset
 
 
 class TestAnonymizationPipeline:

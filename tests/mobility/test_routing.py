@@ -72,6 +72,20 @@ class TestRouter:
         assert rev.nodes == tuple(reversed(fwd.nodes))
         assert rev.travel_time == pytest.approx(fwd.travel_time)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a route reversed from the cached opposite direction differs "
+        "from the forward search when fastest paths tie, so a car's trips "
+        "depend on the cars routed before it in the same process and "
+        "generate --workers N differs from --workers 1 on large fleets",
+    )
+    def test_route_does_not_depend_on_call_history(self, roads):
+        # 3 -> 75 has two fastest paths of equal travel time.
+        fresh = Router(roads).route(3, 75)
+        warm = Router(roads)
+        warm.route(75, 3)
+        assert warm.route(3, 75) == fresh
+
     def test_unknown_node_raises(self, roads):
         import networkx as nx
 

@@ -1,13 +1,25 @@
 """Unit and behavioural tests for the end-to-end trace generator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from repro.algorithms.timebins import DAY
 from repro.cdr.errors import TraceGenerationError
 from repro.mobility.roads import RoadConfig
+from repro.simulate.artifacts import ArtifactConfig
 from repro.simulate.config import SimulationConfig
 from repro.simulate.generator import TraceGenerator
+
+
+@pytest.fixture(scope="module")
+def clean_dataset(small_config):
+    """The shared dataset's config with every artifact switched off."""
+    artifacts = ArtifactConfig(
+        ghost_hour_rate=0.0, stuck_modem_rate=0.0, data_loss_days=()
+    )
+    return TraceGenerator(replace(small_config, artifacts=artifacts)).generate()
 
 
 class TestConfigValidation:
@@ -47,11 +59,12 @@ class TestGeneratedDataset:
             assert rec.carrier == cell.carrier.name
             assert rec.technology == cell.technology.value
 
-    def test_clean_records_preserved(self, dataset):
-        assert dataset.clean_records
+    def test_clean_records_preserved(self, dataset, clean_dataset):
+        assert clean_dataset.batch.records
         # Artifact injection only adds ghosts/stuck/drops; the clean trace
-        # has no exactly-one-hour records.
-        assert all(r.duration != 3600.0 for r in dataset.clean_records)
+        # has no exactly-one-hour records, and the same cars.
+        assert all(r.duration != 3600.0 for r in clean_dataset.batch)
+        assert clean_dataset.batch.car_ids() == dataset.batch.car_ids()
 
     def test_ghost_records_present_in_batch(self, dataset):
         ghosts = [r for r in dataset.batch if r.duration == 3600.0]
@@ -74,11 +87,11 @@ class TestGeneratedDataset:
         # earlier (day 2).
         assert per_day[9] < per_day[2] * 0.7
 
-    def test_no_overlapping_trips_per_car(self, dataset):
+    def test_no_overlapping_trips_per_car(self, clean_dataset):
         # Per-car clean records never have a later trip starting before an
         # earlier *clean* record's start (sorted order is consistent).
         by_car = {}
-        for rec in dataset.clean_records:
+        for rec in clean_dataset.batch:
             by_car.setdefault(rec.car_id, []).append(rec)
         for recs in by_car.values():
             starts = [r.start for r in sorted(recs)]

@@ -165,8 +165,8 @@ def test_query_without_a_daemon_imports_neither():
     assert heavy_imports(query_probe()) == set()
 
 
-def daemon_probe(shard_dir: Path, skip: tuple[str, ...] = ()) -> str:
-    """A daemon's ``refresh()``, then one query per route not in ``skip``."""
+def daemon_probe(shard_dir: Path) -> str:
+    """A daemon's ``refresh()``, then one query per route."""
     first = sorted(shard_dir.glob("*.cdrz"))[0]
     batch = read_batch_cdrz(first)
     car = batch.car_ids[int(batch.car_code[0])]
@@ -175,7 +175,7 @@ def daemon_probe(shard_dir: Path, skip: tuple[str, ...] = ()) -> str:
         f"state = ServiceState(ServiceConfig(trace={str(shard_dir)!r}, "
         f"scenario={SCENARIO!r}, days={DAYS}))\n"
         "state.refresh()\n"
-        f"for kind in sorted(set(ANALYSIS_ROUTES) - {set(skip)!r}):\n"
+        "for kind in sorted(ANALYSIS_ROUTES):\n"
         f"    params = {{'car': {car!r}}} if kind == 'timeline' else {{}}\n"
         "    assert state.query(kind, params)\n"
     )
@@ -191,8 +191,7 @@ BUDGET_PROBES = {
     "analyze-workers-2": lambda shards: cli_probe(analyze_argv(shards, "2")),
     "inspect": lambda shards: cli_probe(["inspect", str(shards)]),
     "query": lambda shards: query_probe(),
-    # The twin route summarizes through the prediction layer by design.
-    "daemon": lambda shards: daemon_probe(shards, skip=("twin",)),
+    "daemon": daemon_probe,
 }
 
 

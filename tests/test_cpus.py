@@ -12,7 +12,7 @@ from repro.cpus import available_cpus
 from repro.service import ServiceConfig, ServiceState
 from repro.service.state import map_shards_fused
 from repro.simulate.config import SimulationConfig
-from repro.simulate.parallel import ParallelTraceGenerator
+from repro.simulate.generator import TraceGenerator
 
 
 @pytest.fixture()
@@ -41,7 +41,7 @@ def test_affinity_mask_bounds_the_count(one_cpu_mask):
 def test_workers_zero_call_sites_follow_the_mask(
     one_cpu_mask, shards, monkeypatch, capsys
 ):
-    assert ParallelTraceGenerator(SimulationConfig(n_cars=2)).n_workers == 1
+    assert TraceGenerator(SimulationConfig(n_cars=2), workers=0).workers == 1
 
     argv = ["analyze", "--trace", str(shards), "--scenario", "smoke", "--days", "7"]
     assert main([*argv, "--workers", "0"]) == 0
