@@ -23,8 +23,8 @@ from repro.cdr.columnar import ColumnarCDRBatch
 from repro.cdr.io import (
     read_columnar_csv,
     read_columnar_jsonl,
-    write_records_csv,
-    write_records_jsonl,
+    write_columnar_csv,
+    write_columnar_jsonl,
 )
 from repro.cdr.records import count_record_constructions
 from repro.cdr.store import (
@@ -81,15 +81,14 @@ def _tracemalloc_peak(fn) -> int:
 
 def test_io_throughput(dataset, emit, emit_json, tmp_path):
     col = dataset.batch.columnar()
-    records = dataset.batch.records
     n = len(col)
 
     csv_path = tmp_path / "trace.csv.gz"
     jsonl_path = tmp_path / "trace.jsonl.gz"
     cdrz_path = tmp_path / "trace.cdrz"
     shard_dir = tmp_path / "shards"
-    write_records_csv(csv_path, records)
-    write_records_jsonl(jsonl_path, records)
+    write_columnar_csv(csv_path, col)
+    write_columnar_jsonl(jsonl_path, col)
     write_batch_cdrz(cdrz_path, col)
     write_sharded_cdrz(shard_dir, col, shard_rows=SHARD_ROWS)
 

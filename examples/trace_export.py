@@ -17,7 +17,7 @@ from pathlib import Path
 
 from repro import AnalysisPipeline, SimulationConfig, StudyClock, TraceGenerator
 from repro.cdr.anonymize import Anonymizer
-from repro.cdr.io import read_columnar_csv, write_records_csv
+from repro.cdr.io import read_columnar_csv, write_columnar_csv
 
 
 def main() -> None:
@@ -32,11 +32,11 @@ def main() -> None:
 
     print("Anonymizing car identities (keyed blake2b) ...")
     anonymizer = Anonymizer(key="rotate-me-每-quarter")
-    anonymized = anonymizer.anonymize(dataset.batch.records)
-    sample = anonymized[0]
-    print(f"  example pseudonym: {sample.car_id}")
+    anonymized = anonymizer.anonymize(dataset.batch.columnar())
+    sample = anonymized.car_ids[int(anonymized.car_code[0])]
+    print(f"  example pseudonym: {sample}")
 
-    n = write_records_csv(out, anonymized)
+    n = write_columnar_csv(out, anonymized)
     print(f"Wrote {n:,} records to {out} ({out.stat().st_size / 1e6:.1f} MB)")
 
     print("Reloading and re-running the pipeline on the exported CSV ...")

@@ -10,9 +10,10 @@ and infeasible to reverse without it.
 from __future__ import annotations
 
 import hashlib
-from collections.abc import Iterable
 
-from repro.cdr.records import ConnectionRecord
+import numpy as np
+
+from repro.cdr.columnar import ColumnarCDRBatch
 
 
 class Anonymizer:
@@ -32,33 +33,33 @@ class Anonymizer:
             raise ValueError(f"digest_chars must be in 8..32, got {digest_chars}")
         self._key = key
         self._digest_chars = digest_chars
-        self._cache: dict[str, str] = {}
 
     def pseudonym(self, car_id: str) -> str:
         """Pseudonym for one car id."""
-        cached = self._cache.get(car_id)
-        if cached is not None:
-            return cached
         digest = hashlib.blake2b(
             car_id.encode(), key=self._key, digest_size=16
         ).hexdigest()[: self._digest_chars]
-        result = f"anon-{digest}"
-        self._cache[car_id] = result
-        return result
+        return f"anon-{digest}"
 
-    def anonymize_record(self, record: ConnectionRecord) -> ConnectionRecord:
-        """Copy of a record with the car id pseudonymized."""
-        return ConnectionRecord(
-            start=record.start,
-            car_id=self.pseudonym(record.car_id),
-            cell_id=record.cell_id,
-            carrier=record.carrier,
-            technology=record.technology,
-            duration=record.duration,
+    def anonymize(self, batch: ColumnarCDRBatch) -> ColumnarCDRBatch:
+        """Copy of a batch with every car id pseudonymized.
+
+        Each car in the vocabulary is hashed once, and the car codes are
+        re-encoded against the sorted pseudonym vocabulary; the rows, their
+        order and every other column are untouched.
+        """
+        pseudonyms = np.asarray(
+            [self.pseudonym(car) for car in batch.car_ids], dtype=object
         )
-
-    def anonymize(
-        self, records: Iterable[ConnectionRecord]
-    ) -> list[ConnectionRecord]:
-        """Anonymize a record collection, preserving order."""
-        return [self.anonymize_record(rec) for rec in records]
+        car_ids, codes = np.unique(pseudonyms, return_inverse=True)
+        return ColumnarCDRBatch(
+            batch.start,
+            batch.duration,
+            batch.cell_id,
+            codes[batch.car_code],
+            batch.carrier_code,
+            batch.tech_code,
+            [str(car) for car in car_ids],
+            batch.carriers,
+            batch.technologies,
+        )

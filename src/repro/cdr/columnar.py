@@ -227,6 +227,36 @@ class ColumnarCDRBatch:
 
     # -- vectorized operations -----------------------------------------
 
+    def validate(self, source: str) -> None:
+        """Raise :class:`CDRValidationError` unless every row could be a record.
+
+        The :class:`ConnectionRecord` invariants, checked as array ops, plus
+        every code inside its vocabulary; what each trace reader checks
+        before handing columns on, since no record is built to check them.
+        """
+        negative = self.duration < 0
+        if bool(np.any(negative)):
+            row = int(np.flatnonzero(negative)[0])
+            raise CDRValidationError(
+                f"{source}: record duration must be non-negative, "
+                f"got {self.duration[row]} at row {row}"
+            )
+        if "" in self.car_ids:
+            raise CDRValidationError(f"{source}: record car_id must be non-empty")
+        for name, vocab in (
+            ("car_code", self.car_ids),
+            ("carrier_code", self.carriers),
+            ("tech_code", self.technologies),
+        ):
+            codes: npt.NDArray[Any] = getattr(self, name)
+            outside = (codes < 0) | (codes >= len(vocab))
+            if bool(np.any(outside)):
+                row = int(np.flatnonzero(outside)[0])
+                raise CDRValidationError(
+                    f"{source}: {name} {codes[row]} at row {row} is outside "
+                    f"its {len(vocab)}-entry vocabulary"
+                )
+
     def __len__(self) -> int:
         return len(self.start)
 

@@ -1,10 +1,11 @@
-"""CSV and JSONL round-trip for connection records.
+"""CSV and JSONL round-trip for columnar CDR batches.
 
-The writers take records; each text format has one reader,
-``read_columnar_*``, which parses in line blocks straight into a
-:class:`~repro.cdr.columnar.ColumnarCDRBatch` — no record objects, one
-vectorized numeric parse per block, so peak memory is bounded by the block
-and the columns.  Paths ending in ``.gz`` are compressed/decompressed
+Each text format has one writer, ``write_columnar_*``, and one reader,
+``read_columnar_*``.  The writers take a
+:class:`~repro.cdr.columnar.ColumnarCDRBatch` and emit its rows in order;
+the readers parse in line blocks straight into one — no record objects,
+one vectorized numeric parse per block, so peak memory is bounded by the
+block and the columns.  Paths ending in ``.gz`` are compressed/decompressed
 transparently — month-scale CDR archives are always shipped gzipped.
 Freshly generated traces can skip text entirely via the binary ``.cdrz``
 store (:mod:`repro.cdr.store`); :func:`read_columnar_auto` reads any of
@@ -16,7 +17,7 @@ from __future__ import annotations
 import csv
 import gzip
 import json
-from collections.abc import Iterable
+from collections.abc import Iterator
 from pathlib import Path
 from typing import IO, cast
 
@@ -24,12 +25,12 @@ import numpy as np
 
 from repro.cdr.columnar import ColumnarCDRBatch
 from repro.cdr.errors import CDRValidationError
-from repro.cdr.records import CDRBatch, ConnectionRecord
+from repro.cdr.records import CDRBatch
 
 _CSV_FIELDS = ("start", "car_id", "cell_id", "carrier", "technology", "duration")
 
-#: Lines per parse block of the columnar text readers; bounds peak memory
-#: while keeping the per-block numpy parse large enough to amortize.
+#: Rows per block of the text readers and writers; bounds peak memory
+#: while keeping the per-block numpy work large enough to amortize.
 _BLOCK_LINES = 131_072
 
 
@@ -55,40 +56,41 @@ def _open_text(path: str | Path, mode: str) -> IO[str]:
     return open(path, mode, newline=newline)
 
 
-def write_records_csv(path: str | Path, records: Iterable[ConnectionRecord]) -> int:
-    """Write records to CSV; returns the number of rows written."""
-    count = 0
+def _rows(batch: ColumnarCDRBatch) -> Iterator[tuple[float, str, int, str, str, float]]:
+    """The rows in ``_CSV_FIELDS`` order, block by block, as Python values.
+
+    ``tolist()`` gives the same floats and ints a record holds, so the
+    writers' ``repr`` floats match a record round trip byte for byte.
+    """
+    cars, carriers, technologies = batch.car_ids, batch.carriers, batch.technologies
+    for lo in range(0, len(batch), _BLOCK_LINES):
+        block = batch.rows(lo, lo + _BLOCK_LINES)
+        yield from zip(
+            block.start.tolist(),
+            [cars[code] for code in block.car_code.tolist()],
+            block.cell_id.tolist(),
+            [carriers[code] for code in block.carrier_code.tolist()],
+            [technologies[code] for code in block.tech_code.tolist()],
+            block.duration.tolist(),
+        )
+
+
+def write_columnar_csv(path: str | Path, batch: ColumnarCDRBatch) -> int:
+    """Write a batch to CSV in row order; returns the number of rows."""
     with _open_text(path, "w") as f:
         writer = csv.writer(f)
         writer.writerow(_CSV_FIELDS)
-        for rec in records:
-            writer.writerow(
-                [rec.start, rec.car_id, rec.cell_id, rec.carrier, rec.technology, rec.duration]
-            )
-            count += 1
-    return count
+        writer.writerows(_rows(batch))
+    return len(batch)
 
 
-def write_records_jsonl(path: str | Path, records: Iterable[ConnectionRecord]) -> int:
-    """Write records as one JSON object per line; returns the row count."""
-    count = 0
+def write_columnar_jsonl(path: str | Path, batch: ColumnarCDRBatch) -> int:
+    """Write a batch as one JSON object per row; returns the row count."""
     with _open_text(path, "w") as f:
-        for rec in records:
-            f.write(
-                json.dumps(
-                    {
-                        "start": rec.start,
-                        "car_id": rec.car_id,
-                        "cell_id": rec.cell_id,
-                        "carrier": rec.carrier,
-                        "technology": rec.technology,
-                        "duration": rec.duration,
-                    }
-                )
-            )
+        for row in _rows(batch):
+            f.write(json.dumps(dict(zip(_CSV_FIELDS, row))))
             f.write("\n")
-            count += 1
-    return count
+    return len(batch)
 
 
 def _columns_from_text(
@@ -115,20 +117,8 @@ def _columns_from_text(
     batch = ColumnarCDRBatch.from_arrays(
         start_arr, duration_arr, cell_arr, car_id, carrier, technology
     )
-    _validate_columns(batch, source)
+    batch.validate(source)
     return batch
-
-
-def _validate_columns(batch: ColumnarCDRBatch, source: str) -> None:
-    """The :class:`ConnectionRecord` invariants, checked as array ops."""
-    if bool(np.any(batch.duration < 0)):
-        row = int(np.flatnonzero(batch.duration < 0)[0])
-        raise CDRValidationError(
-            f"{source}: record duration must be non-negative, "
-            f"got {batch.duration[row]} at row {row}"
-        )
-    if "" in batch.car_ids:
-        raise CDRValidationError(f"{source}: record car_id must be non-empty")
 
 
 def _csv_rows_fast(
@@ -157,7 +147,7 @@ def read_columnar_csv(path: str | Path) -> ColumnarCDRBatch:
     """Load a CSV trace block-wise into a columnar batch — no record objects.
 
     The fast path splits lines in the column order
-    :func:`write_records_csv` produces and falls back to the :mod:`csv`
+    :func:`write_columnar_csv` produces and falls back to the :mod:`csv`
     parser for quoted lines, so anything the writer can emit reads back; a
     header with reordered or extra columns takes a mapped path.  Raises
     :class:`CDRValidationError` on malformed input.

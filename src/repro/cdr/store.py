@@ -30,7 +30,9 @@ from __future__ import annotations
 import json
 import struct
 import zipfile
+import zlib
 from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, BinaryIO
@@ -71,6 +73,21 @@ DEFAULT_CHUNK_ROWS = 262_144
 
 #: Filename pattern of sharded traces written by :func:`write_sharded_cdrz`.
 _SHARD_NAME = "shard-{index:05d}.cdrz"
+
+#: What opening or parsing a missing, torn or corrupt container raises:
+#: ``EOFError`` for an empty file, ``BadZipFile`` for a cut one or a bad
+#: CRC, ``zlib.error`` for a corrupt deflated member, ``ValueError`` for a
+#: non-NPZ file or a member that does not parse or map.
+_CONTAINER_ERRORS = (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.error)
+
+
+@contextmanager
+def _container_errors(path: str | Path) -> Iterator[None]:
+    """Re-raise any failure to open or parse a container as one error naming it."""
+    try:
+        yield
+    except _CONTAINER_ERRORS as exc:
+        raise CDRValidationError(f"{path}: unreadable cdrz container: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -366,15 +383,20 @@ def read_cdrz(
     compressed (written by a foreign tool with ``np.savez_compressed``)
     fall back to a buffered load transparently.
 
-    No :class:`~repro.cdr.records.ConnectionRecord` objects are built on
-    this path.
+    The rows are checked as the text readers check theirs
+    (:meth:`ColumnarCDRBatch.validate`); a missing, torn or invalid
+    container raises :class:`CDRValidationError` naming the path.  No
+    :class:`~repro.cdr.records.ConnectionRecord` objects are built on this
+    path.
     """
-    path = Path(path)
-    try:
-        npz = np.load(path, allow_pickle=False)
-    except (OSError, ValueError) as exc:
-        raise CDRValidationError(f"{path}: unreadable cdrz container: {exc}") from exc
-    with npz:
+    batch, header = _load_cdrz(Path(path), mmap)
+    batch.validate(str(path))
+    return batch, header
+
+
+def _load_cdrz(path: Path, mmap: bool) -> tuple[ColumnarCDRBatch, CdrzHeader]:
+    """:func:`read_cdrz` without the row checks, for ``inspect``."""
+    with _container_errors(path), np.load(path, allow_pickle=False) as npz:
         if _HEADER_KEY not in npz.files:
             raise CDRValidationError(f"{path}: cdrz container missing header member")
         header = _parse_header(npz[_HEADER_KEY][()], path)
@@ -440,14 +462,11 @@ class ShardManifestEntry:
 
 def read_cdrz_header(path: str | Path) -> CdrzHeader:
     """Read just the header member of a container (no column data paged in)."""
-    try:
-        npz = np.load(Path(path), allow_pickle=False)
-    except (OSError, ValueError) as exc:
-        raise CDRValidationError(f"{path}: unreadable cdrz container: {exc}") from exc
-    with npz:
+    with _container_errors(path), np.load(Path(path), allow_pickle=False) as npz:
         if _HEADER_KEY not in npz.files:
             raise CDRValidationError(f"{path}: cdrz container missing header member")
-        return _parse_header(npz[_HEADER_KEY][()], path)
+        raw = npz[_HEADER_KEY][()]
+    return _parse_header(raw, path)
 
 
 def shard_manifest(
@@ -524,13 +543,17 @@ def iter_cdrz_chunks(
 
 
 def inspect_cdrz(path: str | Path) -> CdrzInfo:
-    """Gather the facts ``repro inspect`` prints about a container."""
+    """Gather the facts ``repro inspect`` prints about a container.
+
+    Rows are not checked: a container whose rows break an invariant is
+    still described.
+    """
     path = Path(path)
-    batch, header = read_cdrz(path, mmap=True)
+    batch, header = _load_cdrz(path, mmap=True)
     members: list[CdrzMemberInfo] = []
-    with zipfile.ZipFile(path) as zf:
+    with _container_errors(path), zipfile.ZipFile(path) as zf:
         infos = {info.filename: info for info in zf.infolist()}
-    with np.load(path, allow_pickle=False) as npz:
+    with _container_errors(path), np.load(path, allow_pickle=False) as npz:
         for name in npz.files:
             array = npz[name]
             zip_info = infos.get(name + ".npy")

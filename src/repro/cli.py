@@ -40,8 +40,8 @@ from repro.cdr.io import (
     load_trace,
     read_columnar_auto,
     trace_format,
-    write_records_csv,
-    write_records_jsonl,
+    write_columnar_csv,
+    write_columnar_jsonl,
 )
 from repro.core.pipeline import AnalysisPipeline
 from repro.core.report import format_report, format_report_markdown
@@ -50,10 +50,7 @@ from repro.network.topology import build_topology
 from repro.simulate.scenarios import SCENARIOS, scenario
 
 if TYPE_CHECKING:
-    from collections.abc import Iterable
-
     from repro.cdr.columnar import ColumnarCDRBatch
-    from repro.cdr.records import ConnectionRecord
     from repro.core.fused import AnalysisReport
     from repro.network.topology import NetworkTopology
 
@@ -102,7 +99,7 @@ def _positive(text: str) -> int:
 
 
 def _amount(text: str, *, zero_ok: bool) -> float:
-    """``--cache-mb`` (``zero_ok``) and ``--duration-hours`` argument type.
+    """``--cache-mb`` (``zero_ok``), ``--duration-hours`` and ``--update-mb`` type.
 
     A finite number of at least 0, or above 0; anything else (NaN and
     infinities included) exits 2 with a usage line.
@@ -117,6 +114,31 @@ def _amount(text: str, *, zero_ok: bool) -> float:
         bound = "0 or more" if zero_ok else "positive"
         raise argparse.ArgumentTypeError(f"must be {bound}, got {value}")
     return value
+
+
+def _hour(text: str) -> float:
+    """``--start-hour`` argument type: a finite hour of the day in ``[0, 24)``.
+
+    A start outside the day leaves the test window without a PRB bin; it
+    exits 2 with a usage line instead of printing a NaN mean.
+    """
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < 24:
+        raise argparse.ArgumentTypeError(f"must be an hour in [0, 24), got {text!r}")
+    return value
+
+
+def _key(text: str) -> str:
+    """``--anonymize-key`` argument type: a non-empty key.
+
+    An empty key exits 2 with a usage line instead of writing raw car ids.
+    """
+    if not text:
+        raise argparse.ArgumentTypeError("must be a non-empty key")
+    return text
 
 
 #: Writable trace formats; ``auto`` resolves from the output path suffix.
@@ -156,6 +178,7 @@ def _add_generate(
     )
     p.add_argument(
         "--anonymize-key",
+        type=_key,
         default=None,
         help="pseudonymize car ids with this key before writing",
     )
@@ -226,7 +249,9 @@ def _add_fota(
     p.add_argument("--trace", required=True)
     p.add_argument("--scenario", default="default", choices=sorted(SCENARIOS))
     p.add_argument("--days", type=_positive, default=28)
-    p.add_argument("--update-mb", type=float, default=200.0)
+    p.add_argument(
+        "--update-mb", type=functools.partial(_amount, zero_ok=False), default=200.0
+    )
     p.add_argument(
         "--max-concurrent", type=_positive, default=None,
         help="per-cell concurrent-download cap (throttled run)",
@@ -342,7 +367,7 @@ def _add_saturate(
     p = subparsers.add_parser(
         "saturate", help="run the Figure 1 greedy-download saturation experiment"
     )
-    p.add_argument("--start-hour", type=float, default=20.75)
+    p.add_argument("--start-hour", type=_hour, default=20.75)
     p.add_argument(
         "--duration-hours", type=functools.partial(_amount, zero_ok=False), default=4.0
     )
@@ -387,38 +412,20 @@ def _resolve_format(fmt: str, out: str, shard_rows: int | None) -> str:
 
 
 def _write_trace(
-    out: str,
-    fmt: str,
-    shard_rows: int | None,
-    records: Iterable[ConnectionRecord] | None = None,
-    columnar: ColumnarCDRBatch | None = None,
+    out: str, fmt: str, shard_rows: int | None, batch: ColumnarCDRBatch
 ) -> int:
-    """Write a trace in any supported format; returns the row count.
-
-    Accepts whichever representation the caller already has — a record
-    list or a columnar batch — and converts only when the target format
-    needs the other one.
-    """
+    """Write a trace in any supported format; returns the row count."""
     if fmt == "cdrz":
-        from repro.cdr.columnar import ColumnarCDRBatch
         from repro.cdr.store import write_batch_cdrz, write_sharded_cdrz
 
-        if columnar is None:
-            if records is None:
-                raise ValueError("need records or a columnar batch to write")
-            columnar = ColumnarCDRBatch.from_records(list(records))
         if shard_rows is not None:
-            write_sharded_cdrz(out, columnar, shard_rows=shard_rows)
+            write_sharded_cdrz(out, batch, shard_rows=shard_rows)
         else:
-            write_batch_cdrz(out, columnar)
-        return len(columnar)
-    if records is None:
-        if columnar is None:
-            raise ValueError("need records or a columnar batch to write")
-        records = columnar.to_records()
+            write_batch_cdrz(out, batch)
+        return len(batch)
     if fmt == "jsonl":
-        return write_records_jsonl(out, records)
-    return write_records_csv(out, records)
+        return write_columnar_jsonl(out, batch)
+    return write_columnar_csv(out, batch)
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
@@ -434,17 +441,12 @@ def cmd_generate(args: argparse.Namespace) -> int:
     from repro.simulate.generator import TraceGenerator
 
     dataset = TraceGenerator(config, workers=args.workers).generate()
-    records = dataset.batch.records
-    columnar = None
-    if args.anonymize_key:
+    batch = dataset.batch.columnar()
+    if args.anonymize_key is not None:
         from repro.cdr.anonymize import Anonymizer
 
-        records = Anonymizer(key=args.anonymize_key).anonymize(records)
-    elif fmt == "cdrz":
-        # The freshly generated batch already carries its columnar view;
-        # write it straight out, never transiting records or text.
-        columnar, records = dataset.batch.columnar(), None
-    n = _write_trace(args.out, fmt, args.shard_rows, records=records, columnar=columnar)
+        batch = Anonymizer(key=args.anonymize_key).anonymize(batch)
+    n = _write_trace(args.out, fmt, args.shard_rows, batch)
     print(
         f"wrote {n:,} records ({args.cars} cars, {args.days} days, "
         f"scenario {args.scenario}) to {args.out} [{fmt}]"
@@ -460,8 +462,7 @@ def cmd_convert(args: argparse.Namespace) -> int:
         print(f"--shard-rows requires the cdrz format, not {fmt}", file=sys.stderr)
         return 2
     src_fmt = "cdrz" if Path(args.src).is_dir() else trace_format(args.src)
-    columnar = read_columnar_auto(args.src)
-    n = _write_trace(args.dst, fmt, args.shard_rows, columnar=columnar)
+    n = _write_trace(args.dst, fmt, args.shard_rows, read_columnar_auto(args.src))
     print(
         f"converted {n:,} records: {args.src} [{src_fmt}] -> {args.dst} [{fmt}]"
     )

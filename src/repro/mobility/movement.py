@@ -11,32 +11,12 @@ fleet-scale trace generation fast.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import numpy.typing as npt
 
 from repro.mobility.roads import RoadNetwork
 from repro.mobility.routing import Route
 from repro.network.topology import NetworkTopology
-
-
-@dataclass(frozen=True)
-class SectorSpan:
-    """A contiguous stretch of time spent under one radio sector.
-
-    ``sector_key`` is the ``(base station id, sector index)`` pair; carrier
-    selection within the sector happens later, per connection.
-    """
-
-    sector_key: tuple[int, int]
-    start: float
-    end: float
-
-    @property
-    def duration(self) -> float:
-        """Span length in seconds."""
-        return self.end - self.start
 
 
 class EdgeCellIndex:
@@ -146,12 +126,13 @@ class EdgeCellIndex:
 def route_span_arrays(
     route: Route, departure: float, index: EdgeCellIndex
 ) -> tuple[list[tuple[int, int]], list[float], list[float]]:
-    """Sector keys and span start/end times for a routed trip, as lists.
+    """Expand a routed trip into timed sector spans, as parallel lists.
 
-    The columnar twin of :func:`route_sector_timeline` — identical values
-    (the same increments accumulate in the same order), without building a
-    :class:`SectorSpan` per stretch.  The per-car record loop runs on this
-    form; the object timeline remains for callers that want one.
+    Returns the sector keys and each span's absolute start and end time,
+    starting at ``departure``.  Consecutive stretches under the same sector
+    (across edge boundaries) are one span, so the result is the car's
+    camping history — the timeline
+    :func:`repro.simulate.radio.records_for_trip_spans` emits records on.
     """
     keys: list[tuple[int, int]] = []
     starts: list[float] = []
@@ -164,18 +145,3 @@ def route_span_arrays(
         ends.append(t)
         keys.append(sector_key)
     return keys, starts, ends
-
-
-def route_sector_timeline(
-    route: Route, departure: float, index: EdgeCellIndex
-) -> list[SectorSpan]:
-    """Expand a routed trip into timed sector spans.
-
-    Consecutive spans under the same sector (across edge boundaries) merge,
-    so the result is the car's camping history: one span per stretch under a
-    single sector.
-    """
-    keys, starts, ends = route_span_arrays(route, departure, index)
-    return [
-        SectorSpan(key, start, end) for key, start, end in zip(keys, starts, ends)
-    ]

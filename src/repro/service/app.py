@@ -39,6 +39,7 @@ from functools import partial
 from typing import TYPE_CHECKING, TypeVar
 from urllib.parse import parse_qsl, unquote, urlsplit
 
+from repro.cdr.errors import ReproError
 from repro.service.routes import ANALYSIS_ROUTES, QueryError
 from repro.service.state import ServiceState, canonical_json
 
@@ -62,7 +63,8 @@ DEFAULT_EXECUTOR_THREADS = 8
 
 #: What a request handler may raise without killing its connection: the
 #: error families analysis code and the shard I/O can produce.  QueryError,
-#: KeyError and ValueError are mapped to typed statuses before this net.
+#: KeyError, ValueError and ReproError are mapped to typed statuses before
+#: this net.
 _REQUEST_ERRORS = (
     ArithmeticError,
     AttributeError,
@@ -244,7 +246,9 @@ class ServiceApp:
             return _error(exc.status, exc.message)
         except KeyError as exc:
             return _error(404, f"not found: {exc.args[0] if exc.args else path}")
-        except ValueError as exc:
+        except (ValueError, ReproError) as exc:
+            # An empty trace, or a shard a refresh could not read (torn,
+            # invalid): the held fold stays as it was.
             return _error(409, str(exc))
         except _REQUEST_ERRORS:
             return _error(500, "internal error")

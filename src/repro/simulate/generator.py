@@ -159,10 +159,9 @@ def _records_for_car(
                     starts,
                     ends,
                     topology,
-                    cfg.carrier_weights,
+                    sub.carrier_sampler,
                     cfg.activity,
                     rng,
-                    carrier_sampler=sub.carrier_sampler,
                 )
             )
     # Clip to the study window: a late-evening trip's records may spill

@@ -22,7 +22,6 @@ import numpy.typing as npt
 
 from repro.algorithms.intervals import Interval
 from repro.cdr.records import ConnectionRecord
-from repro.mobility.movement import SectorSpan
 from repro.network.topology import NetworkTopology
 from repro.simulate.config import ActivityConfig
 from repro.simulate.population import Car
@@ -150,40 +149,6 @@ def generate_bursts(
     return merged
 
 
-def records_for_trip(
-    car: Car,
-    departure: float,
-    timeline: list[SectorSpan],
-    topology: NetworkTopology,
-    carrier_weights: dict[str, float],
-    activity: ActivityConfig,
-    rng: np.random.Generator,
-    carrier_sampler: CarrierSampler | None = None,
-) -> list[ConnectionRecord]:
-    """Emit CDRs for one trip given its sector timeline.
-
-    ``timeline`` is the output of
-    :func:`repro.mobility.movement.route_sector_timeline` — absolute-time
-    sector spans starting at ``departure``.  ``carrier_sampler`` is an
-    optional shared draw-table cache; with or without it the RNG stream is
-    identical.
-    """
-    if not timeline:
-        return []
-    return records_for_trip_spans(
-        car,
-        departure,
-        [span.sector_key for span in timeline],
-        [span.start for span in timeline],
-        [span.end for span in timeline],
-        topology,
-        carrier_weights,
-        activity,
-        rng,
-        carrier_sampler=carrier_sampler,
-    )
-
-
 def records_for_trip_spans(
     car: Car,
     departure: float,
@@ -191,16 +156,17 @@ def records_for_trip_spans(
     starts: list[float],
     ends: list[float],
     topology: NetworkTopology,
-    carrier_weights: dict[str, float],
+    sampler: CarrierSampler,
     activity: ActivityConfig,
     rng: np.random.Generator,
-    carrier_sampler: CarrierSampler | None = None,
 ) -> list[ConnectionRecord]:
-    """Array-form core of :func:`records_for_trip`.
+    """Emit CDRs for one trip given its sector timeline.
 
-    Takes the timeline as parallel (keys, starts, ends) lists — the output
-    of :func:`repro.mobility.movement.route_span_arrays` — so the per-car
-    hot path never materializes :class:`SectorSpan` objects.
+    The timeline is parallel (keys, starts, ends) lists of absolute-time
+    sector spans starting at ``departure`` — the output of
+    :func:`repro.mobility.movement.route_span_arrays`.  ``sampler`` draws
+    the trip's carrier, and its ``carrier_weights`` weight the fallback
+    draw where that carrier is not deployed.
     """
     if not keys:
         return []
@@ -217,8 +183,9 @@ def records_for_trip_spans(
     # Neighbouring sectors of one site overlap heavily; a moving connection
     # is kept on its current cell rather than handed across the site, so the
     # recorded handovers are almost all between base stations (Section 4.5).
-    # The merge keeps the first sector's key, its start and the last end —
-    # exactly _merge_same_site on SectorSpan objects.
+    # The merge keeps the first sector's key, its start and the last end:
+    # the connection stays on the cell it started on until the car leaves
+    # the site's footprint.
     span_keys: list[tuple[int, int]] = []
     span_starts: list[float] = []
     span_ends: list[float] = []
@@ -233,10 +200,7 @@ def records_for_trip_spans(
     # The modem camps on one carrier for the whole drive; it only leaves it
     # where the carrier is not deployed.  This keeps inter-carrier and
     # inter-RAT handovers negligible, as the paper observes.
-    if carrier_sampler is not None:
-        trip_carrier = carrier_sampler.draw(car.capabilities, rng)
-    else:
-        trip_carrier = _draw_carrier(car, carrier_weights, rng)
+    trip_carrier = sampler.draw(car.capabilities, rng)
 
     # Resolve each span's sector and its cell on the trip carrier once, not
     # once per burst; the rare fallback draw (carrier not deployed here)
@@ -265,7 +229,7 @@ def records_for_trip_spans(
                     # rural fringe): the modem falls back to what the sector
                     # has.
                     cell = topology.choose_cell_in_sector(
-                        sector, car.capabilities, rng, carrier_weights
+                        sector, car.capabilities, rng, sampler.carrier_weights
                     )
                 if cell is not None:
                     duration = hi - lo
@@ -283,26 +247,14 @@ def records_for_trip_spans(
     return records
 
 
-def _merge_same_site(spans: list[SectorSpan]) -> list[SectorSpan]:
-    """Collapse consecutive spans under the same base station into one.
-
-    The merged span keeps the first sector's key: the connection stays on
-    the cell it started on until the car leaves the site's footprint.
-    """
-    merged: list[SectorSpan] = []
-    for span in spans:
-        if merged and merged[-1].sector_key[0] == span.sector_key[0]:
-            prev = merged[-1]
-            merged[-1] = SectorSpan(prev.sector_key, prev.start, span.end)
-        else:
-            merged.append(span)
-    return merged
-
-
 def _draw_carrier(
     car: Car, carrier_weights: dict[str, float], rng: np.random.Generator
 ) -> str:
-    """Weighted carrier draw over the car's modem capabilities."""
+    """Weighted carrier draw over the car's modem capabilities.
+
+    The uncached ``rng.choice`` draw :meth:`CarrierSampler.draw` must match;
+    the tests hold the sampler to it.
+    """
     names = sorted(car.capabilities)
     weights = np.asarray([carrier_weights.get(n, 0.0) for n in names], dtype=float)
     if weights.sum() <= 0:

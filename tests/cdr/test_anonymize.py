@@ -1,8 +1,12 @@
 """Unit tests for keyed anonymization."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.cdr.anonymize import Anonymizer
+from repro.cdr.columnar import ColumnarCDRBatch
 from repro.cdr.records import ConnectionRecord
 
 
@@ -36,10 +40,12 @@ class TestAnonymizer:
         with pytest.raises(ValueError):
             Anonymizer(key="k", digest_chars=4)
 
-    def test_anonymize_record_preserves_fields(self):
+    def test_anonymize_preserves_every_other_column(self):
         a = Anonymizer(key="k")
-        rec = ConnectionRecord(10.0, "car-1", 7, "C2", "4G", 33.0)
-        out = a.anonymize_record(rec)
+        batch = ColumnarCDRBatch.from_records(
+            [ConnectionRecord(10.0, "car-1", 7, "C2", "4G", 33.0)]
+        )
+        out = a.anonymize(batch).to_records()[0]
         assert out.car_id == a.pseudonym("car-1")
         assert (out.start, out.cell_id, out.carrier, out.technology, out.duration) == (
             10.0,
@@ -49,14 +55,30 @@ class TestAnonymizer:
             33.0,
         )
 
-    def test_anonymize_list_preserves_order_and_identity(self):
+    def test_anonymize_preserves_order_and_identity(self):
         a = Anonymizer(key="k")
         recs = [
             ConnectionRecord(0.0, "car-1", 1, "C3", "4G", 1.0),
             ConnectionRecord(1.0, "car-2", 1, "C3", "4G", 1.0),
             ConnectionRecord(2.0, "car-1", 2, "C3", "4G", 1.0),
         ]
-        out = a.anonymize(recs)
+        out = a.anonymize(ColumnarCDRBatch.from_records(recs)).to_records()
         assert [r.start for r in out] == [0.0, 1.0, 2.0]
         assert out[0].car_id == out[2].car_id
         assert out[0].car_id != out[1].car_id
+
+    def test_anonymize_empty_batch(self):
+        empty = ColumnarCDRBatch.from_records([])
+        assert Anonymizer(key="k").anonymize(empty) == empty
+
+    def test_anonymize_matches_per_record_pseudonyms(self, dataset):
+        """The columns equal pseudonymizing every row's car id on its own."""
+        records = dataset.batch.records
+        durations = np.asarray([r.duration for r in records])
+        assert np.any(durations == 3600.0), "trace needs ghost records"
+        assert np.any(durations > 3600.0), "trace needs stuck modems"
+        a = Anonymizer(key="study-epoch-1")
+        oracle = ColumnarCDRBatch.from_records(
+            [replace(r, car_id=a.pseudonym(r.car_id)) for r in records]
+        )
+        assert a.anonymize(dataset.batch.columnar()) == oracle

@@ -11,8 +11,8 @@ from repro.cdr.io import (
     read_columnar_csv,
     read_columnar_jsonl,
     trace_format,
-    write_records_csv,
-    write_records_jsonl,
+    write_columnar_csv,
+    write_columnar_jsonl,
 )
 from repro.cdr.records import ConnectionRecord, count_record_constructions
 from repro.cdr.store import write_batch_cdrz, write_sharded_cdrz
@@ -51,14 +51,14 @@ class TestFormatDetection:
         directory.mkdir()
         path = directory / "trace.jsonl"
         assert trace_format(path) == "jsonl"
-        write_records_jsonl(path, RECORDS)
+        write_columnar_jsonl(path, ColumnarCDRBatch.from_records(RECORDS))
         assert read_columnar_jsonl(path) == ColumnarCDRBatch.from_records(RECORDS)
 
 
 class TestColumnarCsv:
     def test_matches_record_reader(self, tmp_path):
         path = tmp_path / "t.csv.gz"
-        write_records_csv(path, RECORDS)
+        write_columnar_csv(path, ColumnarCDRBatch.from_records(RECORDS))
         # What a record-level read of the file holds: the records written.
         expected = ColumnarCDRBatch.from_records(RECORDS)
         with count_record_constructions() as counter:
@@ -69,7 +69,7 @@ class TestColumnarCsv:
     def test_quoted_fields_fall_back_to_csv_parser(self, tmp_path):
         tricky = [rec(car='we"ird'), rec(car="comma,car", duration=1.5)]
         path = tmp_path / "t.csv"
-        write_records_csv(path, tricky)
+        write_columnar_csv(path, ColumnarCDRBatch.from_records(tricky))
         assert read_columnar_csv(path) == ColumnarCDRBatch.from_records(tricky)
 
     def test_reordered_columns_take_the_mapped_path(self, tmp_path):
@@ -133,7 +133,7 @@ class TestColumnarCsv:
         values = [0.1, 1 / 3, 2**-40, 1e300, 4503599627370497.0]
         records = [rec(start=v, duration=v) for v in values]
         path = tmp_path / "t.csv.gz"
-        write_records_csv(path, records)
+        write_columnar_csv(path, ColumnarCDRBatch.from_records(records))
         got = read_columnar_csv(path)
         np.testing.assert_array_equal(got.start, np.asarray(values))
         np.testing.assert_array_equal(got.duration, np.asarray(values))
@@ -142,7 +142,7 @@ class TestColumnarCsv:
 class TestColumnarJsonl:
     def test_matches_record_reader(self, tmp_path):
         path = tmp_path / "t.jsonl.gz"
-        write_records_jsonl(path, RECORDS)
+        write_columnar_jsonl(path, ColumnarCDRBatch.from_records(RECORDS))
         # What a record-level read of the file holds: the records written.
         expected = ColumnarCDRBatch.from_records(RECORDS)
         with count_record_constructions() as counter:
@@ -152,7 +152,7 @@ class TestColumnarJsonl:
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        write_records_jsonl(path, RECORDS[:1])
+        write_columnar_jsonl(path, ColumnarCDRBatch.from_records(RECORDS[:1]))
         path.write_text(path.read_text() + "\n\n")
         assert read_columnar_jsonl(path) == ColumnarCDRBatch.from_records(
             RECORDS[:1]
@@ -160,7 +160,7 @@ class TestColumnarJsonl:
 
     def test_malformed_line_reports_line_number(self, tmp_path):
         path = tmp_path / "t.jsonl"
-        write_records_jsonl(path, RECORDS[:1])
+        write_columnar_jsonl(path, ColumnarCDRBatch.from_records(RECORDS[:1]))
         with open(path, "a") as f:
             f.write("{not json}\n")
         with pytest.raises(CDRValidationError, match=r":2: malformed record"):
@@ -178,9 +178,9 @@ class TestLoadTrace:
     def test_text_formats(self, tmp_path, name):
         path = tmp_path / name
         if "jsonl" in name:
-            write_records_jsonl(path, RECORDS)
+            write_columnar_jsonl(path, ColumnarCDRBatch.from_records(RECORDS))
         else:
-            write_records_csv(path, RECORDS)
+            write_columnar_csv(path, ColumnarCDRBatch.from_records(RECORDS))
         batch = load_trace(path)
         assert batch.records == sorted(RECORDS)
 
@@ -194,14 +194,14 @@ class TestLoadTrace:
 
     def test_batches_arrive_with_columnar_view_attached(self, tmp_path):
         path = tmp_path / "t.csv"
-        write_records_csv(path, RECORDS)
+        write_columnar_csv(path, ColumnarCDRBatch.from_records(RECORDS))
         batch = load_trace(path)
         assert batch._columnar is not None
 
     def test_read_columnar_auto_dispatches(self, tmp_path):
         col = ColumnarCDRBatch.from_records(RECORDS)
         csv_path, cdrz_path = tmp_path / "t.csv", tmp_path / "t.cdrz"
-        write_records_csv(csv_path, RECORDS)
+        write_columnar_csv(csv_path, col)
         write_batch_cdrz(cdrz_path, col)
         assert read_columnar_auto(csv_path) == col
         assert read_columnar_auto(cdrz_path) == col

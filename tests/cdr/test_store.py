@@ -1,5 +1,6 @@
 """Unit tests for the binary columnar ``.cdrz`` store."""
 
+import re
 import zipfile
 
 import numpy as np
@@ -17,6 +18,7 @@ from repro.cdr.store import (
     iter_cdrz_chunks,
     read_batch_cdrz,
     read_cdrz,
+    read_cdrz_header,
     resolve_shards,
     shard_manifest,
     write_batch_cdrz,
@@ -283,22 +285,23 @@ class TestHeterogeneousShardLayouts:
         assert total == len(many_records)
 
 
-class TestForeignContainers:
-    def _members(self, col, header_json):
-        members = {
-            "header": np.asarray(header_json),
-            "start": col.start,
-            "duration": col.duration,
-            "cell_id": col.cell_id,
-            "car_code": col.car_code,
-            "carrier_code": col.carrier_code,
-            "tech_code": col.tech_code,
-            "car_ids": np.asarray(list(col.car_ids), dtype=np.str_),
-            "carriers": np.asarray(list(col.carriers), dtype=np.str_),
-            "technologies": np.asarray(list(col.technologies), dtype=np.str_),
-        }
-        return members
+def npz_members(col, header_json):
+    """A batch's ``.cdrz`` members, for containers written by other tools."""
+    return {
+        "header": np.asarray(header_json),
+        "start": col.start,
+        "duration": col.duration,
+        "cell_id": col.cell_id,
+        "car_code": col.car_code,
+        "carrier_code": col.carrier_code,
+        "tech_code": col.tech_code,
+        "car_ids": np.asarray(list(col.car_ids), dtype=np.str_),
+        "carriers": np.asarray(list(col.carriers), dtype=np.str_),
+        "technologies": np.asarray(list(col.technologies), dtype=np.str_),
+    }
 
+
+class TestForeignContainers:
     def test_compressed_container_falls_back_to_buffered_load(
         self, tmp_path, unsorted_col
     ):
@@ -308,7 +311,7 @@ class TestForeignContainers:
         )
         path = tmp_path / "foreign.cdrz"
         with open(path, "wb") as fh:
-            np.savez_compressed(fh, **self._members(unsorted_col, header.to_json()))
+            np.savez_compressed(fh, **npz_members(unsorted_col, header.to_json()))
         back, got = read_cdrz(path)
         assert back == unsorted_col
         assert got == header
@@ -319,7 +322,7 @@ class TestForeignContainers:
         )
         path = tmp_path / "v99.cdrz"
         with open(path, "wb") as fh:
-            np.savez(fh, **self._members(unsorted_col, bad))
+            np.savez(fh, **npz_members(unsorted_col, bad))
         with pytest.raises(CDRValidationError, match="schema version"):
             read_cdrz(path)
 
@@ -340,9 +343,75 @@ class TestForeignContainers:
         lying = '{"format": "cdrz", "n_rows": 7, "schema_version": 1, "sorted": false}'
         path = tmp_path / "liar.cdrz"
         with open(path, "wb") as fh:
-            np.savez(fh, **self._members(unsorted_col, lying))
+            np.savez(fh, **npz_members(unsorted_col, lying))
         with pytest.raises(CDRValidationError, match="header says 7"):
             read_cdrz(path)
+
+
+def unreadable(path):
+    """The start of the one error every reader raises for a damaged file."""
+    return re.escape(f"{path}: unreadable cdrz container: ")
+
+
+class TestDamagedContainers:
+    """Every reader turns a torn or corrupt container into one
+    CDRValidationError naming the path."""
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("reader", [read_cdrz, read_cdrz_header, inspect_cdrz])
+    def test_truncated(self, tmp_path, unsorted_col, reader, fraction):
+        path = tmp_path / "t.cdrz"
+        write_batch_cdrz(path, unsorted_col)
+        data = path.read_bytes()
+        path.write_bytes(data[: int(len(data) * fraction)])
+        with pytest.raises(CDRValidationError, match=unreadable(path)):
+            reader(path)
+
+    @pytest.mark.parametrize("fraction", [0.2, 0.4, 0.6, 0.8])
+    def test_corrupt_deflated_member(self, tmp_path, fraction):
+        col = ColumnarCDRBatch.from_records(
+            [rec(start=float(i), car=f"car-{i % 3}", cell=i) for i in range(2000)]
+        )
+        header = CdrzHeader(schema_version=SCHEMA_VERSION, n_rows=2000, sorted=True)
+        path = tmp_path / "foreign.cdrz"
+        with open(path, "wb") as fh:
+            np.savez_compressed(fh, **npz_members(col, header.to_json()))
+        data = bytearray(path.read_bytes())
+        at = int(len(data) * fraction)
+        data[at : at + 40] = bytes(b ^ 0xFF for b in data[at : at + 40])
+        path.write_bytes(bytes(data))
+        with pytest.raises(CDRValidationError, match=unreadable(path)):
+            read_cdrz(path)
+
+
+class TestRowChecks:
+    """``read_cdrz`` checks the rows as the text readers do; ``inspect``
+    still describes a container whose rows break an invariant."""
+
+    @pytest.mark.parametrize(
+        "column, values, message",
+        [
+            ("duration", [60.0, -1.0, 0.0, 1.0], "duration must be non-negative"),
+            ("car_code", [0, 1, 0, 3], "car_code 3 at row 3 is outside"),
+            ("carrier_code", [0, -1, 0, 0], "carrier_code -1 at row 1 is outside"),
+            ("tech_code", [0, 0, 9, 0], "tech_code 9 at row 2 is outside"),
+        ],
+    )
+    def test_invalid_rows(self, tmp_path, unsorted_col, column, values, message):
+        dtype = getattr(unsorted_col, column).dtype
+        setattr(unsorted_col, column, np.asarray(values, dtype=dtype))
+        path = tmp_path / "t.cdrz"
+        write_batch_cdrz(path, unsorted_col)
+        with pytest.raises(CDRValidationError, match=message):
+            read_cdrz(path)
+        assert inspect_cdrz(path).header.n_rows == len(values)
+
+    def test_empty_car_id(self, tmp_path):
+        col = ColumnarCDRBatch([0.0], [1.0], [1], [0], [0], [0], [""], ["C1"], ["4G"])
+        path = tmp_path / "t.cdrz"
+        write_batch_cdrz(path, col)
+        with pytest.raises(CDRValidationError, match="car_id must be non-empty"):
+            read_batch_cdrz(path)
 
 
 class TestInspect:

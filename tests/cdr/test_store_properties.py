@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.cdr.columnar import ColumnarCDRBatch
-from repro.cdr.io import load_trace, read_columnar_csv, write_records_csv
+from repro.cdr.io import load_trace, read_columnar_csv, write_columnar_csv
 from repro.cdr.records import ConnectionRecord, count_record_constructions
 from repro.cdr.store import read_batch_cdrz, read_cdrz, write_batch_cdrz
 
@@ -80,6 +80,6 @@ def test_csv_and_cdrz_paths_yield_identical_containers(col, tmp_path_factory):
     direct, via_csv = tmp / "direct.cdrz", tmp / "via_csv.cdrz"
     write_batch_cdrz(direct, col)
     csv_path = tmp / "t.csv.gz"
-    write_records_csv(csv_path, col.to_records())
+    write_columnar_csv(csv_path, col)
     write_batch_cdrz(via_csv, read_columnar_csv(csv_path))
     assert direct.read_bytes() == via_csv.read_bytes()

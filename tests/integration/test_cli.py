@@ -482,3 +482,176 @@ class TestDegenerateClusters:
             warnings.simplefilter("error")
             assert main([*argv, "--workers", str(workers)]) == 0
         assert "level ratio n/a, size ratio n/a" in capsys.readouterr().out
+
+
+def text_bytes(path):
+    """A text trace's bytes, decompressed when gzipped (gzip stamps a time)."""
+    import gzip
+
+    data = path.read_bytes()
+    return gzip.decompress(data) if path.name.endswith(".gz") else data
+
+
+class TestWriteSide:
+    """``generate`` and ``convert`` write every format straight from columns,
+    anonymized on the car vocabulary when a key is given."""
+
+    ARGS = ["--scenario", "smoke", "--cars", "8", "--days", "3", "--seed", "3"]
+
+    @pytest.fixture(scope="class")
+    def columns(self):
+        from dataclasses import replace
+
+        from repro.simulate.generator import TraceGenerator
+        from repro.simulate.scenarios import scenario
+
+        config = replace(scenario("smoke", n_cars=8, n_days=3), seed=3)
+        return TraceGenerator(config).generate().batch.columnar()
+
+    @pytest.mark.parametrize("key", [None, "k"], ids=["raw", "anonymized"])
+    @pytest.mark.parametrize("name", ["t.csv", "t.csv.gz", "t.jsonl"])
+    def test_generate_writes_the_columnar_writers_bytes(
+        self, columns, tmp_path, capsys, name, key
+    ):
+        from repro.cdr.anonymize import Anonymizer
+        from repro.cdr.io import write_columnar_csv, write_columnar_jsonl
+
+        out = tmp_path / name
+        argv = ["generate", *self.ARGS, "--out", str(out)]
+        assert main(argv + ([] if key is None else ["--anonymize-key", key])) == 0
+        expected = tmp_path / f"expected-{name}"
+        batch = columns if key is None else Anonymizer(key).anonymize(columns)
+        writer = write_columnar_jsonl if ".jsonl" in name else write_columnar_csv
+        assert writer(expected, batch) == len(columns)
+        assert text_bytes(out) == text_bytes(expected)
+
+    def test_anonymize_key_builds_no_extra_records(self, tmp_path, capsys):
+        from repro.cdr.records import count_record_constructions
+
+        counts = []
+        for key in ([], ["--anonymize-key", "k"]):
+            with count_record_constructions() as counter:
+                out = tmp_path / f"t{len(key)}.csv"
+                assert main(["generate", *self.ARGS, "--out", str(out), *key]) == 0
+            counts.append(counter.count)
+        assert counts[0] == counts[1]
+
+    def test_empty_anonymize_key_is_a_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "raw.csv"
+        with pytest.raises(SystemExit) as exit_info:
+            main(["generate", *self.ARGS, "--out", str(out), "--anonymize-key", ""])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: repro generate ")
+        assert "argument --anonymize-key: must be a non-empty key" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("name", ["t.csv", "t.jsonl"])
+    def test_convert_shards_to_text_builds_no_records(self, tmp_path, capsys, name):
+        from repro.cdr.io import read_columnar_auto
+        from repro.cdr.records import count_record_constructions
+
+        shards = tmp_path / "shards"
+        argv = ["generate", *self.ARGS, "--out", str(shards), "--shard-rows", "300"]
+        assert main(argv) == 0
+        with count_record_constructions() as counter:
+            assert main(["convert", str(shards), str(tmp_path / name)]) == 0
+        assert counter.count == 0
+        assert read_columnar_auto(tmp_path / name) == read_columnar_auto(shards)
+
+
+#: argv of each command that reads a damaged trace, for a trace path and a
+#: temporary directory.
+BAD_TRACE_COMMANDS = {
+    "analyze": lambda trace, tmp: ["analyze", "--trace", trace, "--scenario",
+                                   "smoke", "--days", "2"],
+    "analyze-w2": lambda trace, tmp: ["analyze", "--trace", trace, "--scenario",
+                                      "smoke", "--days", "2", "--workers", "2"],
+    "inspect": lambda trace, tmp: ["inspect", trace],
+    "convert": lambda trace, tmp: ["convert", trace, str(tmp / "out.csv")],
+    "journeys": lambda trace, tmp: ["journeys", "--trace", trace, "--scenario",
+                                    "smoke", "--days", "2"],
+    "serve": lambda trace, tmp: ["serve", "--trace", trace, "--scenario", "smoke",
+                                 "--days", "2", "--port", "0"],
+}
+
+
+def damaged_shards(directory, *, car_code=(0, 1, 0, 1, 0, 1), duration=(60.0,) * 6):
+    """Two shards of six rows whose columns may break a record invariant."""
+    from repro.cdr.columnar import ColumnarCDRBatch
+    from repro.cdr.store import write_sharded_cdrz
+
+    batch = ColumnarCDRBatch(
+        100.0 * np.arange(6), duration, np.ones(6), car_code, np.zeros(6),
+        np.zeros(6), ("car-0", "car-1"), ("C3",), ("4G",),
+    )
+    write_sharded_cdrz(directory, batch, shard_rows=3)
+    return directory
+
+
+class TestBadContainers:
+    """A torn or invalid ``.cdrz`` is one stderr line and exit 2 from every
+    command that reads it, never a traceback or a report."""
+
+    @pytest.fixture(scope="class")
+    def shard_bytes(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("bad-cdrz") / "trace.cdrz"
+        argv = ["generate", "--scenario", "smoke", "--cars", "5", "--days", "2",
+                "--seed", "3", "--out", str(path)]
+        assert main(argv) == 0
+        return path.read_bytes()
+
+    def run(self, command, trace, tmp_path, capsys, monkeypatch):
+        import repro.service
+
+        def serve_forever(*args):
+            raise AssertionError("serve started on a damaged trace")
+
+        monkeypatch.setattr(repro.service, "serve_forever", serve_forever)
+        argv = BAD_TRACE_COMMANDS[command](str(trace), tmp_path)
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        if command == "serve":
+            assert lines[0].startswith("serve needs a cdrz trace: ")
+        else:
+            assert lines[0].startswith(f"{argv[0]}: {trace}: ")
+        return lines[0]
+
+    @pytest.mark.parametrize("fraction", [0.0, 0.1, 0.5, 0.9])
+    @pytest.mark.parametrize("command", ["analyze", "inspect", "convert", "serve"])
+    def test_truncated_container(
+        self, shard_bytes, tmp_path, capsys, monkeypatch, command, fraction
+    ):
+        torn = tmp_path / "torn.cdrz"
+        torn.write_bytes(shard_bytes[: int(len(shard_bytes) * fraction)])
+        line = self.run(command, torn, tmp_path, capsys, monkeypatch)
+        assert f"{torn}: unreadable cdrz container" in line
+
+    @pytest.mark.parametrize("command", ["analyze", "analyze-w2", "convert", "journeys"])
+    def test_codes_beyond_the_vocabulary(self, tmp_path, capsys, monkeypatch, command):
+        shards = damaged_shards(tmp_path / "shards", car_code=(0, 1, 0, 1, 0, 7))
+        line = self.run(command, shards, tmp_path, capsys, monkeypatch)
+        assert "shard-00001.cdrz: car_code 7 at row 2 is outside its 2-entry" in line
+
+    @pytest.mark.parametrize("command", ["analyze", "analyze-w2", "convert", "journeys"])
+    def test_negative_duration(self, tmp_path, capsys, monkeypatch, command):
+        shards = damaged_shards(
+            tmp_path / "shards", duration=(60.0, 60.0, 60.0, 60.0, -5.0, 60.0)
+        )
+        line = self.run(command, shards, tmp_path, capsys, monkeypatch)
+        assert "record duration must be non-negative, got -5.0" in line
+
+    def test_inspect_still_describes_invalid_rows(self, tmp_path, capsys):
+        shards = damaged_shards(
+            tmp_path / "shards",
+            car_code=(0, 1, 0, 1, 0, 7),
+            duration=(60.0, 60.0, 60.0, 60.0, -5.0, 60.0),
+        )
+        assert main(["inspect", str(shards / "shard-00001.cdrz")]) == 0
+        out = capsys.readouterr().out
+        assert "3 rows" in out
+        assert "car_code" in out

@@ -7,17 +7,16 @@ from repro.cdr.anonymize import Anonymizer
 from repro.cdr.io import (
     read_columnar_csv,
     read_columnar_jsonl,
-    write_records_csv,
-    write_records_jsonl,
+    write_columnar_csv,
+    write_columnar_jsonl,
 )
-from repro.cdr.records import CDRBatch
 from repro.core.pipeline import AnalysisPipeline
 
 
 class TestTraceRoundtrip:
     def test_csv_roundtrip_preserves_analysis(self, dataset, tmp_path):
         path = tmp_path / "trace.csv"
-        write_records_csv(path, dataset.batch)
+        write_columnar_csv(path, dataset.batch.columnar())
         reloaded = read_columnar_csv(path)
         assert len(reloaded) == len(dataset.batch)
         pipeline = AnalysisPipeline(dataset.clock, dataset.load_model)
@@ -33,14 +32,14 @@ class TestTraceRoundtrip:
     def test_jsonl_roundtrip_identical_records(self, dataset, tmp_path):
         path = tmp_path / "trace.jsonl"
         subset = dataset.batch.records[:5000]
-        write_records_jsonl(path, subset)
+        write_columnar_jsonl(path, dataset.batch.columnar().rows(0, 5000))
         assert read_columnar_jsonl(path).to_records() == subset
 
 
 class TestAnonymizationPipeline:
     def test_anonymized_trace_same_aggregates(self, dataset):
         anonymizer = Anonymizer(key="study-epoch-1")
-        anon_batch = CDRBatch(anonymizer.anonymize(dataset.batch.records))
+        anon_batch = anonymizer.anonymize(dataset.batch.columnar())
         pipeline = AnalysisPipeline(dataset.clock, dataset.load_model)
         raw = pipeline.run(dataset.batch, with_clustering=False)
         anon = pipeline.run(anon_batch, with_clustering=False)
@@ -53,6 +52,6 @@ class TestAnonymizationPipeline:
 
     def test_no_raw_ids_survive(self, dataset):
         anonymizer = Anonymizer(key="study-epoch-1")
-        anon_batch = CDRBatch(anonymizer.anonymize(dataset.batch.records))
+        anon_batch = anonymizer.anonymize(dataset.batch.columnar())
         raw_ids = {c.car_id for c in dataset.cars}
-        assert not raw_ids & set(anon_batch.car_ids())
+        assert not raw_ids & set(anon_batch.car_ids)

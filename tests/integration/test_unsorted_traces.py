@@ -13,7 +13,7 @@ import shutil
 import numpy as np
 import pytest
 
-from repro.cdr.io import write_records_csv
+from repro.cdr.io import write_columnar_csv
 from repro.cdr.store import (
     read_batch_cdrz,
     read_cdrz_header,
@@ -47,7 +47,7 @@ def traces(tmp_path_factory, columns):
     root = tmp_path_factory.mktemp("unsorted")
     paths = {}
     for name, col in (("sorted", ordered), ("shuffled", shuffled)):
-        write_records_csv(str(root / f"{name}.csv"), col.to_records())
+        write_columnar_csv(str(root / f"{name}.csv"), col)
         write_batch_cdrz(root / f"{name}.cdrz", col)
         paths[f"{name}.csv"] = root / f"{name}.csv"
         paths[f"{name}.cdrz"] = root / f"{name}.cdrz"

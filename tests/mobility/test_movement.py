@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.mobility.movement import EdgeCellIndex, route_sector_timeline
+from repro.mobility.movement import EdgeCellIndex, route_span_arrays
 from repro.mobility.routing import Router
 from repro.mobility.trips import Trip, TripPurpose
 
@@ -58,35 +58,32 @@ class TestEdgeCellIndex:
 
 class TestRouteSectorTimeline:
     def test_contiguous_and_ordered(self, sample_route, edge_index):
-        timeline = route_sector_timeline(sample_route, 1000.0, edge_index)
-        assert timeline
-        assert timeline[0].start == pytest.approx(1000.0)
-        for a, b in zip(timeline, timeline[1:]):
-            assert a.end == pytest.approx(b.start)
-            assert a.sector_key != b.sector_key
+        keys, starts, ends = route_span_arrays(sample_route, 1000.0, edge_index)
+        assert keys
+        assert len(keys) == len(starts) == len(ends)
+        assert starts[0] == pytest.approx(1000.0)
+        for end, next_start in zip(ends, starts[1:]):
+            assert end == pytest.approx(next_start)
+        for a, b in zip(keys, keys[1:]):
+            assert a != b
 
     def test_total_duration_is_travel_time(self, sample_route, edge_index):
-        timeline = route_sector_timeline(sample_route, 0.0, edge_index)
-        total = sum(s.duration for s in timeline)
+        _, starts, ends = route_span_arrays(sample_route, 0.0, edge_index)
+        total = sum(end - start for start, end in zip(starts, ends))
         assert total == pytest.approx(sample_route.travel_time)
 
     def test_departure_offsets_times(self, sample_route, edge_index):
-        t0 = route_sector_timeline(sample_route, 0.0, edge_index)
-        t9 = route_sector_timeline(sample_route, 900.0, edge_index)
-        assert len(t0) == len(t9)
-        for a, b in zip(t0, t9):
-            assert b.start == pytest.approx(a.start + 900.0)
-            assert b.sector_key == a.sector_key
+        k0, s0, _ = route_span_arrays(sample_route, 0.0, edge_index)
+        k9, s9, _ = route_span_arrays(sample_route, 900.0, edge_index)
+        assert len(k0) == len(k9)
+        assert k9 == k0
+        for a, b in zip(s0, s9):
+            assert b == pytest.approx(a + 900.0)
 
     def test_multiple_sectors_crossed(self, sample_route, edge_index):
         # A corner-to-corner drive must cross several sectors.
-        timeline = route_sector_timeline(sample_route, 0.0, edge_index)
-        assert len({s.sector_key for s in timeline}) >= 3
-
-    def test_span_duration_property(self):
-        from repro.mobility.movement import SectorSpan
-
-        assert SectorSpan((1, 0), 10.0, 25.0).duration == 15.0
+        keys, _, _ = route_span_arrays(sample_route, 0.0, edge_index)
+        assert len(set(keys)) >= 3
 
 
 class TestTrip:

@@ -93,6 +93,11 @@ class TestWorkersAlignment:
             (["saturate", "--duration-hours", "0"], "must be positive"),
             (["saturate", "--duration-hours", "inf"], "invalid float"),
             (["saturate", "--duration-hours", "soon"], "invalid float"),
+            (["fota", "--trace", "unused", "--update-mb", "-1"], "must be positive"),
+            (["fota", "--trace", "unused", "--update-mb", "nan"], "invalid float"),
+            (["saturate", "--start-hour", "30"], "must be an hour in [0, 24)"),
+            (["saturate", "--start-hour", "-2"], "must be an hour in [0, 24)"),
+            (["saturate", "--start-hour", "nan"], "must be an hour in [0, 24)"),
         ],
         ids=[
             "cache-mb-negative",
@@ -101,10 +106,16 @@ class TestWorkersAlignment:
             "duration-zero",
             "duration-inf",
             "duration-text",
+            "update-mb-negative",
+            "update-mb-nan",
+            "start-hour-30",
+            "start-hour-negative",
+            "start-hour-nan",
         ],
     )
     def test_out_of_range_amount_exit_2_with_usage(self, argv, message, capsys):
-        """A negative cache or a non-positive test length is a usage error."""
+        """A negative cache or update, a non-positive test length or a start
+        outside the day is a usage error, never a traceback or a NaN."""
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2

@@ -502,6 +502,32 @@ class TestHttpIngest:
         assert all_query_bytes(ServiceState(service_config(copy))) == cold_bytes
 
 
+class TestTornShardAtIngest:
+    def test_torn_shard_is_a_json_error_and_the_fold_stays(self, tmp_path, chunks):
+        """A shard cut mid-write answers 409 with the path; the daemon keeps
+        serving the fold it had, and a later good ingest folds normally."""
+        trace = tmp_path / "trace"
+        write_chunks(trace, chunks, [0, 1])
+        write_chunks(tmp_path / "whole", chunks, [2])
+        whole = (tmp_path / "whole" / "shard-00002.cdrz").read_bytes()
+        torn = trace / "shard-00002.cdrz"
+        state = ServiceState(service_config(trace))
+        with ServiceThread(state) as server:
+            with ServiceClient("127.0.0.1", server.port) as client:
+                presence = client.query_bytes("presence")
+                before = client.stats()
+                torn.write_bytes(whole[: len(whole) // 2])
+                with pytest.raises(ServiceClientError) as error:
+                    client.ingest()
+                assert error.value.status == 409
+                assert str(torn) in error.value.message
+                assert client.stats() == before
+                assert client.query_bytes("presence") == presence
+                torn.write_bytes(whole)
+                assert client.ingest()["n_added"] == 1
+                assert client.stats()["n_shards"] == 3
+
+
 class TestConnectionHandling:
     @pytest.mark.parametrize("length", [b"abc", b"-5"])
     def test_malformed_content_length_gets_400(self, live_service, length):

@@ -2,7 +2,6 @@
 
 import numpy as np
 
-from repro.mobility.movement import SectorSpan
 from repro.mobility.profiles import CarItinerary, CarProfile
 from repro.simulate.config import ActivityConfig
 from repro.simulate.population import BASE_CAPABILITIES, Car
@@ -10,9 +9,8 @@ from repro.simulate.radio import (
     MIN_RECORD_S,
     CarrierSampler,
     _draw_carrier,
-    _merge_same_site,
     generate_bursts,
-    records_for_trip,
+    records_for_trip_spans,
 )
 
 WEIGHTS = {"C1": 0.2, "C2": 0.1, "C3": 0.5, "C4": 0.2}
@@ -98,43 +96,70 @@ class TestGenerateBursts:
         assert long > short
 
 
-class TestMergeSameSite:
-    def test_merges_consecutive_same_site(self):
-        spans = [
-            SectorSpan((1, 0), 0.0, 10.0),
-            SectorSpan((1, 2), 10.0, 20.0),
-            SectorSpan((2, 0), 20.0, 30.0),
-        ]
-        merged = _merge_same_site(spans)
-        assert len(merged) == 2
-        assert merged[0] == SectorSpan((1, 0), 0.0, 20.0)
+def spans(*triples):
+    """Parallel (keys, starts, ends) lists from (key, start, end) triples."""
+    keys, starts, ends = (list(column) for column in zip(*triples))
+    return keys, starts, ends
 
-    def test_preserves_alternation(self):
-        spans = [
-            SectorSpan((1, 0), 0.0, 10.0),
-            SectorSpan((2, 0), 10.0, 20.0),
-            SectorSpan((1, 1), 20.0, 30.0),
-        ]
-        assert _merge_same_site(spans) == spans
+
+class TestMergeSameSite:
+    """A connection stays on its cell while the car stays under the site."""
+
+    def _one_burst(self, timeline, topology, rng):
+        # Spans of 2 s: the engine-start burst's 10-12 s idle timeout alone
+        # outlasts the drive, and every later burst starts inside it, so the
+        # whole trip is one connection.
+        keys, starts, ends = timeline
+        return records_for_trip_spans(
+            make_car(), starts[0], keys, starts, ends, topology, CarrierSampler(WEIGHTS),
+            ActivityConfig(), rng,
+        )
+
+    def test_merges_consecutive_same_site(self, topology, rng):
+        """One burst across two sectors of one site is one record, on the
+        first sector's cell."""
+        site = topology.sites[0].base_station_id
+        timeline = spans(((site, 0), 1000.0, 1002.0), ((site, 1), 1002.0, 1004.0))
+        records = self._one_burst(timeline, topology, rng)
+        assert len(records) == 1
+        assert records[0].start == 1000.0
+        assert records[0].end > 1004.0
+        first_sector = topology.sector(site, 0)
+        assert records[0].cell_id in {cell.cell_id for cell in first_sector.cells}
+
+    def test_preserves_alternation(self, topology, rng):
+        """Sites visited A-B-A are not merged."""
+        a = topology.sites[0].base_station_id
+        b = topology.sites[1].base_station_id
+        timeline = spans(
+            ((a, 0), 1000.0, 1002.0), ((b, 0), 1002.0, 1004.0), ((a, 1), 1004.0, 1006.0)
+        )
+        records = self._one_burst(timeline, topology, rng)
+        sites = [topology.cell(r.cell_id).base_station_id for r in records]
+        assert sites == [a, b, a]
 
 
 class TestRecordsForTrip:
     def _timeline(self, topology, departure=1000.0):
-        keys = []
-        for site in topology.sites[:3]:
-            keys.append((site.base_station_id, 0))
-        spans = []
+        triples = []
         t = departure
-        for key in keys:
-            spans.append(SectorSpan(key, t, t + 300.0))
+        for site in topology.sites[:3]:
+            triples.append(((site.base_station_id, 0), t, t + 300.0))
             t += 300.0
-        return spans
+        return spans(*triples)
+
+    def _records(self, car, timeline, topology, weights, cfg, rng, departure=1000.0):
+        keys, starts, ends = timeline
+        return records_for_trip_spans(
+            car, departure, keys, starts, ends, topology, CarrierSampler(weights), cfg,
+            rng,
+        )
 
     def test_records_within_burst_windows(self, topology, rng):
         car = make_car()
         timeline = self._timeline(topology)
-        records = records_for_trip(
-            car, 1000.0, timeline, topology, WEIGHTS, ActivityConfig(), rng
+        records = self._records(
+            car, timeline, topology, WEIGHTS, ActivityConfig(), rng
         )
         assert records
         for rec in records:
@@ -145,9 +170,9 @@ class TestRecordsForTrip:
     def test_records_cells_belong_to_timeline_sites(self, topology, rng):
         car = make_car()
         timeline = self._timeline(topology)
-        site_ids = {k.sector_key[0] for k in timeline}
-        records = records_for_trip(
-            car, 1000.0, timeline, topology, WEIGHTS, ActivityConfig(), rng
+        site_ids = {key[0] for key in timeline[0]}
+        records = self._records(
+            car, timeline, topology, WEIGHTS, ActivityConfig(), rng
         )
         for rec in records:
             assert topology.cell(rec.cell_id).base_station_id in site_ids
@@ -155,24 +180,25 @@ class TestRecordsForTrip:
     def test_carrier_respects_capabilities(self, topology, rng):
         car = make_car(capabilities={"C3"})
         timeline = self._timeline(topology)
-        records = records_for_trip(
-            car, 1000.0, timeline, topology, {"C3": 1.0}, ActivityConfig(), rng
+        records = self._records(
+            car, timeline, topology, {"C3": 1.0}, ActivityConfig(), rng
         )
         assert records
         assert {r.carrier for r in records} == {"C3"}
 
     def test_technology_matches_carrier(self, topology, rng):
         car = make_car()
-        records = records_for_trip(
-            car, 1000.0, self._timeline(topology), topology, WEIGHTS, ActivityConfig(), rng
+        records = self._records(
+            car, self._timeline(topology), topology, WEIGHTS, ActivityConfig(), rng
         )
         for rec in records:
             assert rec.technology == ("3G" if rec.carrier == "C1" else "4G")
 
     def test_empty_timeline_no_records(self, topology, rng):
         assert (
-            records_for_trip(
-                make_car(), 0.0, [], topology, WEIGHTS, ActivityConfig(), rng
+            self._records(
+                make_car(), ([], [], []), topology, WEIGHTS, ActivityConfig(), rng,
+                departure=0.0,
             )
             == []
         )
@@ -183,6 +209,6 @@ class TestRecordsForTrip:
         car = make_car(infotainment=5.0)
         cfg = ActivityConfig(infotainment_prob=1.0, infotainment_mean_s=5000.0)
         timeline = self._timeline(topology)
-        records = records_for_trip(car, 1000.0, timeline, topology, WEIGHTS, cfg, rng)
+        records = self._records(car, timeline, topology, WEIGHTS, cfg, rng)
         cells = {topology.cell(r.cell_id).base_station_id for r in records}
         assert len(cells) >= 2

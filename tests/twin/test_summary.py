@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.cdr.io import write_records_csv
+from repro.cdr.io import write_columnar_csv
 from repro.cdr.store import write_sharded_cdrz
 from repro.core.mapreduce import fold_shards_fused
 from repro.simulate.generator import TraceGenerator
@@ -121,7 +121,7 @@ class TestPathParity:
 
     def test_text_trace_matches_cdrz(self, tmp_path, columnar, summary, ctx):
         csv_path = tmp_path / "trace.csv"
-        write_records_csv(str(csv_path), columnar.to_records())
+        write_columnar_csv(str(csv_path), columnar)
         assert summarize_source(csv_path, ctx) == summary
 
     def test_chunk_rows_do_not_matter(self, shard_dir, ctx):
