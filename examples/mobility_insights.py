@@ -64,7 +64,7 @@ def main() -> None:
     median_len, p90_len = edge_length_stats(graph)
     print(f"\n== Handover graph ==")
     print(
-        f"{graph.number_of_nodes()} sites, {graph.number_of_edges()} directed "
+        f"{len(graph.positions)} sites, {graph.n_edges} directed "
         f"corridors; edge length median {median_len:.1f} km (p90 {p90_len:.1f}); "
         f"reciprocity {reciprocity(graph):.0%}"
     )

@@ -65,7 +65,7 @@ class EdgeCellIndex:
 
         pa = self.roads.position(a)
         pb = self.roads.position(b)
-        length = float(self.roads.graph.edges[a, b]["length_km"])
+        length = self.roads.edge_length_km(a, b)
         n_samples = max(2, int(np.ceil(length / self.sample_km)) + 1)
         fractions = self._fractions.get(n_samples)
         if fractions is None:

@@ -9,16 +9,13 @@ car's 24x7 connection matrix predictable (Figure 5).
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 import numpy.typing as npt
 
 from repro.network.geometry import Point, distance
-
-if TYPE_CHECKING:
-    import networkx as nx  # type: ignore[import-untyped]
 
 
 @dataclass(frozen=True)
@@ -37,46 +34,61 @@ class RoadConfig:
 
 
 class RoadNetwork:
-    """A road graph with geometry and travel-time weights.
+    """A road graph with geometry and travel-time weights, as plain adjacency.
 
-    Nodes are integer ids with a ``pos`` attribute (:class:`Point`); edges
-    carry ``length_km``, ``speed_kmh`` and ``travel_time_s``.
+    Nodes are the dense ids ``0..n_nodes-1``.  ``edges`` gives each
+    undirected segment as ``(a, b, speed_kmh)``; its length is the straight
+    line between the endpoints and its travel time follows from the speed.
+    ``neighbours[v]`` lists ``(w, travel_time_s)`` for every segment at
+    ``v``, in the order the segments were given, which is the order
+    :class:`repro.mobility.routing.Router` relaxes them in.
     """
 
-    def __init__(self, graph: nx.Graph, config: RoadConfig) -> None:
-        if graph.number_of_nodes() == 0:
+    def __init__(
+        self,
+        positions: Sequence[Point],
+        edges: Iterable[tuple[int, int, float]],
+        config: RoadConfig,
+    ) -> None:
+        if not positions:
             raise ValueError("road network must have at least one node")
-        self.graph = graph
         self.config = config
-        self._node_ids = np.asarray(sorted(graph.nodes))
-        self._coords = np.asarray(
-            [(graph.nodes[n]["pos"].x, graph.nodes[n]["pos"].y) for n in self._node_ids]
-        )
+        self._positions = tuple(positions)
+        self._coords = np.asarray([(p.x, p.y) for p in self._positions])
+        self.neighbours: list[list[tuple[int, float]]] = [[] for _ in self._positions]
+        #: (a, b) and (b, a) -> (length_km, travel_time_s).
+        self._edges: dict[tuple[int, int], tuple[float, float]] = {}
+        for a, b, speed in edges:
+            length = distance(self._positions[a], self._positions[b])
+            travel_time = length / speed * 3600.0
+            self.neighbours[a].append((b, travel_time))
+            self.neighbours[b].append((a, travel_time))
+            self._edges[a, b] = self._edges[b, a] = (length, travel_time)
         #: (x, y, radius_km) -> node ids within the disc, for errand draws.
         self._near_cache: dict[tuple[float, float, float], npt.NDArray[np.intp]] = {}
 
     @property
     def n_nodes(self) -> int:
         """Number of road intersections."""
-        return self.graph.number_of_nodes()
+        return len(self._positions)
 
     @property
     def n_edges(self) -> int:
         """Number of road segments."""
-        return self.graph.number_of_edges()
+        return len(self._edges) // 2
 
     def position(self, node: int) -> Point:
         """Location of a road node."""
-        return self.graph.nodes[node]["pos"]
+        return self._positions[node]
 
     def nearest_node(self, point: Point) -> int:
         """Road node closest to an arbitrary location."""
         d = np.hypot(self._coords[:, 0] - point.x, self._coords[:, 1] - point.y)
-        return int(self._node_ids[int(d.argmin())])
+        return int(d.argmin())
 
     def random_node(self, rng: np.random.Generator) -> int:
         """Uniformly random road node."""
-        return int(self._node_ids[int(rng.integers(self._node_ids.size))])
+        return int(rng.integers(self.n_nodes))
 
     def random_node_near(
         self, rng: np.random.Generator, center: Point, radius_km: float
@@ -95,52 +107,44 @@ class RoadNetwork:
             d = np.hypot(
                 self._coords[:, 0] - center.x, self._coords[:, 1] - center.y
             )
-            candidates = self._node_ids[d <= radius_km]
+            candidates = np.flatnonzero(d <= radius_km)
             self._near_cache[cache_key] = candidates
         if candidates.size == 0:
             return self.nearest_node(center)
         return int(candidates[int(rng.integers(candidates.size))])
 
+    def edge_length_km(self, a: int, b: int) -> float:
+        """Length in kilometres of the edge ``(a, b)``."""
+        return self._edges[a, b][0]
+
     def edge_travel_time(self, a: int, b: int) -> float:
         """Travel time in seconds along the edge ``(a, b)``."""
-        return float(self.graph.edges[a, b]["travel_time_s"])
+        return self._edges[a, b][1]
 
 
 def build_road_network(config: RoadConfig | None = None) -> RoadNetwork:
-    """Construct the grid-plus-highways road network."""
-    import networkx as nx  # type: ignore[import-untyped]
+    """Construct the grid-plus-highways road network.
 
+    Node ``r * n_cols + c`` sits at grid row ``r``, column ``c``.
+    """
     cfg = config or RoadConfig()
     n_cols = int(cfg.width_km // cfg.grid_pitch_km) + 1
     n_rows = int(cfg.height_km // cfg.grid_pitch_km) + 1
     highway_rows = cfg.highway_rows or (n_rows // 2,)
     highway_cols = cfg.highway_cols or (n_cols // 2,)
 
-    graph = nx.Graph()
-    node_id = {}
-    for r in range(n_rows):
-        for c in range(n_cols):
-            nid = r * n_cols + c
-            node_id[(r, c)] = nid
-            graph.add_node(nid, pos=Point(c * cfg.grid_pitch_km, r * cfg.grid_pitch_km))
-
-    def add_edge(a: tuple[int, int], b: tuple[int, int], speed: float) -> None:
-        na, nb = node_id[a], node_id[b]
-        length = distance(graph.nodes[na]["pos"], graph.nodes[nb]["pos"])
-        graph.add_edge(
-            na,
-            nb,
-            length_km=length,
-            speed_kmh=speed,
-            travel_time_s=length / speed * 3600.0,
-        )
-
+    positions = [
+        Point(c * cfg.grid_pitch_km, r * cfg.grid_pitch_km)
+        for r in range(n_rows)
+        for c in range(n_cols)
+    ]
+    edges: list[tuple[int, int, float]] = []
     for r in range(n_rows):
         row_speed = cfg.highway_speed_kmh if r in highway_rows else cfg.street_speed_kmh
         for c in range(n_cols - 1):
-            add_edge((r, c), (r, c + 1), row_speed)
+            edges.append((r * n_cols + c, r * n_cols + c + 1, row_speed))
     for c in range(n_cols):
         col_speed = cfg.highway_speed_kmh if c in highway_cols else cfg.street_speed_kmh
         for r in range(n_rows - 1):
-            add_edge((r, c), (r + 1, c), col_speed)
-    return RoadNetwork(graph, cfg)
+            edges.append((r * n_cols + c, (r + 1) * n_cols + c, col_speed))
+    return RoadNetwork(positions, edges, cfg)

@@ -13,16 +13,12 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 import numpy.typing as npt
 
 from repro.network.cells import CARRIERS, BaseStation, Cell, Sector
 from repro.network.geometry import Point, bearing_deg, distance, hex_grid
-
-if TYPE_CHECKING:
-    from scipy.spatial import cKDTree  # type: ignore[import-untyped]
 
 
 class Tier(enum.Enum):
@@ -86,16 +82,15 @@ class TopologyConfig:
 class NetworkTopology:
     """A built radio network: sites, sectors, cells and spatial lookup.
 
-    The site KD-tree is built by the first spatial query
-    (:meth:`nearest_site`, :meth:`nearest_sites`,
-    :meth:`serving_sector_keys`), which is also where ``scipy.spatial`` is
-    imported: analyses that only look cells up by id never load scipy.
+    Spatial queries (:meth:`nearest_site`, :meth:`nearest_sites`,
+    :meth:`serving_sector_keys`) scan every site's squared distance: a
+    network holds a few hundred sites at most, and an ``argmin`` breaks
+    ties on the lowest site index, whatever the query's batch.
     """
 
     config: TopologyConfig
     sites: list[BaseStation]
     cells: dict[int, Cell] = field(default_factory=dict)
-    _tree: cKDTree | None = field(default=None, repr=False)
     #: Per-site (x, y, base_station_id, ((azimuth, sector_index), ...)) rows
     #: for the allocation-free fast path in :meth:`serving_sector_keys`.
     _site_rows: list | None = field(default=None, repr=False)
@@ -105,6 +100,8 @@ class NetworkTopology:
             raise ValueError("network topology needs at least one site")
         if not self.cells:
             self.cells = {c.cell_id: c for site in self.sites for c in site.cells}
+        #: (n_sites, 2) site coordinates, in ``sites`` order.
+        self._coords = np.asarray([(s.location.x, s.location.y) for s in self.sites])
         self._site_rows = [
             (
                 s.location.x,
@@ -134,29 +131,27 @@ class NetworkTopology:
         """Cell by id; raises ``KeyError`` for unknown ids."""
         return self.cells[cell_id]
 
-    def _index(self) -> cKDTree:
-        """The site KD-tree, built (and scipy imported) on first use."""
-        if self._tree is None:
-            from scipy.spatial import cKDTree  # type: ignore[import-untyped]
-
-            coords = np.asarray([(s.location.x, s.location.y) for s in self.sites])
-            self._tree = cKDTree(coords)
-        return self._tree
+    def _squared_distances(
+        self, xs: npt.NDArray[np.float64], ys: npt.NDArray[np.float64]
+    ) -> npt.NDArray[np.float64]:
+        """``(n_points, n_sites)`` squared distances from points to sites."""
+        dx = xs[:, None] - self._coords[None, :, 0]
+        dy = ys[:, None] - self._coords[None, :, 1]
+        return dx * dx + dy * dy
 
     def nearest_site(self, location: Point) -> BaseStation:
         """The geographically closest base station to ``location``."""
-        _, idx = self._index().query([location.x, location.y])
-        return self.sites[int(idx)]
+        d2 = self._squared_distances(np.array([location.x]), np.array([location.y]))
+        return self.sites[int(d2[0].argmin())]
 
     def nearest_sites(self, location: Point, k: int) -> list[BaseStation]:
         """The ``k`` closest base stations to ``location``, nearest first.
 
         ``k`` is capped at the number of sites.
         """
-        _, idx = self._index().query(
-            [location.x, location.y], k=min(k, len(self.sites))
-        )
-        return [self.sites[int(i)] for i in np.atleast_1d(idx)]
+        d2 = self._squared_distances(np.array([location.x]), np.array([location.y]))
+        order = np.argsort(d2[0], kind="stable")[:k]
+        return [self.sites[int(i)] for i in order]
 
     def serving_sector(self, location: Point) -> Sector:
         """Sector of the nearest site whose boresight best covers ``location``."""
@@ -171,12 +166,12 @@ class NetworkTopology:
         Equivalent to :meth:`serving_sector` per point, but with a single
         batched nearest-site query — the fast path for sampling road edges.
         """
-        _, idxs = self._index().query(np.column_stack((xs, ys)))
+        idxs = self._squared_distances(xs, ys).argmin(axis=1)
         rows = self._site_rows
         atan2 = math.atan2
         degrees = math.degrees
         keys: list[tuple[int, int]] = []
-        for i, x, y in zip(np.atleast_1d(idxs).tolist(), xs.tolist(), ys.tolist()):
+        for i, x, y in zip(idxs.tolist(), xs.tolist(), ys.tolist()):
             sx, sy, bs_id, sectors = rows[i]
             # Inlined bearing_deg/sector_for_bearing: same arithmetic and
             # the same first-minimum tie-breaking as min(key=angular_gap),

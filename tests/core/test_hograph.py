@@ -4,6 +4,7 @@ import pytest
 
 from repro.cdr.records import CDRBatch, ConnectionRecord
 from repro.core.hograph import (
+    HandoverGraph,
     build_handover_graph,
     edge_length_stats,
     reciprocity,
@@ -47,23 +48,26 @@ class TestBuildGraph:
             [rec(0, 1), rec(100, 2), rec(50_000, 1, car="car-b"), rec(50_100, 2, car="car-b")]
         )
         graph = build_handover_graph(preprocess(batch), CELLS)
-        assert graph.edges[1, 2]["handovers"] == 2
-        assert graph.edges[1, 2]["length_km"] == pytest.approx(3.0)
+        assert graph.successors[1][2] == 2
+        (corridor,) = graph.edges()
+        assert (corridor.src_site, corridor.dst_site) == (1, 2)
+        assert corridor.handovers == 2
+        assert corridor.length_km == pytest.approx(3.0)
 
     def test_intra_site_transitions_excluded(self):
         batch = CDRBatch([rec(0, 1), rec(100, 4)])  # cells 1 and 4 share site 1
         graph = build_handover_graph(preprocess(batch), CELLS)
-        assert graph.number_of_edges() == 0
+        assert graph.n_edges == 0
 
     def test_session_gap_breaks_edges(self):
         batch = CDRBatch([rec(0, 1), rec(50_000, 2)])
         graph = build_handover_graph(preprocess(batch), CELLS)
-        assert graph.number_of_edges() == 0
+        assert graph.n_edges == 0
 
     def test_node_positions_attached(self):
         batch = CDRBatch([rec(0, 1), rec(100, 2)])
         graph = build_handover_graph(preprocess(batch), CELLS)
-        assert graph.nodes[1]["pos"] == Point(0.0, 0.0)
+        assert graph.positions == {1: Point(0.0, 0.0), 2: Point(3.0, 0.0)}
 
 
 class TestMetrics:
@@ -104,19 +108,17 @@ class TestMetrics:
         assert ranking[0][0] == 2
 
     def test_empty_graph_raises(self):
-        import networkx as nx
-
         with pytest.raises(ValueError):
-            edge_length_stats(nx.DiGraph())
+            edge_length_stats(HandoverGraph())
         with pytest.raises(ValueError):
-            reciprocity(nx.DiGraph())
+            reciprocity(HandoverGraph())
 
 
 class TestOnGeneratedTrace:
     def test_graph_reflects_topology(self, dataset):
         pre = preprocess(dataset.batch)
         graph = build_handover_graph(pre, dataset.topology.cells)
-        assert graph.number_of_edges() > 50
+        assert graph.n_edges > 50
         median, p90 = edge_length_stats(graph)
         # Handover edges connect nearby sites: the median sits within a few
         # site pitches, and there is no dominant long-haul tail.

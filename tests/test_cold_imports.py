@@ -1,11 +1,10 @@
 """Cold commands load only what they use.
 
-Only trace generation needs scipy and networkx: the topology's site
-KD-tree (``scipy.spatial``) and the road graph (``networkx``), plus the
-optional handover-graph helpers.  The Section 4 analyses read CDR fields
-and per-cell PRB counters, so ``analyze``, ``inspect``, ``query`` and
-every daemon route must run without loading either package; together
-they cost more of a cold ``import repro.cli`` than everything else.
+The package depends on numpy alone: no process imports scipy or
+networkx, trace generation included (its site lookup is a numpy argmin
+and its road network plain adjacency).  Either package, pulled in again by
+a stray import, would cost more of a cold ``import repro.cli`` than
+everything else.
 
 The same commands stay off the trace generator's own stack — population,
 radio, routing and movement — and off the prediction, FOTA, twin-search,
@@ -16,8 +15,8 @@ Each case runs in a fresh interpreter.  A case fails if the interpreter's
 ``sys.modules`` holds a forbidden module at exit, or if any process it
 started (``--workers 2`` sweeps shards in child processes) reports
 importing one under ``PYTHONPROFILEIMPORTTIME``.  ``generate`` is the
-control: it must load scipy, networkx and ``repro.simulate.generator``,
-so the detector cannot pass vacuously.
+control: it must load neither package, but must load
+``repro.simulate.generator``, so the detector cannot pass vacuously.
 """
 
 from __future__ import annotations
@@ -136,10 +135,10 @@ def shard_dir(tmp_path_factory) -> Path:
         "generate", "--scenario", SCENARIO, "--cars", "25", "--days", str(DAYS),
         "--format", "cdrz", "--shard-rows", "400", "--out", str(out),
     ]
-    # The generating process is the control: it needs both packages and
-    # the generator.
+    # The generating process is the control: it loads the generator and
+    # neither package.
     loaded = loaded_modules(cli_probe(argv))
-    assert heavy_packages(loaded) == HEAVY
+    assert heavy_packages(loaded) == set()
     assert "repro.simulate.generator" in loaded
     return out
 
