@@ -83,11 +83,16 @@ _CONTAINER_ERRORS = (OSError, ValueError, EOFError, zipfile.BadZipFile, zlib.err
 
 @contextmanager
 def _container_errors(path: str | Path) -> Iterator[None]:
-    """Re-raise any failure to open or parse a container as one error naming it."""
+    """Re-raise any failure to open or parse a container as one error naming it.
+
+    An ``OSError`` is worded by its ``strerror``, whose message would name
+    the path a second time.
+    """
     try:
         yield
     except _CONTAINER_ERRORS as exc:
-        raise CDRValidationError(f"{path}: unreadable cdrz container: {exc}") from exc
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise CDRValidationError(f"{path}: unreadable cdrz container: {reason}") from exc
 
 
 @dataclass(frozen=True)

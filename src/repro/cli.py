@@ -705,7 +705,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     try:
         summary = state.refresh()
     except CDRValidationError as exc:
-        print(f"serve needs a cdrz trace: {exc}", file=sys.stderr)
+        print(f"serve: {exc}", file=sys.stderr)
         return 2
     print(
         f"serving {summary.n_shards} shard(s), {summary.n_records:,} records "
@@ -852,17 +852,11 @@ def cmd_saturate(args: argparse.Namespace) -> int:
     return 0
 
 
-#: Commands that read a trace, and the argument naming it.  A missing,
-#: unreadable or unusable trace is one stderr line and exit 2, never a
-#: traceback; ``serve``, ``query`` and ``twin`` word their own failures.
-_TRACE_ARGS = {
-    "convert": "src",
-    "inspect": "path",
-    "analyze": "trace",
-    "quality": "trace",
-    "fota": "trace",
-    "journeys": "trace",
-}
+#: Commands that read a trace.  A missing, unreadable or unusable trace is
+#: one ``<command>: <error>`` line on stderr and exit 2, never a traceback;
+#: every reader's error names the path.  ``serve``, ``query`` and ``twin``
+#: word their own failures.
+_TRACE_COMMANDS = {"convert", "inspect", "analyze", "quality", "fota", "journeys"}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -884,10 +878,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return handlers[args.command](args)
     except (ReproError, OSError) as exc:
-        trace_arg = _TRACE_ARGS.get(args.command)
-        if trace_arg is None:
+        if args.command not in _TRACE_COMMANDS:
             raise
-        print(f"{args.command}: {getattr(args, trace_arg)}: {exc}", file=sys.stderr)
+        print(f"{args.command}: {exc}", file=sys.stderr)
         return 2
 
 

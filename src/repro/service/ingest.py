@@ -70,7 +70,8 @@ def scan_shards(source: str | Path) -> list[ShardEntry]:
         try:
             stat = path.stat()
         except OSError as exc:
-            raise CDRValidationError(f"{path}: unreadable shard: {exc}") from exc
+            reason = exc.strerror or exc
+            raise CDRValidationError(f"{path}: unreadable shard: {reason}") from exc
         entries.append(
             ShardEntry(
                 path=str(path), size=stat.st_size, mtime_ns=stat.st_mtime_ns

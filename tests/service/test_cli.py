@@ -166,17 +166,13 @@ class TestInspectDirectory:
 
 class TestServeCommand:
     def test_rejects_missing_trace(self, tmp_path, capsys):
-        code = main(
-            [
-                "serve",
-                "--trace",
-                str(tmp_path / "does-not-exist"),
-                "--days",
-                "6",
-            ]
-        )
+        trace = str(tmp_path / "does-not-exist")
+        code = main(["serve", "--trace", trace, "--days", "6"])
         assert code == 2
-        assert "cdrz trace" in capsys.readouterr().err
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("serve: ")
+        assert line.count(trace) == 1
+        assert "No such file or directory" in line
 
 
 class TestQueryCommand:

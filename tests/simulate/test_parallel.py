@@ -1,8 +1,4 @@
-"""Generation must be byte-identical at any worker count.
-
-These fleets are small; on large ones tied routes can differ by worker
-count (``tests/mobility/test_routing.py``'s call-history xfail).
-"""
+"""Generation must be byte-identical at any worker count."""
 
 import numpy as np
 import pytest
