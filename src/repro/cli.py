@@ -44,6 +44,7 @@ from repro.cdr.io import (
     write_columnar_jsonl,
 )
 from repro.core.pipeline import AnalysisPipeline
+from repro.core.preprocess import NoUsableRecordsError
 from repro.core.report import format_report, format_report_markdown
 from repro.network.load import CellLoadModel
 from repro.network.topology import build_topology
@@ -414,7 +415,14 @@ def _resolve_format(fmt: str, out: str, shard_rows: int | None) -> str:
 def _write_trace(
     out: str, fmt: str, shard_rows: int | None, batch: ColumnarCDRBatch
 ) -> int:
-    """Write a trace in any supported format; returns the row count."""
+    """Write a trace in any supported format; returns the row count.
+
+    Missing parent directories of ``out`` are created first.
+    """
+    from pathlib import Path
+
+    if shard_rows is None:
+        Path(out).parent.mkdir(parents=True, exist_ok=True)
     if fmt == "cdrz":
         from repro.cdr.store import write_batch_cdrz, write_sharded_cdrz
 
@@ -880,7 +888,11 @@ def main(argv: list[str] | None = None) -> int:
     except (ReproError, OSError) as exc:
         if args.command not in _TRACE_COMMANDS:
             raise
-        print(f"{args.command}: {exc}", file=sys.stderr)
+        message = str(exc)
+        if isinstance(exc, NoUsableRecordsError):
+            # Cleaning sees rows, not files: the trace is named here.
+            message = f"{args.trace}: {message}"
+        print(f"{args.command}: {message}", file=sys.stderr)
         return 2
 
 

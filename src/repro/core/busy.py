@@ -8,7 +8,8 @@ on busy radios — the cars whose FOTA downloads would pour oil onto the fire.
 
 Synthetic masks come from the load model one (cell, study day) pair at a
 time and only when read: a cold ``analyze`` pays for the cell-days its
-trace touches, not for every topology cell on every study day.
+trace touches, not for every topology cell on every study day.  A pair
+costs one hash and one compare per bin (:meth:`CellLoadModel.busy_block`).
 """
 
 from __future__ import annotations
@@ -27,12 +28,11 @@ from repro.network.load import CellLoadModel
 #: The paper's busy threshold on U_PRB per 15-minute bin.
 BUSY_THRESHOLD = 0.80
 
-#: (cell, day) pairs built per :meth:`CellLoadModel.series_block` call:
-#: enough to amortize the bulk seeding's fixed cost per call (~0.2 ms, ~3%
-#: of a block), few enough that the block's float series (768 KiB) stays
-#: bounded at any study length and off an ``analyze``'s peak memory
-#: (2,048-pair blocks raised a 400-car, 14-day run's 66.5 MB peak by 1 MB).
-MASK_BLOCK_PAIRS = 1024
+#: (cell, day) pairs built per :meth:`CellLoadModel.busy_block` call:
+#: enough to amortize a call's fixed cost, few enough that the block's
+#: words and cutoffs (384 KiB each) stay bounded at any study length and
+#: off an ``analyze``'s peak memory.
+MASK_BLOCK_PAIRS = 512
 
 _MaskTable = tuple[
     npt.NDArray[np.int64], npt.NDArray[np.int64], npt.NDArray[np.bool_]
@@ -141,7 +141,7 @@ class BusySchedule:
 
         A model-backed grid starts all ``False`` and builds (cell, study
         day) pairs on request, :data:`MASK_BLOCK_PAIRS` at a time through
-        :meth:`CellLoadModel.series_block`: with no arguments every missing
+        :meth:`CellLoadModel.busy_block`: with no arguments every missing
         pair, given equal-length arrays of directory positions (rows of
         ``grid``) and study days only the missing pairs among them.  A pair
         not yet built reads ``False``.  The grid is the only store of the
@@ -171,7 +171,7 @@ class BusySchedule:
         by_day = grid.reshape(len(cell_ids), -1, BINS_PER_DAY)
         for lo in range(0, rows.size, MASK_BLOCK_PAIRS):
             r, d = rows[lo : lo + MASK_BLOCK_PAIRS], cols[lo : lo + MASK_BLOCK_PAIRS]
-            by_day[r, d] = model.series_block(cell_ids[r], d) > self.threshold
+            by_day[r, d] = model.busy_block(cell_ids[r], d, self.threshold)
         built[rows, cols] = True
         return table
 

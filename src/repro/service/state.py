@@ -39,6 +39,7 @@ from repro.cdr.store import DEFAULT_CHUNK_ROWS, read_batch_cdrz
 from repro.core.busy import BusySchedule
 from repro.core.fused import (
     AnalysisReport,
+    CellDirectory,
     FusedPartial,
     finalize_fused,
     fold_fused_partials,
@@ -123,6 +124,8 @@ class ScenarioContext:
     topology: NetworkTopology
     load_model: CellLoadModel
     schedule: BusySchedule
+    #: The topology's cells as every shard's handover kernel reads them.
+    cells: CellDirectory
 
 
 #: Process-wide scenario context registry; see :func:`scenario_context`.
@@ -133,13 +136,12 @@ _CONTEXTS_LOCK = threading.Lock()
 def scenario_context(scenario_name: str, days: int) -> ScenarioContext:
     """The shared context for a ``(scenario, days)`` key, built once.
 
-    The :class:`BusySchedule` inside is the expensive part.  Its whole
-    calendar is built here, before the first refresh and so before any
-    map pool forks: children inherit the grid instead of each building
-    their shards' pairs, an ingest builds no masks, and request threads
-    only ever read the schedule.  The grid survives for the process
-    lifetime, so every service query (and every state) over the same key
-    reuses one schedule instance instead of re-deriving masks per request.
+    The :class:`BusySchedule`'s whole calendar is built here, before the
+    first refresh and so before any map pool forks: children inherit the
+    grid instead of each building their shards' pairs, an ingest builds no
+    masks, and request threads only ever read the schedule.  The grid and
+    the cell directory survive for the process lifetime, so every service
+    query, ingest and state over the same key reuses them.
     """
     key = (scenario_name, days)
     with _CONTEXTS_LOCK:
@@ -156,6 +158,7 @@ def scenario_context(scenario_name: str, days: int) -> ScenarioContext:
                 topology=topology,
                 load_model=load_model,
                 schedule=schedule,
+                cells=CellDirectory.of(topology.cells),
             )
             _CONTEXTS[key] = context
         return context
@@ -228,7 +231,7 @@ class ServiceState:
                     clock=self.context.clock,
                     config=PreprocessConfig(),
                     schedule=self.context.schedule,
-                    cells=self.context.topology.cells,
+                    cells=self.context.cells,
                     min_records=self.config.min_records,
                     chunk_rows=self.config.chunk_rows,
                 )

@@ -84,7 +84,7 @@ def small_topology():
 
 
 def oracle_masks(model, cell_ids, n_days):
-    """Busy masks from the one-generator-per-day definition."""
+    """Busy masks from the series, one ``day_series`` per (cell, day)."""
     return np.stack(
         [
             np.concatenate([model.day_series(c, d) for d in range(n_days)])
@@ -95,8 +95,8 @@ def oracle_masks(model, cell_ids, n_days):
 
 
 class TestModelMaskTable:
-    # Seeds 11, 2**20 and 2**40 give one-, two- and three-word noise
-    # entropies; weekdays 4-6 start the study next to or on a weekend.
+    # Small and large load seeds; weekdays 4-6 start the study next to or
+    # on a weekend.
     @pytest.mark.parametrize("seed", [11, 2**20, 2**40])
     @pytest.mark.parametrize("n_days", [1, 7, 45])
     @pytest.mark.parametrize("start_weekday", [0, 4, 5, 6])
@@ -142,7 +142,7 @@ DEMAND_DAYS = 9
 
 @pytest.fixture(scope="module")
 def demand_model(small_topology):
-    """A study that starts on a Friday, with three-word noise entropies."""
+    """A study that starts on a Friday, under a large load seed."""
     clock = StudyClock(start_weekday=4, n_days=DEMAND_DAYS)
     return CellLoadModel(small_topology, clock, seed=2**40)
 
@@ -197,6 +197,88 @@ def pairs_read(batch, cells):
 
 def built_pairs(sched):
     return set(zip(*(axis.tolist() for axis in np.nonzero(sched._built))))
+
+
+class TestCounterDraw:
+    """A bin's mask is the compare behind its series value: one word each."""
+
+    @pytest.mark.parametrize("threshold", [0.70, 0.80, 0.90])
+    def test_masks_agree_with_series_away_from_the_threshold(
+        self, small_topology, threshold
+    ):
+        clock = StudyClock(start_weekday=3, n_days=14)
+        model = CellLoadModel(small_topology, clock, seed=11)
+        sched = BusySchedule.from_load_model(model, threshold)
+        cell_ids, _, grid = sched.mask_table()
+        cells = np.repeat(cell_ids, clock.n_days)
+        days = np.tile(np.arange(clock.n_days), cell_ids.size)
+        series = model.series_block(cells, days).reshape(grid.shape)
+        clear = np.abs(series - threshold) > 1e-9
+        assert 0 < grid.mean() < 1 and clear.mean() > 0.999
+        assert np.array_equal(grid[clear], series[clear] > threshold)
+
+    def test_busy_rate_matches_the_busy_probability(self, small_topology):
+        from statistics import NormalDist
+
+        clock = StudyClock(start_weekday=0, n_days=2**12)
+        model = CellLoadModel(small_topology, clock, seed=7)
+        weekdays = np.flatnonzero(np.arange(clock.n_days) % 7 < 5)
+        tested = 0
+        for cell in sorted(small_topology.cells):
+            monday = model.weekly_template(cell)[:BINS_PER_DAY]
+            z = (BUSY_THRESHOLD - monday) / model.noise_std
+            probs = np.asarray([1.0 - NormalDist().cdf(v) for v in z.tolist()])
+            bins = np.flatnonzero((probs > 0.2) & (probs < 0.8))
+            if bins.size == 0:
+                continue
+            masks = model.busy_block(
+                np.full(weekdays.size, cell), weekdays, BUSY_THRESHOLD
+            )
+            for b, p in zip(bins[:2].tolist(), probs[bins[:2]].tolist()):
+                n = weekdays.size
+                sigma = (n * p * (1.0 - p)) ** 0.5
+                assert abs(int(masks[:, b].sum()) - n * p) <= 4 * sigma
+                tested += 1
+            if tested >= 6:
+                break
+        assert tested >= 6
+
+    def test_noise_is_standard_normal_where_no_clip_reaches(self, small_topology):
+        clock = StudyClock(n_days=28)
+        model = CellLoadModel(small_topology, clock, seed=3)
+        cells = np.repeat(sorted(small_topology.cells), clock.n_days)
+        days = np.tile(np.arange(clock.n_days), len(small_topology.cells))
+        series = model.series_block(cells, days)
+        weeks = {
+            c: model.weekly_template(c).reshape(7, BINS_PER_DAY)
+            for c in small_topology.cells
+        }
+        weekday = (days + clock.start_weekday) % 7
+        base = np.stack(
+            [weeks[c][w] for c, w in zip(cells.tolist(), weekday.tolist())]
+        )
+        inside = (base > 0.2) & (base < 0.8)
+        z = (series[inside] - base[inside]) / model.noise_std
+        assert z.size > 100_000
+        assert abs(z.mean()) < 4 / z.size**0.5
+        assert abs(z.std() - 1.0) < 0.01
+        assert abs((z > 1.645).mean() - 0.05) < 0.003
+
+    def test_a_pair_is_the_same_in_any_block(self, demand_model, demand_oracle):
+        rng = np.random.default_rng(5)
+        cells = np.asarray(sorted(demand_model.topology.cells))
+        pos = rng.integers(0, cells.size, 200)
+        days = rng.integers(0, DEMAND_DAYS, 200)
+        block = demand_model.busy_block(cells[pos], days, BUSY_THRESHOLD)
+        assert np.array_equal(block, demand_oracle[pos, days])
+        order = rng.permutation(pos.size)
+        assert np.array_equal(
+            demand_model.busy_block(cells[pos[order]], days[order], BUSY_THRESHOLD),
+            block[order],
+        )
+        for i in range(0, pos.size, 37):
+            one = demand_model.busy_block(cells[pos[i : i + 1]], days[i : i + 1], 0.8)
+            assert np.array_equal(one[0], block[i])
 
 
 class TestOnDemandMasks:

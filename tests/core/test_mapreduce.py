@@ -14,7 +14,8 @@ The contract under test (see ``repro/core/mapreduce.py``):
   source with no kept record at all raises ``NoUsableRecordsError``.
 """
 
-from dataclasses import replace
+import pickle
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -24,12 +25,18 @@ from hypothesis import strategies as st
 from repro.algorithms.timebins import DAY, StudyClock
 from repro.cdr.columnar import ColumnarCDRBatch
 from repro.cdr.records import ConnectionRecord
-from repro.cdr.store import resolve_shards, write_batch_cdrz, write_sharded_cdrz
-from repro.core.fused import FusedEngine, finalize_fused
+from repro.cdr.store import (
+    iter_cdrz_chunks,
+    resolve_shards,
+    write_batch_cdrz,
+    write_sharded_cdrz,
+)
+from repro.core.fused import CellDirectory, FusedEngine, FusedPartial, finalize_fused
 from repro.core.mapreduce import (
     FusedMapSpec,
     analyze_shards_fused,
     map_shard_fused,
+    map_shards_fused,
 )
 from repro.core.preprocess import (
     NoUsableRecordsError,
@@ -330,6 +337,58 @@ class TestPartialContract:
         assert_reports_identical(
             finalize_fused(first, clock), finalize_fused(second, clock)
         )
+
+
+class TestCellDirectory:
+    def test_a_map_builds_one_directory_and_the_same_partials(
+        self, shard_dir, clock, monkeypatch
+    ):
+        from repro.network.topology import build_topology
+
+        cells = build_topology().cells
+        shards = tuple(resolve_shards(shard_dir))
+        # One engine per shard over the cells dict, each with its own
+        # directory, as every engine bind used to build.
+        expected = []
+        for shard in shards:
+            engine = FusedEngine(clock, cells=cells)
+            for chunk in iter_cdrz_chunks(shard, chunk_rows=128):
+                engine.consume(chunk)
+            expected.append(engine.export_partial())
+
+        built = []
+        init = CellDirectory.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CellDirectory, "__init__", spy)
+        spec = FusedMapSpec(
+            shards=shards,
+            clock=clock,
+            config=PreprocessConfig(),
+            schedule=None,
+            cells=cells,
+            min_records=2,
+            chunk_rows=128,
+        )
+        mapped = map_shards_fused(spec, workers=1)
+        assert len(shards) > 3 and built == [1]
+        for index, want in enumerate(expected):
+            got = mapped[index]
+            assert got is not None and got.handover.ints.size
+            for field in fields(FusedPartial):
+                assert pickle.dumps(getattr(got, field.name)) == pickle.dumps(
+                    getattr(want, field.name)
+                ), field.name
+
+    def test_directory_of_a_directory_is_itself(self):
+        from repro.network.topology import build_topology
+
+        directory = CellDirectory.of(build_topology().cells)
+        assert CellDirectory.of(directory) is directory
+        assert directory.ids.tolist() == sorted(build_topology().cells)
 
 
 _durations = st.one_of(

@@ -140,13 +140,13 @@ class TestOnGeneratedTrace:
         # whole calendar up front, so neither campaign builds one.
         pre, _, days = sim_inputs
         built = []
-        series_block = CellLoadModel.series_block
+        busy_block = CellLoadModel.busy_block
 
-        def spy(model, cell_ids, study_days):
+        def spy(model, cell_ids, study_days, threshold):
             built.append(len(cell_ids))
-            return series_block(model, cell_ids, study_days)
+            return busy_block(model, cell_ids, study_days, threshold)
 
-        monkeypatch.setattr(CellLoadModel, "series_block", spy)
+        monkeypatch.setattr(CellLoadModel, "busy_block", spy)
         schedule = BusySchedule.from_load_model(dataset.load_model)
         sim = CampaignSimulator(pre.truncated, schedule, days)
         n_cells = len(dataset.topology.cells)

@@ -330,6 +330,7 @@ class TestWorkflows:
         assert len(lines) == 1
         assert "no usable records" in lines[0]
         assert f"{ghosts} rows read, {ghosts} ghost records dropped" in lines[0]
+        assert lines[0].count(str(shards)) == 1
 
     @pytest.mark.parametrize("workers", ["1", "2"])
     @pytest.mark.parametrize("name", ["missing.csv", "missing.cdrz", "missing/"])
@@ -474,13 +475,13 @@ class TestAnalyzeBuildsNoRecords:
         from repro.simulate.scenarios import scenario
 
         built = []
-        series_block = CellLoadModel.series_block
+        busy_block = CellLoadModel.busy_block
 
-        def spy(model, cell_ids, days):
+        def spy(model, cell_ids, days, threshold):
             built.extend(zip(cell_ids.tolist(), days.tolist()))
-            return series_block(model, cell_ids, days)
+            return busy_block(model, cell_ids, days, threshold)
 
-        monkeypatch.setattr(CellLoadModel, "series_block", spy)
+        monkeypatch.setattr(CellLoadModel, "busy_block", spy)
         argv = ["analyze", "--trace", str(traces[fmt]), "--scenario", "smoke",
                 "--days", "7"]
         assert main(argv) == 0
@@ -600,6 +601,20 @@ class TestWriteSide:
             assert main(["convert", str(shards), str(tmp_path / name)]) == 0
         assert counter.count == 0
         assert read_columnar_auto(tmp_path / name) == read_columnar_auto(shards)
+
+    @pytest.mark.parametrize("name", ["t.cdrz", "t.csv", "t.jsonl", "shards"])
+    def test_generate_and_convert_create_missing_directories(
+        self, columns, tmp_path, capsys, name
+    ):
+        from repro.cdr.io import read_columnar_auto
+
+        shard_args = ["--shard-rows", "300"] if name == "shards" else []
+        out = tmp_path / "new" / "nested" / name
+        assert main(["generate", *self.ARGS, "--out", str(out), *shard_args]) == 0
+        assert read_columnar_auto(out) == columns
+        copy = tmp_path / "other" / "nested" / name
+        assert main(["convert", str(out), str(copy), *shard_args]) == 0
+        assert read_columnar_auto(copy) == columns
 
 
 #: argv of each command that reads a damaged trace, for a trace path and a

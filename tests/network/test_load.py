@@ -1,5 +1,7 @@
 """Unit tests for the PRB utilization model."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,8 @@ class TestCellLoadModel:
     def test_series_block_is_bit_identical_to_day_series(
         self, topology, start_weekday
     ):
+        # Each bin's value is a function of its own word: any block, in any
+        # order, gives each pair the row day_series gives it.
         clock = StudyClock(start_weekday=start_weekday, n_days=9)
         model = CellLoadModel(topology, clock, seed=2**40)
         cells = sorted(topology.cells)[::97]
@@ -96,20 +100,69 @@ class TestCellLoadModel:
         order = np.random.default_rng(start_weekday).permutation(cell_ids.size)
         shuffled = model.series_block(cell_ids[order], days[order])
         assert shuffled.tobytes() == expected[order].tobytes()
+        masks = model.busy_block(cell_ids, days, 0.8)
+        assert np.array_equal(masks, expected > 0.8)
+        assert np.array_equal(
+            model.busy_block(cell_ids[order], days[order], 0.8), masks[order]
+        )
+
+    @pytest.mark.parametrize("threshold", [0.005, 0.01, 0.5, 0.99, 1.0, 1.2])
+    def test_masks_follow_the_clipped_series_at_any_threshold(
+        self, load_model, topology, threshold
+    ):
+        cells = np.repeat(sorted(topology.cells)[::40], 3)
+        days = np.tile(np.arange(3), cells.size // 3)
+        series = load_model.series_block(cells, days)
+        masks = load_model.busy_block(cells, days, threshold)
+        clear = np.abs(series - threshold) > 1e-9
+        assert np.array_equal(masks[clear], series[clear] > threshold)
 
     def test_series_block_of_no_pairs_is_empty(self, load_model):
         empty = np.zeros(0, dtype=np.int64)
         assert load_model.series_block(empty, empty).shape == (0, BINS_PER_DAY)
+        assert load_model.busy_block(empty, empty, 0.8).shape == (0, BINS_PER_DAY)
 
     def test_series_block_rejects_unpaired_arrays(self, load_model, topology):
         cell = min(topology.cells)
         with pytest.raises(ValueError, match="equal-length"):
             load_model.series_block(np.asarray([cell, cell]), np.asarray([0]))
+        with pytest.raises(ValueError, match="equal-length"):
+            load_model.busy_block(np.asarray([cell, cell]), np.asarray([0]), 0.8)
+        with pytest.raises(ValueError, match="equal-length"):
+            load_model.busy_block(np.asarray([[cell]]), np.asarray([[0]]), 0.8)
 
     @pytest.mark.parametrize("seed", [-1, 2**110])
     def test_seed_outside_bulk_seeding_range_rejected(self, topology, clock, seed):
-        with pytest.raises(ValueError, match="2\\*\\*128"):
+        with pytest.raises(ValueError, match="2\\*\\*64"):
             CellLoadModel(topology, clock, seed=seed)
+
+    def test_largest_seed_is_accepted(self, topology, clock):
+        model = CellLoadModel(topology, clock, seed=2**64 - 1)
+        cell = min(topology.cells)
+        assert model.day_series(cell, 0).shape == (BINS_PER_DAY,)
+
+    @pytest.mark.parametrize("cell_id", [-1, 2**40])
+    def test_cell_id_outside_the_noise_key_rejected(self, clock, cell_id):
+        # The range check runs before any profile is drawn.
+        topology = SimpleNamespace(cells={0: None, cell_id: None})
+        with pytest.raises(ValueError, match="2\\*\\*40"):
+            CellLoadModel(topology, clock)
+
+    def test_study_longer_than_the_noise_key_rejected(self, topology):
+        with pytest.raises(ValueError, match="2\\*\\*16"):
+            CellLoadModel(topology, StudyClock(n_days=2**16 + 1))
+
+    @pytest.mark.parametrize("day", [-1, 2**16])
+    def test_days_outside_the_noise_key_rejected(self, load_model, topology, day):
+        cell = np.asarray([min(topology.cells)])
+        with pytest.raises(ValueError, match="2\\*\\*16"):
+            load_model.series_block(cell, np.asarray([day]))
+        with pytest.raises(ValueError, match="2\\*\\*16"):
+            load_model.busy_block(cell, np.asarray([day]), 0.8)
+
+    def test_nonpositive_noise_rejected(self, topology, clock):
+        with pytest.raises(ValueError, match="noise_std"):
+            CellLoadModel(topology, clock, noise_std=0.0)
 
     def test_hot_cells_exist_and_are_busier(self, load_model, topology):
         hot = [c for c in topology.cells if load_model.profile(c).hot]

@@ -320,16 +320,42 @@ class TestSharedScenarioContext:
         assert state.refresh().n_added == N_SHARDS - 1
 
         calls = []
-        series_block = CellLoadModel.series_block
+        busy_block = CellLoadModel.busy_block
 
-        def spy(model, cell_ids, days):
+        def spy(model, cell_ids, days, threshold):
             calls.append(len(cell_ids))
-            return series_block(model, cell_ids, days)
+            return busy_block(model, cell_ids, days, threshold)
 
-        monkeypatch.setattr(CellLoadModel, "series_block", spy)
+        monkeypatch.setattr(CellLoadModel, "busy_block", spy)
         write_chunks(trace, chunks, [N_SHARDS - 1])
         assert state.refresh().n_added == 1
         assert calls == []
+
+
+    def test_ingest_binds_the_context_cell_directory(
+        self, tmp_path, chunks, monkeypatch
+    ):
+        """Every engine an ingest maps binds to the context's directory."""
+        from repro.core.fused import CellDirectory
+
+        monkeypatch.setattr("repro.service.state._CONTEXTS", {})
+        trace = tmp_path / "trace"
+        write_chunks(trace, chunks, range(N_SHARDS - 1))
+        state = ServiceState(service_config(trace))
+        assert state.refresh().n_added == N_SHARDS - 1
+        assert isinstance(state.context.cells, CellDirectory)
+
+        built = []
+        init = CellDirectory.__init__
+
+        def spy(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(CellDirectory, "__init__", spy)
+        write_chunks(trace, chunks, [N_SHARDS - 1])
+        assert state.refresh().n_added == 1
+        assert built == []
 
 
 class TestTwinRoute:
