@@ -1,10 +1,9 @@
 """Descriptive statistics used across the analyses.
 
-The paper reports empirical CDFs (Figures 3 and 9), deciles (Figure 7),
-histograms (Figure 6), weekday mean/standard deviation tables (Table 1) and
-ordinary-least-squares trend lines with R-squared (Figure 2).  Everything here
-is a thin, well-tested wrapper over numpy so the analysis modules stay
-readable.
+The paper reports empirical CDFs (Figures 3 and 9), decile buckets
+(Figure 7), histograms (Figure 6) and ordinary-least-squares trend lines
+with R-squared (Figure 2).  Everything here is a thin, well-tested wrapper
+over numpy so the analysis modules stay readable.
 """
 
 from __future__ import annotations
@@ -33,40 +32,11 @@ class TrendLine:
         return self.slope * x + self.intercept
 
 
-@dataclass(frozen=True)
-class SummaryStats:
-    """Five-number-plus summary of a sample."""
-
-    count: int
-    mean: float
-    std: float
-    minimum: float
-    median: float
-    maximum: float
-
-
 def _as_array(values: Sample) -> npt.NDArray[np.float64]:
     arr = np.asarray(values, dtype=np.float64)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D sample, got shape {arr.shape}")
     return arr
-
-
-def ecdf(
-    values: Sample,
-) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.float64]]:
-    """Empirical CDF of a sample.
-
-    Returns ``(x, p)`` where ``x`` is the sorted sample and ``p[i]`` is the
-    fraction of observations less than or equal to ``x[i]``.  Suitable for
-    plotting the paper's cumulative-distribution figures directly.
-    """
-    arr = _as_array(values)
-    if arr.size == 0:
-        raise ValueError("cannot compute the ECDF of an empty sample")
-    x = np.sort(arr)
-    p = np.arange(1, x.size + 1, dtype=float) / x.size
-    return x, p
 
 
 def ecdf_at(values: Sample, points: Sample) -> npt.NDArray[np.float64]:
@@ -84,12 +54,6 @@ def percentile(values: Sample, q: float) -> float:
     if not 0 <= q <= 100:
         raise ValueError(f"percentile must be in 0..100, got {q}")
     return float(np.percentile(_as_array(values), q))
-
-
-def deciles(values: Sample) -> npt.NDArray[np.float64]:
-    """The 11 decile edges 0%, 10%, ..., 100% of the sample."""
-    edges = np.percentile(_as_array(values), np.arange(0, 101, 10))
-    return np.asarray(edges, dtype=np.float64)
 
 
 def decile_shares(values: Sample, edges: Sample) -> npt.NDArray[np.float64]:
@@ -147,21 +111,6 @@ def linear_trend(x: Sample, y: Sample) -> TrendLine:
     # constant series, so clamp.
     r_squared = 1.0 if ss_tot == 0 else min(max(1.0 - ss_res / ss_tot, 0.0), 1.0)
     return TrendLine(float(slope), float(intercept), r_squared)
-
-
-def summarize(values: Sample) -> SummaryStats:
-    """Count, mean, standard deviation and order statistics of a sample."""
-    arr = _as_array(values)
-    if arr.size == 0:
-        raise ValueError("cannot summarize an empty sample")
-    return SummaryStats(
-        count=int(arr.size),
-        mean=float(arr.mean()),
-        std=float(arr.std(ddof=0)),
-        minimum=float(arr.min()),
-        median=float(np.median(arr)),
-        maximum=float(arr.max()),
-    )
 
 
 def binned_order_statistic(

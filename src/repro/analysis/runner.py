@@ -29,7 +29,7 @@ from repro.analysis.findings import (
 )
 from repro.analysis.parallel import FileScan, ScanSpec, scan_file, scan_parallel
 from repro.analysis.project import ProjectContext
-from repro.analysis.registry import Rule, all_rules, project_rules
+from repro.analysis.registry import all_rules, project_rules
 
 
 @dataclass(frozen=True)
@@ -93,27 +93,6 @@ def _relpath(path: Path, root: Path) -> str:
         return path.resolve().relative_to(root.resolve()).as_posix()
     except ValueError:
         return path.as_posix()
-
-
-def lint_file(
-    path: Path, root: Path, rules: list[Rule], cfg: LintConfig
-) -> tuple[list[Finding], ParseFailure | None]:
-    """All findings of every per-file rule in one file, fingerprinted."""
-    relpath = _relpath(path, root)
-    try:
-        source = path.read_text()
-        ctx: FileContext = parse_file_context(relpath, source)
-    except (OSError, SyntaxError, UnicodeDecodeError) as exc:
-        return [], ParseFailure(path=relpath, error=str(exc))
-    findings: list[Finding] = []
-    for rule in rules:
-        for finding in rule.check(ctx):
-            findings.append(
-                finding.with_severity(
-                    cfg.severity_for(finding.severity, relpath)
-                )
-            )
-    return fingerprint_findings(findings, ctx.lines), None
 
 
 def _scan_files(files: list[Path], cfg: LintConfig, jobs: int) -> list[FileScan]:

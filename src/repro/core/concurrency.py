@@ -146,7 +146,7 @@ def weekly_concurrency(
     Averages each hour-of-week bin's concurrent-car count over all complete
     weeks of the study, producing the per-cell vectors Figure 11 clusters
     (the paper's 96-bin day vectors are the same construction folded one
-    step further; see :func:`fold_to_day`).
+    step further, over the seven days of the week).
     """
     n_weeks = clock.duration // WEEK
     if n_weeks == 0:
@@ -249,12 +249,3 @@ def weekly_concurrency_rows(
     ).reshape(cells.size, bins_per_week)
     folded: npt.NDArray[np.float64] = counts.astype(np.float64) / n_weeks
     return folded[row_of_cell]
-
-
-def fold_to_day(weekly: npt.ArrayLike) -> npt.NDArray[np.float64]:
-    """Collapse a 672-bin weekly vector to the 96-bin mean day."""
-    w = np.asarray(weekly, dtype=float)
-    if w.size != BINS_PER_WEEK:
-        raise ValueError(f"expected {BINS_PER_WEEK} bins, got {w.size}")
-    out: npt.NDArray[np.float64] = w.reshape(7, -1).mean(axis=0)
-    return out

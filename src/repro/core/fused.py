@@ -550,10 +550,6 @@ class PresenceKernel:
             hours=self._hours.copy(),
         )
 
-    def finalize(self) -> DailyPresence:
-        partial = self.export_partial()
-        return finalize_presence(partial, self._clock)
-
 
 def finalize_presence(
     partial: PresencePartial, clock: StudyClock
@@ -657,7 +653,6 @@ class CarriersKernel:
     ) -> None:
         self._car_ids = car_ids
         self._carrier_names = carrier_names
-        self._carriers = carriers
         vocab = {name: i for i, name in enumerate(carrier_names)}
         self._tracked = [
             code for name in carriers if (code := vocab.get(name)) is not None
@@ -735,9 +730,6 @@ class CarriersKernel:
             pairs=self._pairs[0],
             seen=self._seen,
         )
-
-    def finalize(self) -> CarrierUsage:
-        return finalize_carriers(self.export_partial(), self._carriers)
 
 
 def finalize_carriers(
@@ -897,9 +889,6 @@ class BusyKernel:
             total=self._total,
             seen=self._seen,
         )
-
-    def finalize(self) -> BusyExposure:
-        return finalize_busy(self.export_partial())
 
 
 def finalize_busy(partial: BusyPartial) -> BusyExposure:
@@ -1619,9 +1608,6 @@ class HandoverKernel:
             ints=ints[order],
         )
 
-    def finalize(self) -> HandoverStats:
-        return finalize_handover(self.export_partial())
-
 
 def finalize_handover(partial: HandoverPartial) -> HandoverStats:
     """Close a handover partial into the Section 4.5 statistics.
@@ -1981,7 +1967,7 @@ def daily_presence_fused(
     """Fused-kernel twin of :func:`repro.core.presence.daily_presence`."""
     kernel = PresenceKernel(clock, col.car_ids)
     kernel.consume(ChunkIntermediates(col, clock, _TRUNCATE_DEFAULT))
-    return kernel.finalize()
+    return finalize_presence(kernel.export_partial(), clock)
 
 
 def days_on_network_fused(
@@ -1999,7 +1985,7 @@ def carrier_usage_fused(
     """Fused-kernel twin of :func:`repro.core.carriers.carrier_usage`."""
     kernel = CarriersKernel(col.car_ids, col.carriers, carriers)
     kernel.consume(ChunkIntermediates(col, _NO_CLOCK, _TRUNCATE_DEFAULT))
-    return kernel.finalize()
+    return finalize_carriers(kernel.export_partial(), carriers)
 
 
 def busy_exposure_fused(
@@ -2015,7 +2001,7 @@ def busy_exposure_fused(
     """
     kernel = BusyKernel(schedule, col.car_ids)
     kernel.consume(ChunkIntermediates(col, _NO_CLOCK, truncate_s))
-    return kernel.finalize()
+    return finalize_busy(kernel.export_partial())
 
 
 def connect_time_analysis_fused(
@@ -2052,4 +2038,4 @@ def handover_analysis_fused(
         min_records=min_records,
     )
     kernel.consume(ChunkIntermediates(col, _NO_CLOCK, pre.config.truncate_s))
-    return kernel.finalize()
+    return finalize_handover(kernel.export_partial())

@@ -25,7 +25,6 @@ import numpy as np
 import numpy.typing as npt
 
 from repro.algorithms.stats import percentile
-from repro.cdr.records import CDRBatch
 from repro.core.preprocess import PreprocessResult
 from repro.network.cells import Cell
 
@@ -132,21 +131,3 @@ def handover_analysis(
                 types[classify_handover(cells[prev.cell_id], cells[cur.cell_id])] += 1
             counts.append(handovers)
     return HandoverStats(per_session=np.asarray(counts, dtype=float), type_counts=types)
-
-
-def handovers_in_batch(
-    batch: CDRBatch, cells: dict[int, Cell]
-) -> Counter[HandoverType]:
-    """Type breakdown of cell changes between *consecutive records* per car.
-
-    A coarser view than :func:`handover_analysis` (no session gap bound);
-    useful for sanity checks on generated traces.
-    """
-    types: Counter[HandoverType] = Counter()
-    for records in batch.by_car().values():
-        for prev, cur in zip(records, records[1:]):
-            if prev.cell_id == cur.cell_id:
-                continue
-            if prev.cell_id in cells and cur.cell_id in cells:
-                types[classify_handover(cells[prev.cell_id], cells[cur.cell_id])] += 1
-    return types

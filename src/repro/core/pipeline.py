@@ -73,7 +73,6 @@ class AnalysisPipeline:
         batch: CDRBatch | ColumnarCDRBatch,
         with_clustering: bool = True,
         cluster_k: int = 2,
-        exclude_loss_days: bool = False,
         engine: str = "fused",
     ) -> AnalysisReport:
         """Run every analysis and return the filled report.
@@ -95,12 +94,9 @@ class AnalysisPipeline:
         ``durations``, which only the fused engine fills, so the switch
         exists for verification and benchmarking, not correctness.
 
-        ``exclude_loss_days`` runs the data-quality loss-day detector and
-        removes flagged days from the Table 1 weekday statistics (the paper
-        notes its three loss days "do not affect the overall results"; this
-        makes that claim checkable).  Raises :class:`NoUsableRecordsError`
-        for a batch with no usable records: every downstream statistic would
-        be undefined, and an explicit error beats a report full of NaNs.
+        Raises :class:`NoUsableRecordsError` for a batch with no usable
+        records: every downstream statistic would be undefined, and an
+        explicit error beats a report full of NaNs.
         """
         if engine not in ("fused", "reference"):
             raise ValueError(
@@ -132,21 +128,6 @@ class AnalysisPipeline:
         else:
             report = self._reference(pre, with_clustering, cluster_k)
         report.pre = pre
-
-        if exclude_loss_days:
-            from repro.cdr.quality import detect_loss_days
-
-            findings, _ = detect_loss_days(pre.columnar_full(), self.clock)
-            excluded = tuple(f.day for f in findings)
-            if excluded:
-                report.notes.insert(
-                    1,
-                    f"excluded suspected data-loss days from Table 1: "
-                    f"{list(excluded)}",
-                )
-                report.weekday_rows = weekday_table(
-                    report.presence, exclude_days=excluded
-                )
         return report
 
     def _reference(

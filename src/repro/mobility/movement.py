@@ -72,7 +72,7 @@ class EdgeCellIndex:
             fractions = np.linspace(0.0, 1.0, n_samples)
             self._fractions[n_samples] = fractions
         # One batched nearest-site query for all samples of the edge; the
-        # per-point arithmetic matches interpolate()/serving_sector exactly.
+        # per-point arithmetic matches serving_sector exactly.
         xs = pa.x + (pb.x - pa.x) * fractions
         ys = pa.y + (pb.y - pa.y) * fractions
         keys = self.topology.serving_sector_keys(xs, ys)

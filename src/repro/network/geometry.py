@@ -50,11 +50,6 @@ def bearing_deg(origin: Point, target: Point) -> float:
     return angle % 360.0
 
 
-def interpolate(a: Point, b: Point, fraction: float) -> Point:
-    """Point ``fraction`` of the way from ``a`` to ``b`` (0 -> a, 1 -> b)."""
-    return Point(a.x + (b.x - a.x) * fraction, a.y + (b.y - a.y) * fraction)
-
-
 def hex_grid(width: float, height: float, pitch: float) -> list[Point]:
     """Hexagonal lattice of points covering ``[0, width] x [0, height]``.
 

@@ -430,18 +430,3 @@ class CellLoadModel:
             for cell_id, mean in zip(cell_ids, means.tolist())
             if mean >= mean_threshold
         ]
-
-
-def expected_peak_hours() -> list[int]:
-    """Hours of day (local) inside the network busy window used in Section 4.2.
-
-    The paper treats roughly 14:00-24:00 as network busy hours.
-    """
-    return list(range(14, 24))
-
-
-def bin_of_hour(hour: float) -> int:
-    """15-minute bin index within a day for a fractional hour of day."""
-    if not 0 <= hour < 24:
-        raise ValueError(f"hour must be in [0, 24), got {hour}")
-    return int(math.floor(hour * 4))

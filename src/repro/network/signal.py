@@ -1,13 +1,12 @@
-"""Radio signal propagation: path loss, RSRP, SINR and handover hysteresis.
+"""Radio signal propagation: path loss, RSRP and SINR.
 
 The trace generator's geometric serving rule (nearest site, best-pointing
 sector) is a fast approximation of what real devices do: camp on the
 strongest *signal*.  This module supplies the physical layer for analyses
 that need it — a log-distance path-loss model with a frequency term (higher
 bands fade faster, one reason the low-band C1/C2 carriers blanket the rural
-fringe), a cosine-shaped sector antenna pattern, RSRP-based server selection
-and the A3-style hysteresis rule that keeps real handover rates far below
-"handover at every geometric boundary".
+fringe), a cosine-shaped sector antenna pattern and RSRP-based server
+selection.
 """
 
 from __future__ import annotations
@@ -157,20 +156,3 @@ class SignalMap:
             interference_mw += neighbour_load * 10 ** (rsrp / 10.0)
         noise_mw = 10 ** (NOISE_FLOOR_DBM / 10.0)
         return 10.0 * math.log10(signal_mw / (interference_mw + noise_mw))
-
-
-def hysteresis_handover(
-    current_rsrp_dbm: float,
-    best_neighbour_rsrp_dbm: float,
-    margin_db: float = 3.0,
-) -> bool:
-    """A3-event rule: hand over only when a neighbour beats the serving cell
-    by at least ``margin_db``.
-
-    Hysteresis is why cars do not ping-pong between sectors at every
-    geometric boundary — and one reason the paper sees few intra-site
-    handovers.
-    """
-    if margin_db < 0:
-        raise ValueError(f"margin must be non-negative, got {margin_db}")
-    return best_neighbour_rsrp_dbm > current_rsrp_dbm + margin_db

@@ -56,23 +56,6 @@ def best_by_f1(points: list[SweepPoint]) -> SweepPoint:
     return max(points, key=lambda p: p.f1)
 
 
-def frontier_is_monotone(points: list[SweepPoint]) -> bool:
-    """Whether recall falls and precision (weakly) rises along the sweep.
-
-    Sampling noise can produce small precision inversions; this checks the
-    recall direction strictly and precision up to a small tolerance, which
-    is the sanity property a correct sweep must have.
-    """
-    ordered = sorted(points, key=lambda p: p.threshold)
-    recalls = [p.result.recall for p in ordered]
-    precisions = [p.result.precision for p in ordered]
-    recall_falls = all(a >= b - 1e-9 for a, b in zip(recalls, recalls[1:]))
-    precision_rises = all(
-        b >= a - 0.05 for a, b in zip(precisions, precisions[1:])
-    )
-    return recall_falls and precision_rises
-
-
 def format_sweep(points: list[SweepPoint]) -> str:
     """Text table of the frontier."""
     lines = ["threshold | precision | recall |    F1"]

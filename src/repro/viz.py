@@ -2,10 +2,10 @@
 
 The paper communicates through plots; a library reproduction that runs in a
 terminal needs readable text renderings of the same shapes.  These helpers
-cover every figure style used: sparklines and line-ish CDF plots (Figs 2, 3,
-9), horizontal bar charts (Figs 6, 7), heatmaps (Figs 4, 5) and per-row
-interval timelines (Fig 8).  All return plain strings; none import plotting
-libraries.
+cover what the CLI, the examples and the benchmarks print: sparklines (a
+cell's day of PRB utilization, departures by hour), horizontal bar charts
+and per-row interval timelines (Fig 8).  All return plain strings; none
+import plotting libraries.
 """
 
 from __future__ import annotations
@@ -13,14 +13,11 @@ from __future__ import annotations
 from collections.abc import Sequence
 
 import numpy as np
-import numpy.typing as npt
 
 from repro.algorithms.intervals import Interval
 
 #: Eight-level block characters for sparklines.
 SPARK_BLOCKS = "▁▂▃▄▅▆▇█"
-#: Ten-level shade ramp for heatmaps.
-SHADES = " .:-=+*#%@"
 
 
 def sparkline(values: Sequence[float], width: int | None = None) -> str:
@@ -67,69 +64,6 @@ def hbar_chart(
     for label, value in zip(labels, values):
         bar = "#" * int(round(width * value / peak))
         lines.append(f"{str(label):>{label_width}} | {fmt.format(value):>8} {bar}")
-    return "\n".join(lines)
-
-
-def heatmap(
-    matrix: npt.NDArray[np.float64], col_labels: str = "M T W T F S S"
-) -> str:
-    """Shade-ramp rendering of a 2-D matrix (rows x columns).
-
-    Built for 24x7 hour-of-week matrices but works for any small 2-D array;
-    values are scaled by the matrix maximum.
-    """
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2:
-        raise ValueError(f"expected a 2-D matrix, got shape {m.shape}")
-    peak = m.max()
-    lines = ["    " + col_labels] if col_labels else []
-    for r in range(m.shape[0]):
-        cells = []
-        for c in range(m.shape[1]):
-            level = 0 if peak == 0 else m[r, c] / peak
-            cells.append(SHADES[min(int(level * (len(SHADES) - 1) + 0.5), 9)])
-        lines.append(f"{r:>2}  " + " ".join(cells))
-    return "\n".join(lines)
-
-
-def cdf_plot(
-    x: Sequence[float],
-    p: Sequence[float],
-    width: int = 60,
-    height: int = 12,
-) -> str:
-    """Character-grid plot of a CDF (or any monotone series).
-
-    The x axis spans ``[min(x), max(x)]``; each column plots the last sample
-    falling into it.  Returns a plot with a 0..1 y axis gutter.
-    """
-    xa = np.asarray(x, dtype=float)
-    pa = np.asarray(p, dtype=float)
-    if xa.size != pa.size or xa.size == 0:
-        raise ValueError("x and p must be equal-length and non-empty")
-    lo, hi = float(xa.min()), float(xa.max())
-    span = hi - lo or 1.0
-    cols = np.full(width, np.nan)
-    for xv, pv in zip(xa, pa):
-        col = min(int((xv - lo) / span * (width - 1)), width - 1)
-        cols[col] = pv
-    # Forward-fill so the curve is continuous.
-    last = 0.0
-    for i in range(width):
-        if np.isnan(cols[i]):
-            cols[i] = last
-        else:
-            last = cols[i]
-    grid = [[" "] * width for _ in range(height)]
-    for i, pv in enumerate(cols):
-        row = height - 1 - min(int(pv * (height - 1) + 0.5), height - 1)
-        grid[row][i] = "*"
-    lines = []
-    for r, row in enumerate(grid):
-        y = 1.0 - r / (height - 1)
-        lines.append(f"{y:>4.1f} |" + "".join(row))
-    lines.append("     +" + "-" * width)
-    lines.append(f"      {lo:<.6g}{'':^{max(width - 24, 1)}}{hi:>.6g}")
     return "\n".join(lines)
 
 

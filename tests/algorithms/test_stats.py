@@ -5,34 +5,17 @@ import pytest
 
 from repro.algorithms.stats import (
     decile_shares,
-    deciles,
-    ecdf,
     ecdf_at,
     histogram,
     linear_trend,
     percentile,
-    summarize,
 )
 
 
 class TestEcdf:
-    def test_simple(self):
-        x, p = ecdf([3, 1, 2])
-        assert list(x) == [1, 2, 3]
-        assert list(p) == pytest.approx([1 / 3, 2 / 3, 1.0])
-
-    def test_duplicates(self):
-        x, p = ecdf([5, 5, 5, 5])
-        assert p[-1] == 1.0
-        assert (x == 5).all()
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            ecdf([])
-
     def test_rejects_2d(self):
         with pytest.raises(ValueError):
-            ecdf(np.zeros((2, 2)))
+            ecdf_at(np.zeros((2, 2)), [0.0])
 
     def test_ecdf_at_points(self):
         vals = [10, 20, 30, 40]
@@ -53,12 +36,6 @@ class TestPercentiles:
             percentile([1], 101)
         with pytest.raises(ValueError):
             percentile([1], -0.1)
-
-    def test_deciles_shape_and_monotone(self):
-        d = deciles(np.arange(100))
-        assert d.shape == (11,)
-        assert (np.diff(d) >= 0).all()
-        assert d[0] == 0 and d[-1] == 99
 
 
 class TestDecileShares:
@@ -130,17 +107,3 @@ class TestLinearTrend:
     def test_needs_two_points(self):
         with pytest.raises(ValueError):
             linear_trend([1], [1])
-
-
-class TestSummarize:
-    def test_fields(self):
-        s = summarize([1.0, 2.0, 3.0, 4.0])
-        assert s.count == 4
-        assert s.mean == pytest.approx(2.5)
-        assert s.median == pytest.approx(2.5)
-        assert s.minimum == 1.0
-        assert s.maximum == 4.0
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            summarize([])

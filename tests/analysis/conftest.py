@@ -8,8 +8,7 @@ import pytest
 
 from repro.analysis.config import LintConfig
 from repro.analysis.findings import Finding
-from repro.analysis.registry import all_rules
-from repro.analysis.runner import lint_file
+from repro.analysis.parallel import ScanSpec, scan_file
 
 FIXTURES = Path(__file__).parent / "fixtures"
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -17,14 +16,17 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 
 @pytest.fixture(scope="session")
 def fixture_findings():
-    """Callable linting one fixture file with every rule."""
+    """Callable linting one fixture file with every per-file rule."""
 
     def _lint(name: str) -> list[Finding]:
-        path = FIXTURES / name
-        cfg = LintConfig(root=FIXTURES)
-        findings, failure = lint_file(path, FIXTURES, all_rules(), cfg)
-        if failure is not None:
-            raise AssertionError(f"fixture {name} failed to parse: {failure.error}")
-        return findings
+        spec = ScanSpec(
+            files=(str(FIXTURES / name),),
+            relpaths=(name,),
+            cfg=LintConfig(root=FIXTURES),
+        )
+        scan = scan_file(spec, 0)
+        if scan.error is not None:
+            raise AssertionError(f"fixture {name} failed to parse: {scan.error}")
+        return list(scan.findings)
 
     return _lint

@@ -3,15 +3,14 @@
 ``cdr/store.py`` writes containers whose bytes are diffed by the parity
 tooling, so the linter's rules matter doubly there: NPZ member ordering,
 dictionary-encoding iteration and float comparisons must all be
-deterministic.  This lints the file directly with every rule enabled and
-no baseline, so a new finding cannot hide behind an exclusion.
+deterministic.  This lints the files directly with every per-file rule
+enabled and no baseline, so a new finding cannot hide behind an exclusion.
 """
 
 from __future__ import annotations
 
 from repro.analysis.config import LintConfig
-from repro.analysis.registry import all_rules
-from repro.analysis.runner import lint_file
+from repro.analysis.parallel import ScanSpec, scan_file
 
 from tests.analysis.conftest import REPO_ROOT
 
@@ -23,13 +22,16 @@ STORE_FILES = (
 
 
 def test_store_modules_are_clean_under_every_rule():
-    cfg = LintConfig(root=REPO_ROOT)
-    for rel in STORE_FILES:
-        path = REPO_ROOT / rel
-        assert path.is_file(), rel
-        findings, failure = lint_file(path, REPO_ROOT, all_rules(), cfg)
-        assert failure is None, f"{rel} failed to parse: {failure}"
-        assert findings == [], (
+    spec = ScanSpec(
+        files=tuple(str(REPO_ROOT / rel) for rel in STORE_FILES),
+        relpaths=STORE_FILES,
+        cfg=LintConfig(root=REPO_ROOT),
+    )
+    for index, rel in enumerate(STORE_FILES):
+        assert (REPO_ROOT / rel).is_file(), rel
+        scan = scan_file(spec, index)
+        assert scan.error is None, f"{rel} failed to parse: {scan.error}"
+        assert scan.findings == (), (
             f"determinism findings in {rel}: "
-            f"{[(f.rule_id, f.located(), f.message) for f in findings]}"
+            f"{[(f.rule_id, f.located(), f.message) for f in scan.findings]}"
         )

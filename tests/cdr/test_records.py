@@ -2,10 +2,8 @@
 
 import pytest
 
-from repro.algorithms.timebins import StudyClock
 from repro.cdr.errors import CDRValidationError
 from repro.cdr.records import CDRBatch, ConnectionRecord
-from repro.cdr.validate import FindingKind, TraceValidator
 from repro.core.preprocess import preprocess
 
 
@@ -77,14 +75,6 @@ class TestCDRBatch:
         batch = self._batch()
         assert batch.car_ids() == ["car-a", "car-b"]
         assert batch.cell_ids() == [1, 2]
-
-    def test_validate_window(self):
-        # The study-window check of a batch is the validator's finding.
-        clock = StudyClock(n_days=1)
-        assert TraceValidator(clock).validate(self._batch()).ok
-        late = CDRBatch([*self._batch(), rec(start=clock.duration + 5.0)])
-        report = TraceValidator(clock).validate(late)
-        assert report.counts[FindingKind.OUT_OF_WINDOW] == 1
 
     def test_empty_batch(self):
         batch = CDRBatch([])

@@ -12,7 +12,6 @@ from repro.core.concurrency import (
     car_sessions_in_cell,
     cell_timeline,
     concurrency_counts,
-    fold_to_day,
     weekly_concurrency,
     weekly_concurrency_fused,
 )
@@ -132,18 +131,6 @@ class TestWeeklyConcurrency:
     def test_too_short_study_raises(self):
         with pytest.raises(ValueError):
             weekly_concurrency([], StudyClock(n_days=5))
-
-
-class TestFoldToDay:
-    def test_shape_and_mean(self):
-        weekly = np.tile(np.arange(96, dtype=float), 7)
-        day = fold_to_day(weekly)
-        assert day.shape == (96,)
-        assert day == pytest.approx(np.arange(96, dtype=float))
-
-    def test_rejects_wrong_size(self):
-        with pytest.raises(ValueError):
-            fold_to_day(np.zeros(100))
 
 
 def assert_fused_matches(records, cell_ids, clock, col=None):

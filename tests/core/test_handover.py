@@ -11,7 +11,6 @@ from repro.core.handover import (
     HandoverType,
     classify_handover,
     handover_analysis,
-    handovers_in_batch,
 )
 from repro.core.preprocess import preprocess
 from repro.network.cells import CARRIERS, Cell
@@ -134,14 +133,3 @@ class TestHandoverAnalysis:
     def test_type_fraction_zero_when_no_handovers(self):
         stats = HandoverStats(per_session=np.asarray([0.0]), type_counts=Counter())
         assert stats.type_fraction(HandoverType.INTER_RAT) == 0.0
-
-
-class TestHandoversInBatch:
-    def test_counts_all_consecutive_changes(self):
-        batch = CDRBatch([rec(0, 1), rec(50_000, 2)])
-        types = handovers_in_batch(batch, DIRECTORY)
-        assert types[HandoverType.INTER_BASE_STATION] == 1
-
-    def test_per_car_isolation(self):
-        batch = CDRBatch([rec(0, 1, car="a"), rec(10, 2, car="b")])
-        assert handovers_in_batch(batch, DIRECTORY) == Counter()

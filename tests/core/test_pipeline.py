@@ -122,46 +122,3 @@ class TestMarkdownReport:
         assert table_rows
         for row in table_rows:
             assert row.endswith("|")
-
-
-class TestLossDayExclusion:
-    def test_loss_days_excluded_from_table1(self):
-        from repro.algorithms.timebins import StudyClock
-        from repro.simulate.artifacts import ArtifactConfig
-        from repro.simulate.config import SimulationConfig
-        from repro.simulate.generator import TraceGenerator
-
-        # Loss-day detection compares each day against the same-weekday
-        # median, which needs at least three occurrences of the weekday.
-        config = SimulationConfig(
-            n_cars=50,
-            seed=31,
-            clock=StudyClock(start_weekday=0, n_days=21),
-            artifacts=ArtifactConfig(data_loss_days=(9,), data_loss_fraction=0.7),
-        )
-        ds = TraceGenerator(config).generate()
-        pipeline = AnalysisPipeline(ds.clock, ds.load_model)
-        plain = pipeline.run(ds.batch, with_clustering=False)
-        cleaned = pipeline.run(
-            ds.batch, with_clustering=False, exclude_loss_days=True
-        )
-        assert any("data-loss days" in n for n in cleaned.notes)
-        # Day 9 is a Wednesday (clock starts Monday); excluding it raises
-        # the Wednesday mean.
-        wd = {r.weekday: r for r in plain.weekday_rows}
-        wd_clean = {r.weekday: r for r in cleaned.weekday_rows}
-        assert wd_clean["Wednesday"].car_mean > wd["Wednesday"].car_mean
-        # The detector counts days from the start column: a columnar input
-        # gets the same report and builds no records.
-        from repro.cdr.records import count_record_constructions
-
-        with count_record_constructions() as counter:
-            columnar = pipeline.run(
-                ds.batch.columnar(), with_clustering=False, exclude_loss_days=True
-            )
-        assert counter.count == 0
-        assert columnar.notes == cleaned.notes
-        assert columnar.weekday_rows == cleaned.weekday_rows
-
-    def test_no_loss_days_no_note(self, report):
-        assert not any("data-loss days" in n for n in report.notes)

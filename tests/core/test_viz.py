@@ -4,14 +4,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms.intervals import Interval
-from repro.viz import (
-    SPARK_BLOCKS,
-    cdf_plot,
-    hbar_chart,
-    heatmap,
-    interval_timeline,
-    sparkline,
-)
+from repro.viz import SPARK_BLOCKS, hbar_chart, interval_timeline, sparkline
 
 
 class TestSparkline:
@@ -54,50 +47,6 @@ class TestHbarChart:
         chart = hbar_chart(["a", "bbb"], [1, 1])
         lines = chart.splitlines()
         assert lines[0].index("|") == lines[1].index("|")
-
-
-class TestHeatmap:
-    def test_rejects_1d(self):
-        with pytest.raises(ValueError):
-            heatmap(np.arange(5))
-
-    def test_shape(self):
-        out = heatmap(np.zeros((24, 7)))
-        assert len(out.splitlines()) == 25  # header + 24 rows
-
-    def test_zero_matrix_all_blank(self):
-        out = heatmap(np.zeros((2, 2)), col_labels="")
-        assert "@" not in out
-
-    def test_peak_darkest(self):
-        m = np.zeros((2, 2))
-        m[1, 1] = 5.0
-        out = heatmap(m, col_labels="")
-        assert "@" in out.splitlines()[1]
-
-
-class TestCdfPlot:
-    def test_validates_input(self):
-        with pytest.raises(ValueError):
-            cdf_plot([], [])
-        with pytest.raises(ValueError):
-            cdf_plot([1, 2], [0.5])
-
-    def test_dimensions(self):
-        x = np.linspace(0, 100, 50)
-        p = np.linspace(0, 1, 50)
-        out = cdf_plot(x, p, width=40, height=10)
-        lines = out.splitlines()
-        assert len(lines) == 12  # height + axis + labels
-        assert all("*" in line for line in lines[:1])  # top row reached (p=1)
-
-    def test_monotone_curve_rises(self):
-        x = np.linspace(0, 10, 30)
-        p = np.linspace(0, 1, 30)
-        lines = cdf_plot(x, p, width=30, height=8).splitlines()
-        first_star_cols = [line.find("*") for line in lines[:8] if "*" in line]
-        # Higher rows (larger p) have stars further right.
-        assert first_star_cols == sorted(first_star_cols, reverse=True)
 
 
 class TestIntervalTimeline:

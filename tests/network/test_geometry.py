@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.network.geometry import Point, bearing_deg, distance, hex_grid, interpolate
+from repro.network.geometry import Point, bearing_deg, distance, hex_grid
 
 
 class TestPoint:
@@ -50,16 +50,6 @@ class TestBearing:
             b = bearing_deg(Point(0, 0), p)
             assert 0 <= b < 360
             assert b == pytest.approx(angle % 360, abs=1e-6)
-
-
-class TestInterpolate:
-    def test_endpoints(self):
-        a, b = Point(0, 0), Point(10, 20)
-        assert interpolate(a, b, 0) == a
-        assert interpolate(a, b, 1) == b
-
-    def test_midpoint(self):
-        assert interpolate(Point(0, 0), Point(10, 20), 0.5) == Point(5, 10)
 
 
 class TestHexGrid:

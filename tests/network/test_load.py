@@ -9,8 +9,6 @@ from repro.algorithms.timebins import BIN_SECONDS, BINS_PER_DAY, BINS_PER_WEEK, 
 from repro.network.load import (
     CellLoadModel,
     LoadProfile,
-    bin_of_hour,
-    expected_peak_hours,
     weekday_shape,
     weekend_shape,
 )
@@ -204,15 +202,3 @@ class TestCellLoadModel:
         monday = template[:BINS_PER_DAY]
         saturday = template[5 * BINS_PER_DAY : 6 * BINS_PER_DAY]
         assert not np.allclose(monday, saturday)
-
-
-class TestHelpers:
-    def test_expected_peak_hours(self):
-        hours = expected_peak_hours()
-        assert hours[0] == 14 and hours[-1] == 23
-
-    def test_bin_of_hour(self):
-        assert bin_of_hour(0) == 0
-        assert bin_of_hour(13.25) == 53
-        with pytest.raises(ValueError):
-            bin_of_hour(24)

@@ -8,7 +8,6 @@ from repro.network.signal import (
     PathLossModel,
     SignalMap,
     antenna_gain_db,
-    hysteresis_handover,
 )
 from repro.network.topology import NetworkTopology
 
@@ -126,18 +125,3 @@ class TestSignalMap:
         best, _ = signal.best_server(topology.config.center)
         with pytest.raises(ValueError):
             signal.sinr_db(best, topology.config.center, neighbour_load=1.5)
-
-
-class TestHysteresis:
-    def test_within_margin_no_handover(self):
-        assert not hysteresis_handover(-90.0, -88.0, margin_db=3.0)
-
-    def test_beyond_margin_hands_over(self):
-        assert hysteresis_handover(-90.0, -86.0, margin_db=3.0)
-
-    def test_equal_signals_stay(self):
-        assert not hysteresis_handover(-90.0, -90.0, margin_db=0.0)
-
-    def test_rejects_negative_margin(self):
-        with pytest.raises(ValueError):
-            hysteresis_handover(-90.0, -80.0, margin_db=-1.0)

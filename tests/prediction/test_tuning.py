@@ -8,7 +8,6 @@ from repro.prediction.evaluate import train_test_split_weeks
 from repro.prediction.tuning import (
     best_by_f1,
     format_sweep,
-    frontier_is_monotone,
     threshold_sweep,
 )
 
@@ -78,6 +77,10 @@ class TestOnGeneratedTrace:
         pre = preprocess(dataset.batch)
         train, test = train_test_split_weeks(pre.truncated, dataset.clock, 1)
         points = threshold_sweep(train, test, thresholds=(0.3, 0.6, 0.9))
-        assert frontier_is_monotone(points)
+        # Recall falls along the sweep; precision rises up to sampling noise.
+        recalls = [p.result.recall for p in points]
+        precisions = [p.result.precision for p in points]
+        assert all(a >= b - 1e-9 for a, b in zip(recalls, recalls[1:]))
+        assert all(b >= a - 0.05 for a, b in zip(precisions, precisions[1:]))
         best = best_by_f1(points)
         assert 0 < best.f1 <= 1

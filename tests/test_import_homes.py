@@ -12,13 +12,20 @@ checks below catch a dropped or moved name in any of them: every
 ``from repro… import name`` must resolve, as an attribute or a
 submodule, and every ``LAYER_CALLS`` entry must resolve where the
 benchmark patches it.
+
+The other way round, every public function and class in ``src/repro``
+must be reached from outside its own definition, by code under ``src/``,
+``examples/`` or ``benchmarks/``: a name only its own tests call is dead
+code, unless :data:`TEST_ONLY_NAMES` says why it stays.
 """
 
 from __future__ import annotations
 
 import ast
+import functools
 import importlib
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -42,9 +49,32 @@ OUTSIDE_SRC = sorted(
     [*(ROOT / "examples").glob("*.py"), *(ROOT / "benchmarks").glob("*.py")]
 )
 
+#: Trees whose code keeps a ``src/repro`` name alive by referring to it.
+USER_TREES = ("src", "examples", "benchmarks")
+
+#: Lint rules register by decorator, so no code refers to them by name.
+RULES = PACKAGE / "analysis" / "rules"
+
+#: Public names that only tests reach, and why each stays.
+TEST_ONLY_NAMES = {
+    "repro.analysis.registry.get_rule": "the lint tests' rule lookup",
+    "repro.cdr.store.shard_manifest": "benchmarks/e2e/spans.py patches it by name",
+    "repro.core.concurrency.weekly_concurrency_fused": (
+        "parity harness of weekly_concurrency_rows, which Fig 11's clusters read"
+    ),
+    "repro.core.preprocess.is_ghost_record": (
+        "the ghost oracle of tests/core/test_mapreduce.py"
+    ),
+}
+
 
 def relative(path: Path) -> str:
     return str(path.relative_to(ROOT))
+
+
+@functools.cache
+def parse(path: Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize(
@@ -53,7 +83,7 @@ def relative(path: Path) -> str:
     ids=relative,
 )
 def test_package_init_holds_only_its_docstring(init):
-    body = ast.parse(init.read_text(encoding="utf-8")).body
+    body = parse(init).body
     assert len(body) == 1, f"{relative(init)} holds more than its docstring"
     assert isinstance(body[0], ast.Expr)
     assert isinstance(body[0].value, ast.Constant)
@@ -80,7 +110,7 @@ def repro_imports(path: Path) -> list[tuple[str, str | None]]:
     functions count too.
     """
     found: list[tuple[str, str | None]] = []
-    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+    for node in ast.walk(parse(path)):
         if isinstance(node, ast.ImportFrom) and node.level == 0 and node.module:
             if node.module.partition(".")[0] == "repro":
                 found.extend((node.module, alias.name) for alias in node.names)
@@ -136,3 +166,48 @@ def test_every_layer_call_resolves():
                 break
             owner = getattr(owner, part)
     assert missing == []
+
+
+def referenced_names(node: ast.AST) -> Counter[str]:
+    """How often each name, attribute or imported name occurs under ``node``."""
+    found: Counter[str] = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            found[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            found[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            found[sub.name] += 1
+    return found
+
+
+def unreferenced_public_names() -> list[str]:
+    """Dotted names of the public top-level functions and classes under
+    ``src/repro`` (lint rules aside) that no code in :data:`USER_TREES`
+    refers to outside their own definition."""
+    files = sorted(path for tree in USER_TREES for path in (ROOT / tree).rglob("*.py"))
+    total: Counter[str] = Counter()
+    for path in files:
+        total.update(referenced_names(parse(path)))
+    unreferenced = []
+    for path in files:
+        if not path.is_relative_to(PACKAGE) or path.is_relative_to(RULES):
+            continue
+        parts = path.relative_to(ROOT / "src").with_suffix("").parts
+        module = ".".join(parts[:-1] if parts[-1] == "__init__" else parts)
+        for node in parse(path).body:
+            if not isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            ) or node.name.startswith("_"):
+                continue
+            if total[node.name] == referenced_names(node)[node.name]:
+                unreferenced.append(f"{module}.{node.name}")
+    return unreferenced
+
+
+def test_every_public_name_is_reached_outside_tests():
+    unreferenced = unreferenced_public_names()
+    dead = [name for name in unreferenced if name not in TEST_ONLY_NAMES]
+    assert dead == [], f"reached only by tests, delete them: {dead}"
+    stale = sorted(TEST_ONLY_NAMES.keys() - set(unreferenced))
+    assert stale == [], f"reached outside tests now, drop from TEST_ONLY_NAMES: {stale}"
