@@ -23,7 +23,7 @@ def test_fota_impact(benchmark, dataset, pre, busy_schedule, days, emit):
         rounds=1,
         iterations=1,
     )
-    capped = simulator.run_throttled(NaivePolicy(), config, max_concurrent_per_cell=3)
+    capped = simulator.run(NaivePolicy(), config, max_concurrent_per_cell=3)
     capped_impact = assess_impact(
         capped, dataset.topology.cells, dataset.load_model, config
     )

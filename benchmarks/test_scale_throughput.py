@@ -88,7 +88,7 @@ def test_scale_throughput(dataset, busy_schedule, emit_json, tmp_path):
         assert key == reference
         sweep[str(workers)] = {
             "seconds": round(elapsed, 4),
-            "records_per_sec": round(stats.n_records / elapsed),
+            "records_per_sec": round(result.n_kept / elapsed),
             "peak_rss_bytes": stats.peak_rss_bytes,
             "effective_workers": stats.workers,
         }
@@ -129,5 +129,5 @@ def test_scale_smoke_two_workers(dataset, busy_schedule, tmp_path):
     pooled, pooled_stats = _analyze(shard_dir, dataset, busy_schedule, 2)
 
     assert _result_key(pooled) == _result_key(serial)
-    assert pooled_stats.n_records == serial_stats.n_records == serial.durations.n
+    assert pooled.n_kept == serial.n_kept == serial.durations.n
     assert pooled_stats.workers == 2

@@ -73,23 +73,6 @@ def decile_shares(values: Sample, edges: Sample) -> npt.NDArray[np.float64]:
     return np.asarray(counts / arr.size, dtype=np.float64)
 
 
-def histogram(
-    values: Sample, bin_width: float, start: float = 0.0
-) -> tuple[npt.NDArray[np.float64], npt.NDArray[np.int64]]:
-    """Fixed-width histogram ``(edges, counts)`` covering the whole sample."""
-    if bin_width <= 0:
-        raise ValueError(f"bin_width must be positive, got {bin_width}")
-    arr = _as_array(values)
-    if arr.size == 0:
-        return np.asarray([start, start + bin_width]), np.zeros(1, dtype=np.int64)
-    n_bins = max(1, int(np.ceil((arr.max() - start) / bin_width)))
-    if start + n_bins * bin_width <= arr.max():
-        n_bins += 1
-    edges = start + bin_width * np.arange(n_bins + 1, dtype=np.float64)
-    counts, _ = np.histogram(arr, bins=edges)
-    return edges, counts.astype(np.int64)
-
-
 def linear_trend(x: Sample, y: Sample) -> TrendLine:
     """Ordinary-least-squares line fit with the coefficient of determination.
 

@@ -654,10 +654,7 @@ def cmd_fota(args: argparse.Namespace) -> int:
     )
     print(f"{'policy':<22} | {'complete':>8} | {'busy bytes':>10}")
     for policy in (NaivePolicy(), OffPeakPolicy(), RareFirstPolicy(), BusyAwarePolicy()):
-        if args.max_concurrent is not None:
-            result = simulator.run_throttled(policy, campaign, args.max_concurrent)
-        else:
-            result = simulator.run(policy, campaign)
+        result = simulator.run(policy, campaign, args.max_concurrent)
         print(
             f"{result.policy_name:<22} | {result.completion_rate:>8.1%} "
             f"| {result.busy_byte_fraction:>10.1%}"
@@ -699,7 +696,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
     request never pays the cold sweep; later ``POST /ingest`` calls fold
     only newly appeared shards.
     """
-    from repro.cdr.errors import CDRValidationError
     from repro.service import ServiceConfig, ServiceState, serve_forever
 
     config = ServiceConfig(
@@ -710,11 +706,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         cache_bytes=int(args.cache_mb * 1e6),
     )
     state = ServiceState(config)
-    try:
-        summary = state.refresh()
-    except CDRValidationError as exc:
-        print(f"serve: {exc}", file=sys.stderr)
-        return 2
+    summary = state.refresh()
     print(
         f"serving {summary.n_shards} shard(s), {summary.n_records:,} records "
         f"({args.scenario}, {args.days} days) on http://{args.host}:{args.port}"
@@ -862,9 +854,9 @@ def cmd_saturate(args: argparse.Namespace) -> int:
 
 #: Commands that read a trace.  A missing, unreadable or unusable trace is
 #: one ``<command>: <error>`` line on stderr and exit 2, never a traceback;
-#: every reader's error names the path.  ``serve``, ``query`` and ``twin``
-#: word their own failures.
-_TRACE_COMMANDS = {"convert", "inspect", "analyze", "quality", "fota", "journeys"}
+#: every reader's error names the path.  ``query`` and ``twin`` word their
+#: own failures.
+_TRACE_COMMANDS = {"convert", "inspect", "analyze", "quality", "fota", "journeys", "serve"}
 
 
 def main(argv: list[str] | None = None) -> int:

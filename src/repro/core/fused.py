@@ -21,8 +21,10 @@ Two ways to run it, strongest guarantee first:
   segment still contributes the reference's single subtraction, and the
   set-valued statistics (distinct day/car/cell pairs) are exact integers.
 * **Map-reduce across shards** — workers export a picklable
-  :class:`FusedPartial` per shard and the parent folds them in shard-index
-  order (:func:`repro.core.mapreduce.fold_shards_fused`).  The fold is
+  :class:`FusedPartial` per shard, and the one shard fold,
+  :func:`repro.core.mapreduce.fold_fused_partials`, absorbs them into the
+  first in shard-index order after checking their start order (for
+  ``analyze``, ``twin`` and the daemon alike).  The fold is
   deterministic and *worker-count invariant*: any ``--workers`` value
   yields the same bits.  Counts, pair sets, histograms and
   session/handover statistics merge exactly (bit-identical to the
@@ -47,10 +49,9 @@ bit-identity oracle (``tests/core/test_fused_parity.py``).
 
 from __future__ import annotations
 
-import copy
 import math
 from collections import Counter
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any, Protocol
@@ -1852,29 +1853,6 @@ class FusedEngine:
                 else None
             ),
         )
-
-
-def fold_fused_partials(partials: Iterable[FusedPartial]) -> FusedPartial:
-    """Fold shard partials *in the given order* into a fresh accumulator.
-
-    :meth:`FusedPartial.absorb_partial` mutates its receiver, so callers
-    that hold partials — the analysis service keeps one per shard plus the
-    fold of its current scan, and folds a tail append as
-    ``[held fold, *new partials]`` — must not fold into a held object.
-    This helper deep-copies the first partial and absorbs the rest into
-    the copy, leaving every input untouched; the caller supplies
-    shard-index order, which is what makes the fold bit-identical to a
-    cold full run regardless of how the held state was built.
-    """
-    merged: FusedPartial | None = None
-    for partial in partials:
-        if merged is None:
-            merged = copy.deepcopy(partial)
-        else:
-            merged.absorb_partial(partial)
-    if merged is None:
-        raise ValueError("fold_fused_partials needs at least one partial")
-    return merged
 
 
 def _connect_result(

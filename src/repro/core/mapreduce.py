@@ -14,11 +14,13 @@ pages at a time) by a fresh engine — a shard out of record order is
 sorted first — and the resulting :class:`~repro.core.fused.FusedPartial`,
 a pure function of that shard's bytes, is shipped back to the parent.
 
-**Reduce.**  The parent folds the partials with
-:meth:`~repro.core.fused.FusedPartial.absorb_partial` in *shard index
-order*, whatever order workers finished in, and refuses shards that are
-not in global start order (:class:`ShardOrderError`): the kernels weld
-per-car chains across a shard boundary only forward in time.  Because
+**Reduce.**  :func:`fold_fused_partials` is the one shard fold, here and
+in the analysis daemon.  It takes the partials in *shard index order*,
+whatever order workers finished in, refuses shards that are not in global
+start order (:class:`ShardOrderError`) before it absorbs anything — the
+kernels weld per-car chains across a shard boundary only forward in time —
+and then absorbs every partial into the first with
+:meth:`~repro.core.fused.FusedPartial.absorb_partial`, in place.  Because
 every partial depends only on its shard and the fold order is fixed, the
 reduced report is bit-identical for any worker count (including
 ``workers=1``, which runs the same per-shard fold inline with no pool).
@@ -34,7 +36,7 @@ from __future__ import annotations
 import math
 import multiprocessing
 import sys
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -65,12 +67,9 @@ class ShardOrderError(ReproError):
 
 @dataclass(frozen=True)
 class MapReduceStats:
-    """Run facts reported alongside a shard fold."""
+    """Run facts the fold itself does not hold; rows are the partial's."""
 
     n_shards: int
-    n_empty_shards: int
-    n_records: int
-    n_ghosts_dropped: int
     workers: int
     peak_rss_bytes: int
 
@@ -222,6 +221,39 @@ def map_shards_fused(
     return _map_fused_parallel(spec, n_workers, wanted)
 
 
+def fold_fused_partials(
+    shards: Iterable[tuple[str, FusedPartial | None]],
+) -> FusedPartial | None:
+    """Fold ``(shard name, partial)`` pairs, given in fold order, into one.
+
+    Shards without chunks (``None``) are skipped, and ``None`` comes back
+    when every shard is.  Before the first absorb, each shard's first kept
+    start is checked against the last kept start before it:
+    :class:`ShardOrderError` names both shards when it is earlier.  Then
+    the later partials are absorbed into the first non-empty one *in
+    place*, which is returned.  A refused fold has therefore mutated
+    nothing, and the absorbs' own consistency checks (kernel set, study
+    length, cutoff, gap) cannot fail between partials of one map spec.
+    """
+    present = [(name, partial) for name, partial in shards if partial is not None]
+    last_start, last_name = -math.inf, ""
+    for name, partial in present:
+        if partial.first_start < last_start:
+            raise ShardOrderError(
+                f"{name} starts at {partial.first_start:.3f} s, before the "
+                f"last start of {last_name} at {last_start:.3f} s; shards "
+                "must be in global start order"
+            )
+        if partial.n_records:
+            last_start, last_name = partial.last_start, name
+    if not present:
+        return None
+    merged = present[0][1]
+    for _, partial in present[1:]:
+        merged.absorb_partial(partial)
+    return merged
+
+
 def fold_shards_fused(
     source: str | Path | Sequence[str | Path],
     clock: StudyClock,
@@ -234,19 +266,18 @@ def fold_shards_fused(
     config: PreprocessConfig | None = None,
     min_records: int = 2,
 ) -> tuple[FusedPartial, MapReduceStats]:
-    """Fold every shard's :class:`FusedPartial` with ``workers`` processes.
+    """Map every shard to a :class:`FusedPartial` and fold them.
 
     ``source`` is anything :func:`repro.cdr.store.resolve_shards` accepts —
     a shard directory, one ``.cdrz`` file, or an explicit path list (kept
     in the given order, which must be global start order).  Each shard runs
     through one :class:`~repro.core.fused.FusedEngine` (``schedule``,
-    ``cells`` and ``busy_cells`` switch on its optional kernels), and the
-    parent folds the partials in *shard index order*: bit-identical at any
-    worker count and chunk size.  Empty shards fold as no-ops and are
-    counted in the stats.  Raises :class:`ShardOrderError` when a shard's
-    first kept start falls before the last kept start of the shard before
-    it, and :class:`~repro.core.preprocess.NoUsableRecordsError` when no
-    record is kept at all (no rows, or ghosts only).
+    ``cells`` and ``busy_cells`` switch on its optional kernels) in one of
+    ``workers`` processes, and :func:`fold_fused_partials` folds them in
+    shard index order: bit-identical at any worker count and chunk size.
+    Raises :class:`ShardOrderError` for shards out of start order, and
+    :class:`~repro.core.preprocess.NoUsableRecordsError` when no record is
+    kept at all (no rows, or ghosts only).
     """
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
@@ -263,38 +294,13 @@ def fold_shards_fused(
     )
     n_workers = min(workers, len(shards))
     indexed = map_shards_fused(spec, workers=n_workers)
-
-    merged: FusedPartial | None = None
-    n_empty = 0
-    last_start, last_shard = -math.inf, ""
-    for index, shard in enumerate(shards):
-        partial = indexed[index]
-        if partial is None:
-            n_empty += 1
-            continue
-        if partial.n_records == 0 and partial.n_ghosts == 0:
-            n_empty += 1
-        if partial.first_start < last_start:
-            raise ShardOrderError(
-                f"{shard} starts at {partial.first_start:.3f} s, before the "
-                f"last start of {last_shard} at {last_start:.3f} s; shards "
-                "must be in global start order"
-            )
-        if partial.n_records:
-            last_start, last_shard = partial.last_start, str(shard)
-        if merged is None:
-            merged = partial
-        else:
-            merged.absorb_partial(partial)
+    merged = fold_fused_partials(
+        (str(shard), indexed[index]) for index, shard in enumerate(shards)
+    )
     if merged is None or merged.n_records == 0:
         raise NoUsableRecordsError(merged.n_ghosts if merged is not None else 0)
     stats = MapReduceStats(
-        n_shards=len(shards),
-        n_empty_shards=n_empty,
-        n_records=merged.n_records,
-        n_ghosts_dropped=merged.n_ghosts,
-        workers=n_workers,
-        peak_rss_bytes=peak_rss_bytes(),
+        n_shards=len(shards), workers=n_workers, peak_rss_bytes=peak_rss_bytes()
     )
     return merged, stats
 

@@ -94,43 +94,28 @@ def daily_presence(batch: CDRBatch, clock: StudyClock) -> DailyPresence:
     )
 
 
-def weekday_table(
-    presence: DailyPresence, exclude_days: tuple[int, ...] = ()
-) -> list[WeekdayRow]:
+def weekday_table(presence: DailyPresence) -> list[WeekdayRow]:
     """Table 1: per-weekday mean and standard deviation of both series.
 
-    ``exclude_days`` removes known data-loss days from the statistics (the
-    paper notes the loss does not affect overall results; excluding them
-    here keeps the weekday means honest).  The returned list has eight rows:
-    Monday..Sunday plus an "Overall" row, as in the paper.
+    The returned list has eight rows, Monday..Sunday plus an "Overall" row,
+    as in the paper; a study shorter than a week has no row for a weekday
+    it never reaches.
     """
+    groups = [(WEEKDAY_NAMES[wd], presence.clock.days_of_weekday(wd)) for wd in range(7)]
+    groups.append(("Overall", list(range(presence.clock.n_days))))
     rows: list[WeekdayRow] = []
-    excluded = set(exclude_days)
-    for wd in range(7):
-        days = [d for d in presence.clock.days_of_weekday(wd) if d not in excluded]
+    for name, days in groups:
         if not days:
             continue
         cells = presence.cell_fraction[days]
         cars = presence.car_fraction[days]
         rows.append(
             WeekdayRow(
-                weekday=WEEKDAY_NAMES[wd],
+                weekday=name,
                 cell_mean=float(cells.mean()),
                 cell_std=float(cells.std(ddof=0)),
                 car_mean=float(cars.mean()),
                 car_std=float(cars.std(ddof=0)),
             )
         )
-    keep = [d for d in range(presence.clock.n_days) if d not in excluded]
-    cells = presence.cell_fraction[keep]
-    cars = presence.car_fraction[keep]
-    rows.append(
-        WeekdayRow(
-            weekday="Overall",
-            cell_mean=float(cells.mean()),
-            cell_std=float(cells.std(ddof=0)),
-            car_mean=float(cars.mean()),
-            car_std=float(cars.std(ddof=0)),
-        )
-    )
     return rows

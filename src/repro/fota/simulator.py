@@ -1,11 +1,12 @@
 """FOTA campaign simulation over a recorded trace.
 
-The simulator replays each car's (cleaned, truncated) connection records
-within the campaign window.  Each record is a delivery opportunity: the
-policy decides whether to use it, and the transferred volume is the record's
-busy/non-busy seconds times the corresponding rate.  This is exactly the view
-an OEM's campaign server has — it sees connections as they happen and decides
-whether to serve bytes — so policies are comparable on equal footing.
+The simulator replays the fleet's (cleaned, truncated) connection records
+within the campaign window, in time order.  Each record is a delivery
+opportunity: the policy decides whether to use it, and the transferred
+volume is the record's busy/non-busy seconds times the corresponding
+rate.  This is exactly the view an OEM's campaign server has — it sees
+connections as they happen and decides whether to serve bytes — so
+policies are comparable on equal footing.
 """
 
 from __future__ import annotations
@@ -51,39 +52,24 @@ class CampaignSimulator:
         self.days_on_network = days_on_network
         self.seed = seed
 
-    def run(self, policy: DeliveryPolicy, config: CampaignConfig) -> CampaignResult:
-        """Simulate one campaign under one policy."""
-        rng = np.random.default_rng(self.seed)
-        car_ids = self.batch.car_ids()
-        policy.prepare(
-            car_ids,
-            self.days_on_network,
-            config.window_start,
-            config.window_end,
-            rng,
-        )
-        result = CampaignResult(config=config, policy_name=policy.name)
-        for car_id in car_ids:
-            result.outcomes[car_id] = self._deliver_to_car(car_id, policy, config)
-        return result
-
-    def run_throttled(
+    def run(
         self,
         policy: DeliveryPolicy,
         config: CampaignConfig,
-        max_concurrent_per_cell: int,
+        max_concurrent_per_cell: int | None = None,
     ) -> CampaignResult:
-        """Simulate a campaign with a per-cell concurrent-download cap.
+        """Simulate one campaign under one policy.
 
-        The paper's Section 4.4 worry is "20 or more cars attempt
-        overlapping downloads" in one cell; a real campaign server throttles
-        exactly this.  Records are replayed chronologically across the whole
-        fleet; an opportunity is refused (and counted in
-        ``opportunities_throttled``) when any 15-minute bin the record
-        touches already carries ``max_concurrent_per_cell`` campaign
-        downloads in that cell.
+        Records are replayed chronologically across the whole fleet; a car
+        stops taking opportunities once its update is done.  With
+        ``max_concurrent_per_cell``, a campaign server throttles downloads,
+        as the paper's Section 4.4 worry ("20 or more cars attempt
+        overlapping downloads" in one cell) asks: an opportunity is refused
+        (and counted in ``opportunities_throttled``) when any 15-minute bin
+        the record touches already carries that many campaign downloads in
+        that cell, and the result is named ``<policy>-throttled``.
         """
-        if max_concurrent_per_cell < 1:
+        if max_concurrent_per_cell is not None and max_concurrent_per_cell < 1:
             raise ValueError(
                 f"max_concurrent_per_cell must be >= 1, got {max_concurrent_per_cell}"
             )
@@ -92,7 +78,8 @@ class CampaignSimulator:
         policy.prepare(
             car_ids, self.days_on_network, config.window_start, config.window_end, rng
         )
-        result = CampaignResult(config=config, policy_name=f"{policy.name}-throttled")
+        name = policy.name if max_concurrent_per_cell is None else f"{policy.name}-throttled"
+        result = CampaignResult(config=config, policy_name=name)
         for car_id in car_ids:
             result.outcomes[car_id] = CarOutcome(car_id=car_id)
         remaining = {car_id: config.update_bytes for car_id in car_ids}
@@ -108,41 +95,24 @@ class CampaignSimulator:
             if not policy.should_transfer(rec.car_id, rec, busy_s > quiet_s):
                 outcome.opportunities_skipped += 1
                 continue
-            start = max(rec.start, config.window_start)
-            end = min(rec.end, config.window_end)
-            bins = range(
-                int(start // BIN_SECONDS), int((end - 1e-9) // BIN_SECONDS) + 1
-            )
-            if any(
-                occupancy.get((rec.cell_id, b), 0) >= max_concurrent_per_cell
-                for b in bins
-            ):
-                outcome.opportunities_throttled += 1
-                continue
-            for b in bins:
-                occupancy[(rec.cell_id, b)] = occupancy.get((rec.cell_id, b), 0) + 1
+            if max_concurrent_per_cell is not None:
+                start = max(rec.start, config.window_start)
+                end = min(rec.end, config.window_end)
+                bins = range(
+                    int(start // BIN_SECONDS), int((end - 1e-9) // BIN_SECONDS) + 1
+                )
+                if any(
+                    occupancy.get((rec.cell_id, b), 0) >= max_concurrent_per_cell
+                    for b in bins
+                ):
+                    outcome.opportunities_throttled += 1
+                    continue
+                for b in bins:
+                    occupancy[(rec.cell_id, b)] = occupancy.get((rec.cell_id, b), 0) + 1
             remaining[rec.car_id] = self._transfer(
                 rec, outcome, remaining[rec.car_id], busy_s, quiet_s, config
             )
         return result
-
-    def _deliver_to_car(
-        self, car_id: str, policy: DeliveryPolicy, config: CampaignConfig
-    ) -> CarOutcome:
-        outcome = CarOutcome(car_id=car_id)
-        remaining = config.update_bytes
-        for rec in self.batch.by_car()[car_id]:
-            if remaining <= 0:
-                break
-            if rec.end <= config.window_start or rec.start >= config.window_end:
-                continue
-            busy_s, quiet_s = self._split_busy_seconds(rec, config)
-            mostly_busy = busy_s > quiet_s
-            if not policy.should_transfer(car_id, rec, mostly_busy):
-                outcome.opportunities_skipped += 1
-                continue
-            remaining = self._transfer(rec, outcome, remaining, busy_s, quiet_s, config)
-        return outcome
 
     def _transfer(
         self,

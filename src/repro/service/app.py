@@ -34,7 +34,7 @@ from __future__ import annotations
 import asyncio
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from typing import TYPE_CHECKING, TypeVar
 from urllib.parse import parse_qsl, unquote, urlsplit
@@ -247,8 +247,9 @@ class ServiceApp:
         except KeyError as exc:
             return _error(404, f"not found: {exc.args[0] if exc.args else path}")
         except (ValueError, ReproError) as exc:
-            # An empty trace, or a shard a refresh could not read (torn,
-            # invalid): the held fold stays as it was.
+            # A trace with no kept row, or a shard a refresh could not read
+            # (torn, invalid) or fold (out of start order): the held fold
+            # stays as it was.
             return _error(409, str(exc))
         except _REQUEST_ERRORS:
             return _error(500, "internal error")
@@ -283,18 +284,7 @@ class ServiceApp:
     async def _dispatch_post(self, path: str) -> _Response:
         if path == "/ingest":
             summary = await self._run(self.state.refresh)
-            return _json_response(
-                200,
-                {
-                    "changed": summary.changed,
-                    "n_added": summary.n_added,
-                    "n_ghosts": summary.n_ghosts,
-                    "n_records": summary.n_records,
-                    "n_removed": summary.n_removed,
-                    "n_shards": summary.n_shards,
-                    "trace_fingerprint": summary.trace_fingerprint,
-                },
-            )
+            return _json_response(200, asdict(summary))
         if path == "/invalidate":
             dropped = await self._run(self.state.cache.clear)
             return _json_response(200, {"dropped": dropped})

@@ -115,15 +115,6 @@ class ResultCache:
                 self._current_bytes -= len(evicted)
                 self._evictions += 1
 
-    def invalidate(self, key: str) -> bool:
-        """Drop one entry; returns whether it existed."""
-        with self._lock:
-            value = self._entries.pop(key, None)
-            if value is None:
-                return False
-            self._current_bytes -= len(value)
-            return True
-
     def clear(self) -> int:
         """Drop every entry; returns how many were dropped."""
         with self._lock:

@@ -9,14 +9,18 @@ finalized from it, both only recomputed when the shard manifest changes,
 and even then by *folding*:
 a refresh sweeps only shards the service has never seen (dispatched
 through :func:`repro.core.mapreduce.map_shards_fused` worker processes)
-and folds partials in shard-index order.  The state also holds the
-folded partial of its current scan: when a refresh only appends shards
-after the last one, it absorbs just the new partials into that prefix;
-any removal, rewrite or out-of-order insert re-folds every cached
-partial.  Because every partial is a pure function of its shard's bytes
-and the fold order is canonical, the refreshed report is bit-identical to
-a cold full run no matter how many ingests it took to get there — the
-parity suite in ``tests/service/`` asserts exactly that.
+and folds partials in shard-index order through the one shard fold,
+:func:`repro.core.mapreduce.fold_fused_partials`.  The state also holds
+the folded partial of its current scan: when a refresh only appends
+shards after the last one, the fold absorbs just the new partials into
+it, in place; any removal, rewrite or out-of-order insert re-folds every
+cached partial.  The fold checks shard start order before it absorbs
+anything, and a refresh commits its partials, scan, fold and cache only
+after the fold succeeds, so a refused ingest changes nothing.  Because
+every partial is a pure function of its shard's bytes and the fold order
+is canonical, the refreshed report is bit-identical to a cold full run no
+matter how many ingests it took to get there — the parity suite in
+``tests/service/`` asserts exactly that.
 
 Scenario context (topology + load model + schedule) is shared process-wide
 per ``(scenario, days)`` key: the busy-mask grid, built whole before the
@@ -30,8 +34,9 @@ from __future__ import annotations
 import json
 import pickle
 import threading
-from collections.abc import Mapping
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
+from pathlib import Path
 from typing import TYPE_CHECKING
 
 from repro.algorithms.timebins import StudyClock
@@ -42,10 +47,13 @@ from repro.core.fused import (
     CellDirectory,
     FusedPartial,
     finalize_fused,
-    fold_fused_partials,
 )
-from repro.core.mapreduce import FusedMapSpec, map_shards_fused
-from repro.core.preprocess import PreprocessConfig
+from repro.core.mapreduce import (
+    FusedMapSpec,
+    fold_fused_partials,
+    map_shards_fused,
+)
+from repro.core.preprocess import NoUsableRecordsError, PreprocessConfig
 from repro.cpus import available_cpus
 from repro.network.load import CellLoadModel
 from repro.network.topology import NetworkTopology, build_topology
@@ -60,8 +68,6 @@ from repro.service.ingest import (
 from repro.simulate.scenarios import scenario
 
 if TYPE_CHECKING:
-    from pathlib import Path
-
     from repro.cdr.columnar import ColumnarCDRBatch
 
 
@@ -203,10 +209,9 @@ class ServiceState:
         self._scan: list[ShardEntry] = []
         #: Fold of every partial in ``_scan`` (``None`` when all are empty).
         self._folded: FusedPartial | None = None
-        self._trace_fp = ""
+        #: Its report (``None`` while the fold keeps no row).
         self._report: AnalysisReport | None = None
-        self._n_records = 0
-        self._n_ghosts = 0
+        self._trace_fp = ""
         self._batches: dict[ShardKey, ColumnarCDRBatch] = {}
         self._lock = threading.RLock()
 
@@ -219,39 +224,28 @@ class ServiceState:
         keeps every cached response valid.  Otherwise the result cache is
         cleared wholesale: the trace fingerprint rotates, so old entries
         could never be served again — clearing just returns their bytes.
+        A shard that cannot be read, or that starts before the last start
+        folded ahead of it, raises before anything is committed: the state
+        keeps its previous fold, and the next refresh tries again.
         """
         with self._lock:
             scan = scan_shards(self.config.trace)
             diff = diff_manifest(self._partials.keys(), scan)
             if not diff.changed and self._scan:
                 return self._summary(changed=False, n_added=0, n_removed=0)
-            if diff.added:
-                spec = FusedMapSpec(
-                    shards=tuple(self._paths(scan)),
-                    clock=self.context.clock,
-                    config=PreprocessConfig(),
-                    schedule=self.context.schedule,
-                    cells=self.context.cells,
-                    min_records=self.config.min_records,
-                    chunk_rows=self.config.chunk_rows,
-                )
-                mapped = map_shards_fused(
-                    spec,
-                    indices=[index for index, _ in diff.added],
-                    workers=self._workers,
-                )
-                for index, entry in diff.added:
-                    partial = mapped[index]
-                    self._partials[entry.key] = (
-                        None
-                        if partial is None
-                        else pickle.dumps(partial, protocol=pickle.HIGHEST_PROTOCOL)
-                    )
+            partials = {**self._partials, **self._map(scan, diff.added)}
+            folded = fold_fused_partials(self._fold_inputs(scan, partials))
+            report = (
+                finalize_fused(folded, self.context.clock)
+                if folded is not None and folded.n_records
+                else None
+            )
+            self._partials = {entry.key: partials[entry.key] for entry in scan}
             for key in diff.removed:
-                del self._partials[key]
                 self._batches.pop(key, None)
-            self._fold(scan)
             self._scan = scan
+            self._folded = folded
+            self._report = report
             self._trace_fp = trace_fingerprint(scan)
             self.cache.clear()
             return self._summary(
@@ -260,43 +254,51 @@ class ServiceState:
                 n_removed=len(diff.removed),
             )
 
-    def _paths(self, scan: list[ShardEntry]) -> list[Path]:
-        from pathlib import Path
+    def _map(
+        self, scan: list[ShardEntry], added: Sequence[tuple[int, ShardEntry]]
+    ) -> dict[ShardKey, bytes | None]:
+        """Sweep the added shards; their pickled partials by identity."""
+        if not added:
+            return {}
+        spec = FusedMapSpec(
+            shards=tuple(Path(entry.path) for entry in scan),
+            clock=self.context.clock,
+            config=PreprocessConfig(),
+            schedule=self.context.schedule,
+            cells=self.context.cells,
+            min_records=self.config.min_records,
+            chunk_rows=self.config.chunk_rows,
+        )
+        mapped = map_shards_fused(
+            spec, indices=[index for index, _ in added], workers=self._workers
+        )
+        return {
+            entry.key: None
+            if mapped[index] is None
+            else pickle.dumps(mapped[index], protocol=pickle.HIGHEST_PROTOCOL)
+            for index, entry in added
+        }
 
-        return [Path(entry.path) for entry in scan]
+    def _fold_inputs(
+        self, scan: list[ShardEntry], partials: Mapping[ShardKey, bytes | None]
+    ) -> list[tuple[str, FusedPartial | None]]:
+        """``(shard, partial)`` pairs for the one fold, in shard-index order.
 
-    def _fold(self, scan: list[ShardEntry]) -> None:
-        """Fold partials in shard-index order and finalize.
-
-        When ``scan`` extends the previous scan at its end, only the new
-        shards' partials are unpickled and absorbed into the held fold of
-        the previous scan; otherwise every cached partial is re-folded.
-        Either way the fold order is shard-index order, so the result is
-        the same.  ``fold_fused_partials`` copies its first input, so a
-        failure here leaves the held fold as it was.
+        When ``scan`` extends the previous scan at its end, the held fold
+        stands for the previous scan, under the name of its last shard, and
+        only the new partials are unpickled after it; otherwise every
+        partial is.  Either way the fold order is shard-index order, so the
+        result is the same.
         """
-        old_keys = [entry.key for entry in self._scan]
-        appended = bool(old_keys) and [
-            entry.key for entry in scan[: len(old_keys)]
-        ] == old_keys
-        parts: list[FusedPartial] = []
-        if appended and self._folded is not None:
-            parts.append(self._folded)
-        for entry in scan[len(old_keys) :] if appended else scan:
-            blob = self._partials[entry.key]
-            if blob is not None:
-                parts.append(pickle.loads(blob))
-        if not parts:
-            self._folded = None
-            self._report = None
-            self._n_records = 0
-            self._n_ghosts = 0
-            return
-        merged = fold_fused_partials(parts)
-        self._report = finalize_fused(merged, self.context.clock)
-        self._folded = merged
-        self._n_records = merged.n_records
-        self._n_ghosts = merged.n_ghosts
+        old = self._scan
+        appended = bool(old) and [e.key for e in scan[: len(old)]] == [e.key for e in old]
+        inputs: list[tuple[str, FusedPartial | None]] = []
+        if appended:
+            inputs.append((old[-1].path, self._folded))
+        for entry in scan[len(old) :] if appended else scan:
+            blob = partials[entry.key]
+            inputs.append((entry.path, None if blob is None else pickle.loads(blob)))
+        return inputs
 
     def _summary(self, changed: bool, n_added: int, n_removed: int) -> IngestSummary:
         return IngestSummary(
@@ -304,8 +306,8 @@ class ServiceState:
             n_shards=len(self._scan),
             n_added=n_added,
             n_removed=n_removed,
-            n_records=self._n_records,
-            n_ghosts=self._n_ghosts,
+            n_records=self.n_records,
+            n_ghosts=self.n_ghosts,
             trace_fingerprint=self._trace_fp,
         )
 
@@ -314,15 +316,16 @@ class ServiceState:
     def report(self) -> AnalysisReport:
         """The current fused report, refreshing on first use.
 
-        Raises ``ValueError`` when the trace holds no rows at all — every
+        Raises :class:`~repro.core.preprocess.NoUsableRecordsError` while
+        the fold keeps no row (an empty trace or ghosts only) — every
         Section 4 statistic would be undefined, and the routes layer turns
         this into an explicit HTTP error instead of a NaN-filled payload.
         """
         with self._lock:
-            if self._report is None and not self._scan:
+            if not self._scan:
                 self.refresh()
             if self._report is None:
-                raise ValueError("trace has no rows; nothing to analyze")
+                raise NoUsableRecordsError(self.n_ghosts)
             return self._report
 
     def partial(self) -> FusedPartial:
@@ -330,24 +333,24 @@ class ServiceState:
 
         The report is finalized from it; the ``twin`` route reads its
         calibration statistics off it without another sweep.  Raises
-        ``ValueError`` like :meth:`report`.  Callers must not mutate it.
+        like :meth:`report`.  Callers must not mutate it.
         """
         with self._lock:
-            if self._folded is None and not self._scan:
+            if not self._scan:
                 self.refresh()
-            if self._folded is None:
-                raise ValueError("trace has no rows; nothing to analyze")
+            if self._folded is None or self._report is None:
+                raise NoUsableRecordsError(self.n_ghosts)
             return self._folded
 
     @property
     def n_records(self) -> int:
         """Rows kept by the current fold (ghosts excluded)."""
-        return self._n_records
+        return 0 if self._folded is None else self._folded.n_records
 
     @property
     def n_ghosts(self) -> int:
         """Ghost rows dropped by the current fold."""
-        return self._n_ghosts
+        return 0 if self._folded is None else self._folded.n_ghosts
 
     @property
     def n_shards(self) -> int:
@@ -360,7 +363,8 @@ class ServiceState:
         """One analysis response as canonical JSON bytes, cached by key.
 
         ``KeyError`` propagates for an unknown ``kind`` or car id (the app
-        maps it to 404); ``ValueError`` for an empty trace (mapped to 409).
+        maps it to 404); ``NoUsableRecordsError`` for a trace without a
+        kept row (mapped to 409).
         """
         from repro.service.routes import ANALYSIS_ROUTES
 

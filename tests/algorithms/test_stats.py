@@ -6,7 +6,6 @@ import pytest
 from repro.algorithms.stats import (
     decile_shares,
     ecdf_at,
-    histogram,
     linear_trend,
     percentile,
 )
@@ -56,25 +55,6 @@ class TestDecileShares:
         shares = decile_shares([], [0, 1])
         assert shares.shape == (1,)
         assert shares[0] == 0
-
-
-class TestHistogram:
-    def test_counts(self):
-        edges, counts = histogram([1, 2, 3, 11, 12], bin_width=10)
-        assert counts[0] == 3
-        assert counts[1] == 2
-
-    def test_max_value_included(self):
-        edges, counts = histogram([10.0], bin_width=10)
-        assert counts.sum() == 1
-
-    def test_empty(self):
-        edges, counts = histogram([], bin_width=5)
-        assert counts.sum() == 0
-
-    def test_rejects_bad_width(self):
-        with pytest.raises(ValueError):
-            histogram([1], bin_width=0)
 
 
 class TestLinearTrend:

@@ -19,7 +19,8 @@ from repro.algorithms.timebins import BIN_SECONDS, DAY, StudyClock
 from repro.cdr.columnar import ColumnarCDRBatch
 from repro.cdr.records import CDRBatch, ConnectionRecord
 from repro.core.concurrency import weekly_concurrency, weekly_concurrency_rows
-from repro.core.fused import FusedEngine, fold_fused_partials
+from repro.core.fused import FusedEngine
+from repro.core.mapreduce import fold_fused_partials
 from repro.core.preprocess import preprocess
 from repro.core.twinstats import aggregate_sessions, duration_quantile
 
@@ -82,7 +83,7 @@ def fold(records, cuts):
             continue
         engine = FusedEngine(CLOCK, busy_cells=BUSY)
         engine.consume(ColumnarCDRBatch.from_records(records[lo:hi]))
-        partials.append(engine.export_partial())
+        partials.append((f"rows {lo}-{hi}", engine.export_partial()))
     return fold_fused_partials(partials)
 
 

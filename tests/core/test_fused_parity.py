@@ -497,12 +497,12 @@ class TestFusedMapReduce:
     def test_matches_in_memory_references(
         self, sharded, dataset, topology, schedule, clock
     ):
-        report, stats = analyze_shards_fused(
+        report, _ = analyze_shards_fused(
             sharded, clock, schedule=schedule, cells=topology.cells, workers=2
         )
         pre = preprocess(dataset.batch)
-        assert stats.n_records == len(pre.full)
-        assert stats.n_ghosts_dropped == pre.n_dropped_ghosts
+        assert report.n_kept == len(pre.full)
+        assert report.n_ghosts == pre.n_dropped_ghosts
 
         ref_p = daily_presence(pre.full, clock)
         assert np.array_equal(report.presence.car_fraction, ref_p.car_fraction)
@@ -533,10 +533,10 @@ class TestFusedMapReduce:
     def test_optional_analyses_need_schedule_and_cells(
         self, sharded, dataset, clock
     ):
-        report, stats = analyze_shards_fused(sharded, clock, workers=2)
+        report, _ = analyze_shards_fused(sharded, clock, workers=2)
         pre = preprocess(dataset.batch)
-        assert stats.n_records == len(pre.full)
-        assert stats.n_ghosts_dropped == pre.n_dropped_ghosts
+        assert report.n_kept == len(pre.full)
+        assert report.n_ghosts == pre.n_dropped_ghosts
         assert report.exposure is None
         assert report.segmentation is None
         assert report.handovers is None
@@ -571,8 +571,11 @@ class TestFusedMapReduce:
         # with map_shards_fused and folding must reproduce the one-sweep
         # analyze_shards_fused report bit for bit.
         from repro.cdr.store import resolve_shards
-        from repro.core.fused import fold_fused_partials
-        from repro.core.mapreduce import FusedMapSpec, map_shards_fused
+        from repro.core.mapreduce import (
+            FusedMapSpec,
+            fold_fused_partials,
+            map_shards_fused,
+        )
 
         shards = tuple(resolve_shards(sharded))
         spec = FusedMapSpec(
@@ -591,11 +594,10 @@ class TestFusedMapReduce:
         second = map_shards_fused(
             spec, indices=list(range(halfway, len(shards))), workers=1
         )
-        partials = [
-            partial
-            for _, partial in sorted((first | second).items())
-            if partial is not None
-        ]
+        partials = (
+            (str(shards[index]), partial)
+            for index, partial in sorted((first | second).items())
+        )
         report = finalize_fused(fold_fused_partials(partials), clock)
         reference, _ = analyze_shards_fused(
             sharded, clock, min_records=2, chunk_rows=256, workers=1

@@ -172,10 +172,9 @@ class TestWorkerCountParity:
         result, stats = by_workers[4]
         n_ghosts = sum(1 for r in records if is_ghost_record(r))
         assert stats.n_shards == 8
-        assert stats.n_empty_shards == 0
         assert stats.workers == 4
-        assert stats.n_records == len(records) - n_ghosts == result.durations.n
-        assert stats.n_ghosts_dropped == n_ghosts == result.n_ghosts
+        assert result.n_kept == len(records) - n_ghosts == result.durations.n
+        assert result.n_ghosts == n_ghosts
         assert stats.peak_rss_bytes > 0
 
 
@@ -263,7 +262,6 @@ class TestEdgeShardLayouts:
         reference, stats = analyze_shards_fused(ragged_dir, clock, workers=1)
         result, _ = analyze_shards_fused(ragged_dir, clock, workers=2)
         assert stats.n_shards == 6
-        assert stats.n_empty_shards == 1
         assert_reports_identical(reference, result)
         assert result.durations.n == serial_result.durations.n
         assert result.durations.median == serial_result.durations.median
@@ -298,10 +296,9 @@ class TestEdgeShardLayouts:
                 directory / f"shard-{index:05d}.cdrz",
                 ColumnarCDRBatch.from_records(rows),
             )
-        result, stats = analyze_shards_fused(directory, clock, workers=1)
-        assert stats.n_records == 1
-        assert stats.n_ghosts_dropped == 3
-        assert stats.n_empty_shards == 0
+        result, _ = analyze_shards_fused(directory, clock, workers=1)
+        assert result.n_kept == 1
+        assert result.n_ghosts == 3
         assert result.durations.n == 1
 
 

@@ -96,12 +96,8 @@ class TestWeekdayTable:
             presence.car_fraction.mean()
         )
 
-    def test_exclude_days(self):
-        presence, _ = self._presence()
-        rows_all = {r.weekday: r for r in weekday_table(presence)}
-        rows_excl = {
-            r.weekday: r for r in weekday_table(presence, exclude_days=(0, 7, 14, 21))
-        }
-        # All Mondays excluded -> no Monday row.
-        assert "Monday" in rows_all
-        assert "Monday" not in rows_excl
+    def test_short_study_has_rows_only_for_weekdays_it_reaches(self):
+        presence, _ = self._presence(n_days=3)
+        rows = weekday_table(presence)
+        assert [r.weekday for r in rows] == ["Monday", "Tuesday", "Wednesday", "Overall"]
+        assert rows[-1].car_mean == pytest.approx(1.0)

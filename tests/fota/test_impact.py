@@ -10,7 +10,7 @@ from repro.core.preprocess import preprocess
 from repro.core.segmentation import days_on_network
 from repro.fota.campaign import CampaignConfig
 from repro.fota.impact import assess_impact
-from repro.fota.policy import NaivePolicy
+from repro.fota.policy import BusyAwarePolicy, NaivePolicy, OffPeakPolicy, RareFirstPolicy
 from repro.fota.simulator import CampaignSimulator
 
 
@@ -28,7 +28,7 @@ class TestThrottledSimulator:
     def test_cap_validated(self):
         sim = CampaignSimulator(CDRBatch([]), quiet_schedule(), {})
         with pytest.raises(ValueError):
-            sim.run_throttled(NaivePolicy(), CampaignConfig(), 0)
+            sim.run(NaivePolicy(), CampaignConfig(), 0)
 
     def test_cap_one_serializes_cell(self):
         # Three cars connect in the same cell and bin; cap 1 serves one.
@@ -36,7 +36,7 @@ class TestThrottledSimulator:
             [rec(0, 300.0, car=f"car-{i}") for i in range(3)]
         )
         sim = CampaignSimulator(batch, quiet_schedule(), {f"car-{i}": 30 for i in range(3)})
-        result = sim.run_throttled(
+        result = sim.run(
             NaivePolicy(), CampaignConfig(update_bytes=1e6, window_days=1), 1
         )
         served = sum(o.opportunities_used for o in result.outcomes.values())
@@ -51,7 +51,7 @@ class TestThrottledSimulator:
         days = {f"car-{i}": 30 for i in range(4)}
         sim = CampaignSimulator(batch, quiet_schedule(), days)
         plain = sim.run(NaivePolicy(), CampaignConfig(update_bytes=1e6, window_days=28))
-        capped = sim.run_throttled(
+        capped = sim.run(
             NaivePolicy(), CampaignConfig(update_bytes=1e6, window_days=28), 10
         )
         assert capped.completion_rate == plain.completion_rate
@@ -66,12 +66,32 @@ class TestThrottledSimulator:
         sim = CampaignSimulator(pre.truncated, schedule, days, seed=2)
         config = CampaignConfig(update_bytes=400e6, window_days=dataset.clock.n_days)
         plain = sim.run(NaivePolicy(), config)
-        capped = sim.run_throttled(NaivePolicy(), config, max_concurrent_per_cell=1)
+        capped = sim.run(NaivePolicy(), config, max_concurrent_per_cell=1)
         assert capped.completion_rate <= plain.completion_rate
         total_throttled = sum(
             o.opportunities_throttled for o in capped.outcomes.values()
         )
         assert total_throttled > 0
+
+    @pytest.mark.parametrize("update_mb", [50, 300, 2000])
+    @pytest.mark.parametrize(
+        "policy", [NaivePolicy, OffPeakPolicy, RareFirstPolicy, BusyAwarePolicy]
+    )
+    def test_cap_never_reached_changes_no_outcome(self, dataset, policy, update_mb):
+        # The cap only refuses opportunities: one no car can reach leaves
+        # every outcome, transfer events included, as the uncapped replay's.
+        pre = preprocess(dataset.batch)
+        schedule = BusySchedule.from_load_model(dataset.load_model)
+        days = days_on_network(pre.full, dataset.clock)
+        sim = CampaignSimulator(pre.truncated, schedule, days, seed=3)
+        config = CampaignConfig(
+            update_bytes=update_mb * 1e6, window_days=dataset.clock.n_days
+        )
+        plain = sim.run(policy(), config)
+        capped = sim.run(policy(), config, max_concurrent_per_cell=10**9)
+        assert capped.policy_name == f"{plain.policy_name}-throttled"
+        assert capped.outcomes == plain.outcomes
+        assert any(o.transfers for o in plain.outcomes.values())
 
 
 class TestAssessImpact:

@@ -154,5 +154,5 @@ class TestOnGeneratedTrace:
         built.clear()
         cfg = CampaignConfig(update_bytes=150e6, window_days=dataset.clock.n_days)
         sim.run(NaivePolicy(), cfg)
-        sim.run_throttled(NaivePolicy(), cfg, 5)
+        sim.run(NaivePolicy(), cfg, 5)
         assert built == []

@@ -4,10 +4,11 @@ The fused kernels weld per-car chains and network sessions forward in
 time, so they need rows in record order.  Each entry point holds one
 guarantee: in-memory callers sort a batch that is out of order, a map task
 sorts such a shard, :func:`write_sharded_cdrz` sorts before it splits, and
-the offline fold refuses shards out of start order — ``twin`` then exits 2
-and ``analyze`` runs the trace in process instead.
+the one shard fold refuses shards out of start order — ``twin`` and
+``serve`` then exit 2, and ``analyze`` runs the trace in process instead.
 """
 
+import pickle
 import shutil
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 
 from repro.cdr.io import write_columnar_csv
 from repro.cdr.store import (
+    DEFAULT_CHUNK_ROWS,
     read_batch_cdrz,
     read_cdrz_header,
     resolve_shards,
@@ -22,7 +24,15 @@ from repro.cdr.store import (
     write_sharded_cdrz,
 )
 from repro.cli import main
-from repro.core.mapreduce import ShardOrderError, fold_shards_fused
+from repro.core.mapreduce import (
+    FusedMapSpec,
+    ShardOrderError,
+    fold_fused_partials,
+    fold_shards_fused,
+    map_shards_fused,
+)
+from repro.core.preprocess import PreprocessConfig
+from repro.service import ServiceConfig, ServiceState
 from repro.simulate.generator import TraceGenerator
 from repro.simulate.scenarios import scenario
 from repro.twin.summary import summarize_batch, summarize_source, twin_context
@@ -140,3 +150,54 @@ class TestShardsOutOfStartOrder:
         got, err = analyze(traces["swapped_dir"], "2", capsys)
         assert got == expected
         assert "global start order; analyzing in process" in err
+
+    def test_a_refused_fold_mutates_no_partial(self, traces):
+        # The out-of-order shard comes third, after two partials a fold
+        # that checked as it absorbed would already have merged.
+        ctx = twin_context("smoke", DAYS)
+        shards = resolve_shards(traces["sorted_dir"])
+        assert len(shards) == 3
+        spec = FusedMapSpec(
+            shards=(shards[0], shards[2], shards[1]),
+            clock=ctx.clock,
+            config=PreprocessConfig(),
+            schedule=ctx.schedule,
+            cells=ctx.cells,
+            min_records=2,
+            chunk_rows=DEFAULT_CHUNK_ROWS,
+        )
+        partials = map_shards_fused(spec)
+        before = {i: pickle.dumps(p) for i, p in partials.items()}
+        with pytest.raises(ShardOrderError, match="shard-00001.cdrz starts at"):
+            fold_fused_partials(
+                (str(shard), partials[i]) for i, shard in enumerate(spec.shards)
+            )
+        assert {i: pickle.dumps(p) for i, p in partials.items()} == before
+
+    def test_a_cold_daemon_refuses_them_naming_both_shards(self, traces):
+        trace = str(traces["swapped_dir"])
+        state = ServiceState(ServiceConfig(trace=trace, scenario="smoke", days=DAYS))
+        with pytest.raises(ShardOrderError) as error:
+            state.refresh()
+        assert "shard-00001.cdrz starts at" in str(error.value)
+        assert "last start of " in str(error.value)
+        assert "shard-00000.cdrz" in str(error.value)
+        assert state.n_shards == 0
+
+    def test_serve_exits_2_with_one_line(self, traces, capsys, monkeypatch):
+        import repro.service
+
+        def serve_forever(*args):
+            raise AssertionError("serve started on shards out of start order")
+
+        monkeypatch.setattr(repro.service, "serve_forever", serve_forever)
+        code = main(
+            ["serve", "--trace", str(traces["swapped_dir"]), "--scenario", "smoke",
+             "--days", str(DAYS), "--port", "0"]
+        )
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith("serve: ")
+        assert "shard-00001.cdrz starts at" in line

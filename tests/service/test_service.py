@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms.timebins import DAY
+from repro.cdr.columnar import ColumnarCDRBatch
 from repro.cdr.store import write_batch_cdrz
 from repro.core.fused import FusedPartial
 from repro.network.load import CellLoadModel
@@ -552,6 +553,73 @@ class TestTornShardAtIngest:
                 torn.write_bytes(whole)
                 assert client.ingest()["n_added"] == 1
                 assert client.stats()["n_shards"] == 3
+
+    def test_append_out_of_start_order_is_refused_until_removed(
+        self, tmp_path, chunks
+    ):
+        """An append that starts before the last start ahead of it answers
+        409 naming both shards, again on a retry, and changes nothing, not
+        even the held fold that the good shard beside it would have grown;
+        once it is gone, a good append folds to a cold run's bytes."""
+        trace = tmp_path / "trace"
+        write_chunks(trace, chunks, [0, 1])
+        early = trace / "shard-00003.cdrz"
+        state = ServiceState(service_config(trace))
+        with ServiceThread(state) as server:
+            with ServiceClient("127.0.0.1", server.port) as client:
+                before = {kind: client.query_bytes(kind) for kind in KINDS}
+                write_chunks(trace, chunks, [2])
+                write_batch_cdrz(early, chunks[0])
+                for _attempt in range(2):
+                    stats = client.stats()
+                    with pytest.raises(ServiceClientError) as error:
+                        client.ingest()
+                    assert error.value.status == 409
+                    assert f"{early} starts at" in error.value.message
+                    assert "shard-00002.cdrz at" in error.value.message
+                    assert client.stats() == stats
+                    assert {kind: client.query_bytes(kind) for kind in KINDS} == before
+                early.unlink()
+                write_chunks(trace, chunks, [3])
+                summary = client.ingest()
+                assert (summary["n_added"], summary["n_removed"]) == (2, 0)
+                after = {kind: client.query_bytes(kind) for kind in KINDS}
+        reference = tmp_path / "reference"
+        write_chunks(reference, chunks, range(4))
+        assert after == all_query_bytes(ServiceState(service_config(reference)))
+
+
+class TestNoKeptRow:
+    def test_ghost_only_trace_answers_409_until_a_real_shard_lands(
+        self, tmp_path, chunks
+    ):
+        """A daemon over ghosts only starts at 0 records and answers every
+        analysis query 409 with the ghost count; after a real shard is
+        appended, every reply equals a cold daemon's."""
+        trace = tmp_path / "trace"
+        trace.mkdir()
+        real = chunks[0]
+        ghosts = ColumnarCDRBatch(
+            real.start, np.full(len(real), 3600.0), real.cell_id, real.car_code,
+            real.carrier_code, real.tech_code, real.car_ids, real.carriers,
+            real.technologies,
+        )
+        write_batch_cdrz(trace / "shard-00000.cdrz", ghosts)
+        state = ServiceState(service_config(trace))
+        summary = state.refresh()
+        assert (summary.n_records, summary.n_ghosts) == (0, len(ghosts))
+        with ServiceThread(state) as server:
+            with ServiceClient("127.0.0.1", server.port) as client:
+                assert client.stats()["n_records"] == 0
+                for kind in KINDS:
+                    with pytest.raises(ServiceClientError) as error:
+                        client.query_bytes(kind)
+                    assert error.value.status == 409, kind
+                    assert f"{len(ghosts):,} ghost records dropped" in error.value.message
+                write_chunks(trace, chunks, [1])
+                assert client.ingest()["n_added"] == 1
+                after = {kind: client.query_bytes(kind) for kind in KINDS}
+        assert after == all_query_bytes(ServiceState(service_config(trace)))
 
 
 class TestConnectionHandling:
