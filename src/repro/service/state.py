@@ -209,6 +209,9 @@ class ServiceState:
         self._scan: list[ShardEntry] = []
         #: Fold of every partial in ``_scan`` (``None`` when all are empty).
         self._folded: FusedPartial | None = None
+        #: The last shard of ``_scan`` that kept a row: what the fold's
+        #: last start belongs to.
+        self._last_kept = ""
         #: Its report (``None`` while the fold keeps no row).
         self._report: AnalysisReport | None = None
         self._trace_fp = ""
@@ -234,7 +237,12 @@ class ServiceState:
             if not diff.changed and self._scan:
                 return self._summary(changed=False, n_added=0, n_removed=0)
             partials = {**self._partials, **self._map(scan, diff.added)}
-            folded = fold_fused_partials(self._fold_inputs(scan, partials))
+            inputs = self._fold_inputs(scan, partials)
+            last_kept = next(
+                (name for name, p in reversed(inputs) if p is not None and p.n_records),
+                "",
+            )
+            folded = fold_fused_partials(inputs)
             report = (
                 finalize_fused(folded, self.context.clock)
                 if folded is not None and folded.n_records
@@ -245,6 +253,7 @@ class ServiceState:
                 self._batches.pop(key, None)
             self._scan = scan
             self._folded = folded
+            self._last_kept = last_kept
             self._report = report
             self._trace_fp = trace_fingerprint(scan)
             self.cache.clear()
@@ -285,16 +294,17 @@ class ServiceState:
         """``(shard, partial)`` pairs for the one fold, in shard-index order.
 
         When ``scan`` extends the previous scan at its end, the held fold
-        stands for the previous scan, under the name of its last shard, and
-        only the new partials are unpickled after it; otherwise every
-        partial is.  Either way the fold order is shard-index order, so the
-        result is the same.
+        stands for the previous scan, under the name of its last shard that
+        kept a row, and only the new partials are unpickled after it;
+        otherwise every partial is.  Either way the fold order is
+        shard-index order, so the result, and a refusal's wording, are the
+        same.
         """
         old = self._scan
         appended = bool(old) and [e.key for e in scan[: len(old)]] == [e.key for e in old]
         inputs: list[tuple[str, FusedPartial | None]] = []
         if appended:
-            inputs.append((old[-1].path, self._folded))
+            inputs.append((self._last_kept, self._folded))
         for entry in scan[len(old) :] if appended else scan:
             blob = partials[entry.key]
             inputs.append((entry.path, None if blob is None else pickle.loads(blob)))

@@ -29,6 +29,7 @@ from repro.algorithms.timebins import DAY
 from repro.cdr.columnar import ColumnarCDRBatch
 from repro.cdr.store import write_batch_cdrz
 from repro.core.fused import FusedPartial
+from repro.core.mapreduce import ShardOrderError
 from repro.network.load import CellLoadModel
 from repro.service import (
     ServiceClient,
@@ -587,6 +588,31 @@ class TestTornShardAtIngest:
         reference = tmp_path / "reference"
         write_chunks(reference, chunks, range(4))
         assert after == all_query_bytes(ServiceState(service_config(reference)))
+
+    def test_refused_append_after_a_ghost_shard_names_the_last_kept_start(
+        self, tmp_path, chunks
+    ):
+        """When the newest folded shard kept no row, a refused append names
+        the shard that holds the quoted last start, as a cold daemon over the
+        same files does."""
+        trace = tmp_path / "trace"
+        write_chunks(trace, chunks, [2])
+        later = chunks[3].rows(0, 5)
+        ghosts = ColumnarCDRBatch(
+            later.start, np.full(len(later), 3600.0), later.cell_id, later.car_code,
+            later.carrier_code, later.tech_code, later.car_ids, later.carriers,
+            later.technologies,
+        )
+        write_batch_cdrz(trace / "shard-00003.cdrz", ghosts)
+        state = ServiceState(service_config(trace))
+        state.refresh()
+        write_batch_cdrz(trace / "shard-00004.cdrz", chunks[0])
+        with pytest.raises(ShardOrderError) as warm:
+            state.refresh()
+        with pytest.raises(ShardOrderError) as cold:
+            ServiceState(service_config(trace)).refresh()
+        assert "shard-00002.cdrz at" in str(cold.value)
+        assert str(warm.value) == str(cold.value)
 
 
 class TestNoKeptRow:
